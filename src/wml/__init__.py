@@ -10,7 +10,7 @@ verifies everything against brute-force enumeration over small explicit
 groups.
 """
 
-from .budget import BudgetError, ValidationError
+from .budget import BudgetError, InvariantError, ValidationError
 from .characters import (
     CharacterSpec,
     ClassFunction,

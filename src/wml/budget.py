@@ -32,6 +32,11 @@ class ValidationError(Exception):
     """Malformed input (bad word syntax, bad group table, bad flags)."""
 
 
+class InvariantError(Exception):
+    """A mathematical invariant failed: a bug, not bad input.  Raised
+    explicitly so that the check survives ``python -O``."""
+
+
 def eval_budget(override: int | None = None) -> int:
     if override is not None:
         return override

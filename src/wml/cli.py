@@ -320,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--rank", type=int, default=None, help="ambient free-group rank")
         sp.add_argument("--format", choices=["json", "table"], default="json")
         sp.add_argument("--budget", type=int, default=None, help="evaluation budget override")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1, help="worker cap (computations are pure)")
         sp.add_argument(
             "--whitehead-rank-bound", type=int, default=4,
             help="maximum rank for Whitehead minimization searches",
@@ -362,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--n-list", default=None)
     sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     sp.set_defaults(func=cmd_oracle)
 
     sp = common(sub.add_parser("orbits", help="orbit counts of diagonal actions"), word=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import DEFAULT_WORD_LENGTH_BOUND, ValidationError
+from .budget import DEFAULT_WORD_LENGTH_BOUND, InvariantError, ValidationError
 from .words import Word, CyclicWord, cyclic_reduce, lies_in_proper_free_factor, reduce_letters
 
 
@@ -119,27 +119,101 @@ class CoreGraph:
         }
 
 
-def _canonicalize(n_vertices, edges, root, rank):
-    """BFS renumbering from the root: labels in order, outgoing before
-    incoming.  Returns (n_vertices, renumbered sorted edge tuple)."""
-    out = {}
-    inc = {}
+def _tables(n_vertices, edges, rank):
+    """Flat neighbour tables of a raw graph: ``out[v*rank + l]`` is the
+    head of the l-edge leaving v and ``inn[v*rank + l]`` the tail of the
+    l-edge entering v (-1: none).  Returns (out, inn, pending), where
+    ``pending`` lists the vertex pairs that same-label edges sharing an
+    end force together; it is empty exactly when the graph is folded."""
+    out = [-1] * (n_vertices * rank)
+    inn = [-1] * (n_vertices * rank)
+    pending = []
     for s, d, l in edges:
-        out[(s, l)] = d
-        inc[(d, l)] = s
-    order = {root: 0}
+        for table, a, b in ((out, s, d), (inn, d, s)):
+            k = a * rank + l
+            if table[k] < 0:
+                table[k] = b
+            elif table[k] != b:
+                pending.append((table[k], b))
+    return out, inn, pending
+
+
+def _fold_tables(out, inn, parent, rank, pending) -> None:
+    """Incremental Stallings folding with union-find and a worklist.
+
+    Identifies every pending pair and every pair that identification
+    forces, in place.  The class with the smaller representative absorbs
+    the other, so ``parent[v] <= v`` throughout; the absorbed vertex's
+    table rows are merged into the survivor's, and each label clash
+    becomes a new pending pair.  Table entries may name absorbed vertices;
+    ``_representatives`` resolves them.
+    """
+    while pending:
+        a, b = pending.pop()
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        ka, kb = a * rank, b * rank
+        for table in (out, inn):
+            for l in range(rank):
+                x = table[kb + l]
+                if x >= 0:
+                    y = table[ka + l]
+                    if y < 0:
+                        table[ka + l] = x
+                    elif y != x:
+                        pending.append((x, y))
+
+
+def _representatives(parent) -> list[int]:
+    """Class representative of every vertex, in one pass (parents precede
+    their children because ``parent[v] <= v``)."""
+    rep = list(parent)
+    for v, p in enumerate(parent):
+        rep[v] = rep[p]
+    return rep
+
+
+def _renumber(out, inn, rep, rank, root):
+    """Canonical numbering of the root's component of a folded table graph:
+    BFS from the root, labels in order, outgoing before incoming.
+    Returns (n_vertices, sorted edge tuple)."""
+    num = {root: 0}
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
+        k = v * rank
         for l in range(rank):
-            for nbr in (out.get((v, l)), inc.get((v, l))):
-                if nbr is not None and nbr not in order:
-                    order[nbr] = len(order)
-                    queue.append(nbr)
-    if len(order) != n_vertices:
+            for x in (out[k + l], inn[k + l]):
+                if x >= 0:
+                    x = rep[x]
+                    if x not in num:
+                        num[x] = len(queue)
+                        queue.append(x)
+    edges = []
+    for v in queue:
+        k, s = v * rank, num[v]
+        for l in range(rank):
+            x = out[k + l]
+            if x >= 0:
+                edges.append((s, num[rep[x]], l))
+    edges.sort()
+    return len(queue), tuple(edges)
+
+
+def _canonicalize(n_vertices, edges, root, rank):
+    """Canonical renumbering of a folded connected graph.  Returns
+    (n_vertices, renumbered sorted edge tuple)."""
+    out, inn, _ = _tables(n_vertices, edges, rank)
+    nv, new_edges = _renumber(out, inn, range(n_vertices), rank, root)
+    if nv != n_vertices:
         raise ValidationError("graph is not connected")
-    new_edges = tuple(sorted((order[s], order[d], l) for s, d, l in edges))
-    return n_vertices, new_edges
+    return nv, new_edges
 
 
 def bouquet(rank: int, names=()) -> CoreGraph:
@@ -178,73 +252,39 @@ def fold(n_vertices, edges, root=0, rank=None, names=()) -> CoreGraph:
 
     Identifies targets (sources) of same-label edges sharing a source
     (target) until locally injective; prunes dead hanging trees; returns
-    the canonical core graph.  The result is independent of fold order.
+    the canonical core graph of the root's component.  The result is
+    independent of fold order.
     """
     if rank is None:
         rank = 1 + max((l for _, _, l in edges), default=-1)
+    out, inn, pending = _tables(n_vertices, edges, rank)
     parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    edge_set = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        cur = {(find(s), find(d), l) for s, d, l in edge_set}
-        by_out: dict = {}
-        by_in: dict = {}
-        for s, d, l in cur:
-            if (s, l) in by_out and by_out[(s, l)] != d:
-                union(by_out[(s, l)], d)
-                changed = True
-                break
-            by_out[(s, l)] = d
-            if (d, l) in by_in and by_in[(d, l)] != s:
-                union(by_in[(d, l)], s)
-                changed = True
-                break
-            by_in[(d, l)] = s
-        edge_set = cur
-    final = {(find(s), find(d), l) for s, d, l in edge_set}
-    verts = {find(v) for v in range(n_vertices)} | {find(root)}
-    # keep only the connected component of the root
-    reach = {find(root)}
-    frontier = [find(root)]
-    adj: dict = {}
-    for s, d, l in final:
-        adj.setdefault(s, []).append(d)
-        adj.setdefault(d, []).append(s)
-    while frontier:
-        v = frontier.pop()
-        for u in adj.get(v, []):
-            if u not in reach:
-                reach.add(u)
-                frontier.append(u)
-    final = {(s, d, l) for s, d, l in final if s in reach}
-    verts = reach
-    # prune hanging trees (degree-1 non-root vertices)
-    while True:
-        deg: dict = {v: 0 for v in verts}
-        for s, d, _ in final:
-            deg[s] += 1
-            deg[d] += 1
-        prune = {v for v, k in deg.items() if k <= 1 and v != find(root)}
-        if not prune:
-            break
-        verts -= prune
-        final = {(s, d, l) for s, d, l in final if s not in prune and d not in prune}
-    num = {v: i for i, v in enumerate(sorted(verts))}
-    renum = [(num[s], num[d], l) for s, d, l in final]
-    nv, es = _canonicalize(len(verts), renum, num[find(root)], rank)
+    _fold_tables(out, inn, parent, rank, pending)
+    rep = _representatives(parent)
+    root = rep[root]
+    # prune hanging trees: strip degree-1 vertices other than the root
+    degree = [0] * n_vertices
+    for v in range(n_vertices):
+        if rep[v] == v:
+            for x in out[v * rank : (v + 1) * rank]:
+                if x >= 0:
+                    degree[v] += 1
+                    degree[rep[x]] += 1
+    leaves = [v for v in range(n_vertices) if degree[v] == 1 and v != root]
+    while leaves:
+        v = leaves.pop()
+        for table, other in ((out, inn), (inn, out)):
+            for l in range(rank):
+                x = table[v * rank + l]
+                if x < 0:
+                    continue
+                x = rep[x]
+                table[v * rank + l] = other[x * rank + l] = -1
+                degree[v] -= 1
+                degree[x] -= 1
+                if degree[x] == 1 and x != root:
+                    leaves.append(x)
+    nv, es = _renumber(out, inn, rep, rank, root)
     return CoreGraph(nv, es, rank, names, _canonical=True)
 
 
@@ -393,7 +433,8 @@ def spanning_tree_basis(g: CoreGraph) -> SubgroupBasis:
     basis = SubgroupBasis(
         g, frozenset(tree), tuple(basis_words), tuple(paths), tuple(basis_letter)
     )
-    assert basis.rank() == g.rank()
+    if basis.rank() != g.rank():
+        raise InvariantError(f"basis of rank {basis.rank()} for a graph of rank {g.rank()}")
     return basis
 
 
@@ -422,16 +463,25 @@ def rewrite_in_subgroup(w: Word, basis: SubgroupBasis) -> Word:
 # -- quotient enumeration ---------------------------------------------------
 
 
-def _merge_and_fold(g: CoreGraph, u: int, v: int) -> CoreGraph:
-    n = g.n_vertices
-    edges = [(s if s != v else u, d if d != v else u, l) for s, d, l in g.edges]
-    return fold(n, edges, 0, g.rank_ambient, g.names)
+def _bits(x: int):
+    """Indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 class QuotientPoset:
     """All quotients of the w-cycle: the lattice underlying every
-    convolution formula.  Nodes are canonical core graphs; the order is
-    morphism existence (memoized)."""
+    convolution formula.  Nodes are canonical core graphs, sorted by
+    (rank, -vertices, key).
+
+    Enumeration closes the w-cycle under single vertex merges, each folded
+    incrementally on flat neighbour tables.  H <= J exactly when J is
+    reachable from H by merges (a surjection of core graphs factors into
+    merge-then-fold steps), so the order is read off the merge DAG: one
+    bitset up-set per node, closed in order of increasing vertex count.
+    """
 
     def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
         cyc, _ = cyclic_reduce(word)
@@ -443,27 +493,54 @@ class QuotientPoset:
             )
         self.word = cyc.to_word()
         bottom = graph_of_word(cyc)
-        seen: dict = {bottom.key(): bottom}
-        queue = [bottom]
-        while queue:
-            g = queue.pop()
-            for u in range(g.n_vertices):
-                for v in range(u + 1, g.n_vertices):
-                    q = _merge_and_fold(g, u, v)
-                    if q.key() not in seen:
-                        seen[q.key()] = q
-                        queue.append(q)
-        nodes = sorted(seen.values(), key=lambda g: (g.rank(), -g.n_vertices, g.key()))
-        self.nodes: tuple[CoreGraph, ...] = tuple(nodes)
-        self.bottom_index = self.nodes.index(bottom)
+        rank, names = bottom.rank_ambient, bottom.names
+        found = {bottom.key(): 0}
+        graphs = [bottom]
+        children: list[tuple[int, ...]] = []
+        for g in graphs:  # grows while it is scanned
+            n = g.n_vertices
+            out, inn, _ = _tables(n, g.edges, rank)
+            kids = set()
+            for u in range(n):
+                for v in range(u + 1, n):
+                    o, i, parent = out[:], inn[:], list(range(n))
+                    _fold_tables(o, i, parent, rank, [(u, v)])
+                    nv, edges = _renumber(o, i, _representatives(parent), rank, 0)
+                    k = found.get((nv, rank, edges))
+                    if k is None:
+                        q = CoreGraph(nv, edges, rank, names, _canonical=True)
+                        k = found[q.key()] = len(graphs)
+                        graphs.append(q)
+                    kids.add(k)
+            children.append(tuple(kids))
+        order = sorted(
+            range(len(graphs)),
+            key=lambda k: (graphs[k].rank(), -graphs[k].n_vertices, graphs[k].key()),
+        )
+        position = [0] * len(graphs)
+        for i, k in enumerate(order):
+            position[k] = i
+        self.nodes: tuple[CoreGraph, ...] = tuple(graphs[k] for k in order)
+        self._index = {g: i for i, g in enumerate(self.nodes)}
+        self.bottom_index = position[0]
+        # merges strictly lower the vertex count, so children close first
+        up = [0] * len(graphs)
+        for k in sorted(range(len(graphs)), key=lambda k: graphs[k].n_vertices):
+            bits = 1 << position[k]
+            for c in children[k]:
+                bits |= up[position[c]]
+            up[position[k]] = bits
+        self._up = up
         self._morphisms: dict = {}
-        self._leq: dict = {}
 
     def __len__(self):
         return len(self.nodes)
 
     def index_of(self, g: CoreGraph) -> int:
-        return self.nodes.index(g)
+        try:
+            return self._index[g]
+        except KeyError:
+            raise ValueError(f"{g!r} is not a quotient of the {self.word} cycle") from None
 
     def morphism_between(self, i: int, j: int) -> GraphMorphism | None:
         key = (i, j)
@@ -472,28 +549,25 @@ class QuotientPoset:
         return self._morphisms[key]
 
     def leq(self, i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in self._leq:
-            if i == j:
-                self._leq[key] = True
-            else:
-                self._leq[key] = self.morphism_between(i, j) is not None
-        return self._leq[key]
+        return bool(self._up[i] >> j & 1)
 
     def comparable_pairs(self):
-        n = len(self.nodes)
-        return [(i, j) for i in range(n) for j in range(n) if self.leq(i, j)]
+        return [(i, j) for i, up in enumerate(self._up) for j in _bits(up)]
 
     def interval(self, i: int, j: int) -> list[int]:
-        return [k for k in range(len(self.nodes)) if self.leq(i, k) and self.leq(k, j)]
+        return [k for k in _bits(self._up[i]) if self._up[k] >> j & 1]
+
+    def maximal(self, indices) -> list[int]:
+        """The elements of ``indices`` lying below no other one of them."""
+        indices = list(indices)
+        mask = 0
+        for k in indices:
+            mask |= 1 << k
+        return [k for k in indices if self._up[k] & mask == 1 << k]
 
     def top_index(self) -> int | None:
         """Index of the bouquet node, if w uses every ambient generator."""
-        b = bouquet(self.word.rank, self.word.names)
-        try:
-            return self.nodes.index(b)
-        except ValueError:
-            return None
+        return self._index.get(bouquet(self.word.rank, self.word.names))
 
 
 def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> QuotientPoset:
@@ -560,10 +634,9 @@ def afd_cyclic(w: Word, j: CoreGraph, bound: int = DEFAULT_WORD_LENGTH_BOUND) ->
             continue
         if is_algebraic_cyclic_base(cyc.to_word(), node):
             candidates.append(idx)
-    maximal = [
-        i
-        for i in candidates
-        if not any(k != i and poset.leq(i, k) for k in candidates)
-    ]
-    assert len(maximal) == 1, "algebraic-free decomposition must be unique"
+    maximal = poset.maximal(candidates)
+    if len(maximal) != 1:
+        raise InvariantError(
+            f"algebraic-free decomposition must be unique, found {len(maximal)} maximal nodes"
+        )
     return poset.nodes[maximal[0]]

@@ -99,6 +99,30 @@ def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _moebius(n: int) -> int:
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _normalized_traces(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^j) / phi(n) for the power basis 0 <= j < phi(n): zeta_n^j
+    is a primitive d-th root of unity, d = n / gcd(j, n), whose trace down
+    from Q(zeta_d) is mu(d)."""
+    out = []
+    for j in range(euler_phi(n)):
+        d = n // gcd(j, n)
+        out.append(Fraction(_moebius(d), euler_phi(d)))
+    return tuple(out)
+
+
 class Cyclotomic:
     """An element of Q(zeta_N), immutable."""
 
@@ -278,10 +302,11 @@ class Cyclotomic:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        # equal rationals at different conductors must agree
-        if self.is_rational():
-            return hash(self.to_fraction())
-        return hash(("cyclotomic", sum(self.coeffs)))
+        # Tr/[Q(zeta_N):Q] does not depend on the field the element is
+        # written in, so equal elements at different conductors agree; on
+        # rationals it is the rational itself, matching __eq__ with ints
+        traces = _normalized_traces(self.conductor)
+        return hash(sum(c * t for c, t in zip(self.coeffs, traces) if c))
 
     def __repr__(self):
         if self.is_rational():

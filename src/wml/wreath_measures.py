@@ -20,6 +20,7 @@ from math import inf, isqrt
 from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
     DEFAULT_WORD_LENGTH_BOUND,
+    InvariantError,
     ValidationError,
 )
 from .characters import (
@@ -128,12 +129,9 @@ class WordContext:
             for a in range(len(self.nodes))
             if self.poset.leq(a, i) and self.is_algebraic(a)
         ]
-        maximal = [
-            a
-            for a in candidates
-            if not any(b != a and self.poset.leq(a, b) for b in candidates)
-        ]
-        assert len(maximal) == 1, "AFD core must be unique"
+        maximal = self.poset.maximal(candidates)
+        if len(maximal) != 1:
+            raise InvariantError(f"AFD core of node {i} must be unique, found {len(maximal)}")
         return maximal[0]
 
 
@@ -588,13 +586,10 @@ def iterated_expectation(
 def _bouquet_core_target(ctx: WordContext) -> int:
     """Node whose graph is maximal in the poset (the fold-everything
     quotient); the ambient free-invariance reduction bottoms out there."""
-    candidates = [
-        i
-        for i in range(len(ctx.nodes))
-        if all(ctx.poset.leq(j, i) for j in range(len(ctx.nodes)))
-    ]
-    assert candidates, "quotient poset must have a top"
-    return candidates[0]
+    maximal = ctx.poset.maximal(range(len(ctx.nodes)))
+    if len(maximal) != 1:
+        raise InvariantError(f"quotient poset must have a top, found {len(maximal)} maximal nodes")
+    return maximal[0]
 
 
 # -- spherically symmetric trees -----------------------------------------------

@@ -12,6 +12,14 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def test_seed_and_threads_are_usage_errors_outside_oracle(capsys):
+    for argv in (["rank", "a", "--threads", "2"], ["rank", "a", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_rank_command(capsys):
     code, data = run_json(capsys, "rank", "[a,b]")
     assert code == 0

@@ -1,8 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fold_reference import fold_reference, quotient_keys_reference
 from wml.budget import ValidationError
 from wml.core_graphs import (
     CoreGraph,
@@ -19,7 +23,7 @@ from wml.core_graphs import (
     rewrite_in_subgroup,
     spanning_tree_basis,
 )
-from wml.words import Word, parse_word, parse_words
+from wml.words import Word, cyclic_reduce, parse_word, parse_words, reduce_letters
 
 
 def expand_basis_word(word, basis):
@@ -312,3 +316,81 @@ def test_serialization_roundtrip():
 def test_word_length_bound():
     with pytest.raises(ValidationError):
         enumerate_quotients(parse_word("a^20"))
+
+
+# -- incremental folding and the merge-DAG order against the references --------
+
+
+@pytest.mark.parametrize(
+    "text", ["aabb", "abab^-1", "[a,b]^2", "[a,b][a,c]", "aabbcc", "x^-3(xy^6)^2"]
+)
+def test_bitset_order_is_morphism_existence(text):
+    p = enumerate_quotients(parse_word(text))
+    for i, h in enumerate(p.nodes):
+        for j, g in enumerate(p.nodes):
+            assert p.leq(i, j) == (morphism(h, g) is not None), (i, j)
+    assert p.maximal(range(len(p))) == [p.top_index()]
+
+
+def test_index_of_uses_node_keys():
+    p = enumerate_quotients(parse_word("[a,b]^2"))
+    assert [p.index_of(g) for g in p.nodes] == list(range(len(p)))
+    assert p.index_of(graph_of_word(parse_word("[a,b]^2"))) == p.bottom_index
+    with pytest.raises(ValueError):
+        p.index_of(graph_of_word(parse_word("ab")))
+
+
+@st.composite
+def cyclic_words(draw):
+    rank = draw(st.integers(2, 3))
+    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
+    letters = [draw(st.sampled_from(alphabet))]
+    for _ in range(draw(st.integers(0, 7))):
+        letters.append(draw(st.sampled_from([x for x in alphabet if x != -letters[-1]])))
+    cyc, _ = cyclic_reduce(Word(rank, tuple(letters)))
+    assume(cyc.letters)
+    return cyc.to_word()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclic_words())
+def test_enumeration_matches_restart_fold_reference(w):
+    poset = enumerate_quotients(w)
+    assert [g.key() for g in poset.nodes] == quotient_keys_reference(w)
+
+
+@st.composite
+def raw_graphs(draw):
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(1, 3))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, rank - 1))
+    edges = draw(st.lists(edge, max_size=14))
+    return n, edges, draw(st.integers(0, n - 1)), rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_graphs())
+def test_fold_matches_restart_fold_reference(raw):
+    assert fold(*raw) == fold_reference(*raw)
+
+
+@st.composite
+def generator_lists(draw):
+    rank = draw(st.integers(1, 3))
+    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
+    word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6).map(
+        lambda letters: Word(rank, reduce_letters(letters))
+    )
+    gens = draw(st.lists(word, min_size=1, max_size=3))
+    assume(all(g.letters for g in gens))
+    return gens, rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_graph_of_subgroup_matches_restart_fold_reference(case):
+    gens, rank = case
+    new = graph_of_subgroup(gens, rank)
+    with mock.patch("wml.core_graphs.fold", fold_reference):
+        old = graph_of_subgroup(gens, rank)
+    assert new == old

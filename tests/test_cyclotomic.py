@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wml.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 
@@ -82,3 +84,26 @@ def test_json_roundtrip():
     z12 = Cyclotomic.root_of_unity(12) * Fraction(3, 7) + 1
     again = Cyclotomic.from_json(z12.to_json())
     assert again == z12
+
+
+def test_equal_elements_at_different_conductors_hash_equal():
+    z3 = Cyclotomic.root_of_unity(3)
+    assert z3 == z3.lift(6)
+    assert len({z3, z3.lift(6)}) == 1
+    assert hash(Cyclotomic.root_of_unity(6, 3)) == hash(-1)
+
+
+@st.composite
+def lifted_pairs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]))
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    x = Cyclotomic(n, draw(st.lists(q, min_size=euler_phi(n), max_size=euler_phi(n))))
+    return x, x.lift(n * draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_pairs())
+def test_lifts_compare_and_hash_equal(pair):
+    x, y = pair
+    assert x == y and y == x
+    assert hash(x) == hash(y)
