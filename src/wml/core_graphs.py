@@ -247,30 +247,41 @@ def graph_of_word(w: Word | CyclicWord) -> CoreGraph:
     return CoreGraph(nv, es, w.rank, w.names, _canonical=True)
 
 
-def fold(n_vertices, edges, root=0, rank=None, names=()) -> CoreGraph:
+def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
+         known=None) -> CoreGraph:
     """Stallings folding of a raw rooted labeled graph.
 
     Identifies targets (sources) of same-label edges sharing a source
     (target) until locally injective; prunes dead hanging trees; returns
     the canonical core graph of the root's component.  The result is
     independent of fold order.
+
+    Quotient enumeration folds once per vertex merge and passes two
+    shortcuts.  ``tables`` is the graph's ``(out, inn, pending)`` as
+    ``_tables`` lays it out, made once by the caller, with the merged pair
+    added to ``pending``; it is copied here, never changed.  ``known`` is
+    a dict from keys to core graphs: a result whose key is in it is
+    returned from it instead of being built again, and a new one is added.
     """
     if rank is None:
         rank = 1 + max((l for _, _, l in edges), default=-1)
-    out, inn, pending = _tables(n_vertices, edges, rank)
+    if tables is None:
+        tables = _tables(n_vertices, edges, rank)
+    out, inn, pending = (t[:] for t in tables)
     parent = list(range(n_vertices))
     _fold_tables(out, inn, parent, rank, pending)
     rep = _representatives(parent)
     root = rep[root]
-    # prune hanging trees: strip degree-1 vertices other than the root
+    # prune hanging trees: strip degree-1 vertices other than the root; a
+    # class's rows hold all its edge ends, a loop counting twice
     degree = [0] * n_vertices
+    leaves = []
     for v in range(n_vertices):
         if rep[v] == v:
-            for x in out[v * rank : (v + 1) * rank]:
-                if x >= 0:
-                    degree[v] += 1
-                    degree[rep[x]] += 1
-    leaves = [v for v in range(n_vertices) if degree[v] == 1 and v != root]
+            k = v * rank
+            degree[v] = 2 * rank - out[k : k + rank].count(-1) - inn[k : k + rank].count(-1)
+            if degree[v] == 1 and v != root:
+                leaves.append(v)
     while leaves:
         v = leaves.pop()
         for table, other in ((out, inn), (inn, out)):
@@ -285,7 +296,13 @@ def fold(n_vertices, edges, root=0, rank=None, names=()) -> CoreGraph:
                 if degree[x] == 1 and x != root:
                     leaves.append(x)
     nv, es = _renumber(out, inn, rep, rank, root)
-    return CoreGraph(nv, es, rank, names, _canonical=True)
+    if known is None:
+        return CoreGraph(nv, es, rank, names, _canonical=True)
+    key = (nv, rank, es)
+    g = known.get(key)
+    if g is None:
+        g = known[key] = CoreGraph(nv, es, rank, names, _canonical=True)
+    return g
 
 
 def graph_of_subgroup(generators: list[Word], rank: int | None = None, names=()) -> CoreGraph:
@@ -477,10 +494,11 @@ class QuotientPoset:
     (rank, -vertices, key).
 
     Enumeration closes the w-cycle under single vertex merges, each folded
-    incrementally on flat neighbour tables.  H <= J exactly when J is
-    reachable from H by merges (a surjection of core graphs factors into
-    merge-then-fold steps), so the order is read off the merge DAG: one
-    bitset up-set per node, closed in order of increasing vertex count.
+    by ``fold`` from neighbour tables laid out once per node.  H <= J
+    exactly when J is reachable from H by merges (a surjection of core
+    graphs factors into merge-then-fold steps), so the order is read off
+    the merge DAG: one bitset up-set per node, closed in order of
+    increasing vertex count.
     """
 
     def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
@@ -494,8 +512,9 @@ class QuotientPoset:
         self.word = cyc.to_word()
         bottom = graph_of_word(cyc)
         rank, names = bottom.rank_ambient, bottom.names
-        found = {bottom.key(): 0}
+        known = {bottom.key(): bottom}
         graphs = [bottom]
+        index = {id(bottom): 0}  # by identity: fold returns the graph held in known
         children: list[tuple[int, ...]] = []
         for g in graphs:  # grows while it is scanned
             n = g.n_vertices
@@ -503,13 +522,11 @@ class QuotientPoset:
             kids = set()
             for u in range(n):
                 for v in range(u + 1, n):
-                    o, i, parent = out[:], inn[:], list(range(n))
-                    _fold_tables(o, i, parent, rank, [(u, v)])
-                    nv, edges = _renumber(o, i, _representatives(parent), rank, 0)
-                    k = found.get((nv, rank, edges))
+                    q = fold(n, g.edges, 0, rank, names, tables=(out, inn, [(u, v)]),
+                             known=known)
+                    k = index.get(id(q))
                     if k is None:
-                        q = CoreGraph(nv, edges, rank, names, _canonical=True)
-                        k = found[q.key()] = len(graphs)
+                        k = index[id(q)] = len(graphs)
                         graphs.append(q)
                     kids.add(k)
             children.append(tuple(kids))

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .budget import ValidationError
+
 
 def euler_phi(n: int) -> int:
     result, m, p = n, n, 2
@@ -169,7 +171,8 @@ class Cyclotomic:
         """Rewrite in Q(zeta_m); requires conductor | m."""
         if m == self.conductor:
             return self
-        assert m % self.conductor == 0
+        if m % self.conductor:
+            raise ValidationError(f"cannot lift from Q(zeta_{self.conductor}) to Q(zeta_{m})")
         step = m // self.conductor
         out: list[Fraction] = []
         for j, c in enumerate(self.coeffs):

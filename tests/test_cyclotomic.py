@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wml.budget import ValidationError
 from wml.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 
@@ -107,3 +108,8 @@ def test_lifts_compare_and_hash_equal(pair):
     x, y = pair
     assert x == y and y == x
     assert hash(x) == hash(y)
+
+
+def test_lift_to_a_non_multiple_of_the_conductor_raises():
+    with pytest.raises(ValidationError):
+        Cyclotomic.root_of_unity(3).lift(4)
