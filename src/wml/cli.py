@@ -314,22 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, word=True):
+    def common(sp, word=True, budget=True, whitehead=False):
         if word:
             sp.add_argument("word", help="word in letters a-z (A-Z inverses), ^k, [u,v], (...)")
             sp.add_argument("--rank", type=int, default=None, help="ambient free-group rank")
         sp.add_argument("--format", choices=["json", "table"], default="json")
-        sp.add_argument("--budget", type=int, default=None, help="evaluation budget override")
-        sp.add_argument(
-            "--whitehead-rank-bound", type=int, default=4,
-            help="maximum rank for Whitehead minimization searches",
-        )
+        if budget:
+            sp.add_argument("--budget", type=int, default=None, help="evaluation budget override")
+        if whitehead:
+            sp.add_argument(
+                "--whitehead-rank-bound", type=int, default=4,
+                help="maximum rank for Whitehead minimization searches",
+            )
         return sp
 
-    sp = common(sub.add_parser("rank", help="primitivity rank and critical subgroups"))
+    sp = common(sub.add_parser("rank", help="primitivity rank and critical subgroups"),
+                whitehead=True)
     sp.set_defaults(func=cmd_rank)
 
-    sp = common(sub.add_parser("witnesses", help="phi-witness report"))
+    sp = common(sub.add_parser("witnesses", help="phi-witness report"), whitehead=True)
     sp.add_argument("--group", default=None)
     sp.add_argument("--char", default="trivial")
     sp.set_defaults(func=cmd_witnesses)
@@ -369,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--injective", action="store_true")
     sp.set_defaults(func=cmd_orbits)
 
-    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"))
+    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"),
+                budget=False, whitehead=True)
     sp.set_defaults(func=cmd_whitehead)
     return p
 

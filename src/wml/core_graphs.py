@@ -93,9 +93,6 @@ class CoreGraph:
             v = hop[0]
         return v
 
-    def contains_word(self, w: Word) -> bool:
-        return self.trace(w.letters) == 0
-
     def trace_edges(self, letters, start: int = 0):
         """Edge indices (sign = direction) along a path; None if stuck."""
         v = start
@@ -574,6 +571,20 @@ class QuotientPoset:
     def interval(self, i: int, j: int) -> list[int]:
         return [k for k in _bits(self._up[i]) if self._up[k] >> j & 1]
 
+    def chains(self, length: int, among=None):
+        """Weakly increasing chains c_1 <= ... <= c_length of the nodes in
+        ``among`` (default: all), in lexicographic order of ``among``."""
+        if length < 1:
+            raise ValidationError("a chain has at least one node")
+        nodes = range(len(self.nodes)) if among is None else among
+        if length == 1:
+            yield from ((k,) for k in nodes)
+            return
+        for c in self.chains(length - 1, nodes):
+            for k in nodes:
+                if self.leq(c[-1], k):
+                    yield c + (k,)
+
     def maximal(self, indices) -> list[int]:
         """The elements of ``indices`` lying below no other one of them."""
         indices = list(indices)
@@ -602,21 +613,7 @@ def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]
     """All chains i = c_0 <= c_1 <= ... <= c_m = j in the poset, i.e. the
     decompositions of the morphism i -> j into m surjective morphisms.
     Degenerate links (isomorphisms) are allowed."""
-    if not poset.leq(i, j):
-        return []
-    chains: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == m:
-            if poset.leq(prefix[-1], j):
-                chains.append(prefix + (j,))
-            return
-        for k in range(len(poset.nodes)):
-            if poset.leq(prefix[-1], k) and poset.leq(k, j):
-                extend(prefix + (k,))
-
-    extend((i,))
-    return chains
+    return [c + (j,) for c in poset.chains(m, poset.interval(i, j)) if c[0] == i]
 
 
 # -- algebraicity and the algebraic-free decomposition ----------------------

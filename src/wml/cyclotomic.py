@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .budget import ValidationError
+from .budget import InvariantError, ValidationError
 
 
 def euler_phi(n: int) -> int:
@@ -60,7 +60,8 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise InvariantError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(poly)
 
 
@@ -253,7 +254,8 @@ class Cyclotomic:
             s = _poly_sub(s0, _poly_mul(q, s1))
             r0, r1, s0, s1 = r1, r, s1, s
         # r1 is the gcd (a non-zero constant since Phi_n is irreducible)
-        assert len(r1) == 1
+        if len(r1) != 1:
+            raise InvariantError(f"gcd with Phi_{n} has degree {len(r1) - 1}, not 0")
         c = r1[0]
         return Cyclotomic(n, tuple(x / c for x in s1))
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .budget import (
     BudgetError,
     DEFAULT_ACTION_ORDER_BUDGET,
+    InvariantError,
     ValidationError,
     check,
     eval_budget,
@@ -42,11 +43,17 @@ def L_B(eta: GraphMorphism) -> RationalFunctionN:
     """
     if not eta.is_surjective():
         raise ValidationError("L_B requires a morphism surjective on vertices and edges")
+    return L_rational(eta.vertex_fibers(), eta.edge_fibers())
+
+
+def L_rational(vertex_fibers, edge_fibers) -> RationalFunctionN:
+    """The L-term of a morphism with the given fiber sizes, as a reduced
+    rational function of n: the falling-factorial ratio above."""
     num = Poly((1,))
-    for f in eta.vertex_fibers():
+    for f in vertex_fibers:
         num = num * Poly.falling_factorial(f)
     den = Poly((1,))
-    for f in eta.edge_fibers():
+    for f in edge_fibers:
         den = den * Poly.falling_factorial(f)
     return RationalFunctionN.of(num, den)
 
@@ -127,7 +134,7 @@ def mobius_B(poset: QuotientPoset) -> PosetFunction:
     """The Mobius inversion: the convolution inverse of the constant 1.
 
     mu(H, H) = 1 and mu(H, J) = -sum over H <= M < J of mu(H, M); the
-    defining identity mu * 1 = delta is asserted before returning.
+    defining identity mu * 1 = delta is checked before returning.
     """
     pairs = poset.comparable_pairs()
     mu: dict = {}
@@ -150,7 +157,8 @@ def mobius_B(poset: QuotientPoset) -> PosetFunction:
     result = PosetFunction(poset, mu)
     identity = convolve(result, poset_ones(poset))
     for (i, j) in pairs:
-        assert identity(i, j) == (1 if i == j else 0), "mu * 1 != delta"
+        if identity(i, j) != (1 if i == j else 0):
+            raise InvariantError(f"mu * 1 != delta at ({i}, {j})")
     return result
 
 

@@ -12,11 +12,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 
-from .budget import BudgetError, DEFAULT_GROUP_ELEMENT_BUDGET, ValidationError, check, eval_budget
+from .budget import (BudgetError, DEFAULT_GROUP_ELEMENT_BUDGET, InvariantError, ValidationError,
+                     check, eval_budget)
 from .characters import ClassFunction, FiniteGroup, classfunction_from_elements
 from .cyclotomic import Cyclotomic
 from .mobius import PermAction
@@ -133,14 +134,6 @@ class ExplicitWreath:
                     val = val + phi(vec[i])
             out.append(val)
         return tuple(out)
-
-    def fix_character_values(self) -> tuple[Cyclotomic, ...]:
-        """Permutation character of the S_n part (number of fixed points)."""
-        out = []
-        for e in range(self.order):
-            _, sigma = self.decode(e)
-            out.append(Cyclotomic.from_rational(sum(1 for i in range(self.degree) if sigma[i] == i)))
-        return out
 
     def to_finite_group(self, element_budget: int | None = None) -> FiniteGroup:
         """Materialize the full multiplication table (small orders only);
@@ -346,68 +339,25 @@ def monte_carlo_expectation(
     return SampleEstimate(mean, stderr, samples, seed)
 
 
+def _burnside(action: PermAction, fixed_weight, budget: int | None) -> int:
+    """Burnside's lemma: the orbit count is the average over the group of
+    ``fixed_weight(fix(g))``, the number of points fixed by g."""
+    check("orbit enumeration", action.order * action.degree, eval_budget(budget))
+    total = sum(fixed_weight(sum(g[x] == x for x in range(action.degree)))
+                for g in action.elements)
+    orbits, rest = divmod(total, action.order)
+    if rest:
+        raise InvariantError(f"Burnside sum {total} is not a multiple of |Sigma| = {action.order}")
+    return orbits
+
+
 def orbit_count(action: PermAction, t: int, budget: int | None = None) -> int:
-    """Number of orbits of the diagonal action on X^t, by union-find over
-    generator images."""
-    X = action.degree
-    total = X**t
-    check("orbit enumeration", total, eval_budget(budget))
-    parent = list(range(total))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for g in action.generators:
-        for code in range(total):
-            c, img = code, 0
-            for i in range(t):
-                c, x = divmod(c, X)
-                img += g[x] * X**i
-            ra, rb = find(code), find(img)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return sum(1 for x in range(total) if find(x) == x)
+    """Number of orbits of the diagonal action on X^t: g fixes fix(g)^t
+    tuples."""
+    return _burnside(action, lambda f: f**t, budget)
 
 
 def injective_orbit_count(action: PermAction, t: int, budget: int | None = None) -> int:
-    """Orbits of the diagonal action restricted to injective t-tuples."""
-    X = action.degree
-    total = X**t
-    check("orbit enumeration", total, eval_budget(budget))
-    parent = list(range(total))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def decode(code):
-        out = []
-        for _ in range(t):
-            code, x = divmod(code, X)
-            out.append(x)
-        return out
-
-    for g in action.generators:
-        for code in range(total):
-            c, img = code, 0
-            for i in range(t):
-                c, x = divmod(c, X)
-                img += g[x] * X**i
-            ra, rb = find(code), find(img)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = set()
-    for code in range(total):
-        tup = decode(code)
-        if len(set(tup)) == t:
-            roots.add(find(code))
-    return len(roots)
+    """Orbits of the diagonal action restricted to injective t-tuples: g
+    fixes the (fix(g))_t tuples of distinct fixed points."""
+    return _burnside(action, lambda f: perm(f, t), budget)

@@ -479,26 +479,34 @@ def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     return _canon_rotation(current)
 
 
-@lru_cache(maxsize=4096)
-def _level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Closure of a minimal representative under the length-preserving
-    Whitehead moves of both kinds."""
-    all_auts = type2_automorphisms(rank) + type1_automorphisms(rank)
-    min_len = len(min_key)
+def _level_walk(rank: int, min_key: tuple[int, ...], auts):
+    """Breadth-first walk of the cyclic words that the given Whitehead
+    moves reach from a minimal representative without changing its
+    length.  Yields the representative first, then each other word once,
+    as soon as it is reached, so a caller may stop early."""
+    yield min_key
     seen = {min_key}
     frontier = [min_key]
     while frontier:
         nxt = []
         for ls in frontier:
-            for aut in all_auts:
+            for aut in auts:
                 img = _cyc_len(aut, ls, rank)
-                if len(img) == min_len:
+                if len(img) == len(min_key):
                     c = _canon_rotation(img)
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
+                        yield c
         frontier = nxt
-    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=4096)
+def _level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Closure of a minimal representative under the length-preserving
+    Whitehead moves of both kinds."""
+    auts = type2_automorphisms(rank) + type1_automorphisms(rank)
+    return tuple(sorted(_level_walk(rank, min_key, auts)))
 
 
 def whitehead_minimize(
@@ -557,26 +565,7 @@ def lies_in_proper_free_factor(
     if not cyc.letters:
         raise ValidationError("identity word: handled upstream as rank-0 case")
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    if omits(minimal):
-        return True
-    min_len = len(minimal)
     # type-I moves only relabel, so they never change whether a generator
     # is omitted; expanding type-II moves alone still meets every omitting
     # class (relabelings can be commuted to the end of any move sequence)
-    auts = type2_automorphisms(w.rank)
-    seen = {minimal}
-    frontier = [minimal]
-    while frontier:
-        nxt = []
-        for ls in frontier:
-            for aut in auts:
-                img = _cyc_len(aut, ls, w.rank)
-                if len(img) == min_len:
-                    c = _canon_rotation(img)
-                    if c not in seen:
-                        if omits(c):
-                            return True
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return False
+    return any(omits(c) for c in _level_walk(w.rank, minimal, type2_automorphisms(w.rank)))

@@ -39,8 +39,8 @@ from .core_graphs import (
     trivial_graph,
 )
 from .cyclotomic import Cyclotomic
-from .mobius import L_value_at, L_general, LetterDistribution, PermAction
-from .rational import Poly, RationalFunctionN
+from .mobius import L_rational, L_value_at, L_general, LetterDistribution, PermAction
+from .rational import RationalFunctionN
 from .words import Word, cyclic_reduce, is_primitive
 
 _ZERO = Cyclotomic.zero()
@@ -112,8 +112,7 @@ class WordContext:
         return eta.vertex_fibers(), eta.edge_fibers()
 
     def L_rational(self, i: int) -> RationalFunctionN:
-        vf, ef = self.bouquet_fibers(i)
-        return _fiber_rational(vf, ef)
+        return L_rational(*self.bouquet_fibers(i))
 
     def is_algebraic(self, i: int) -> bool:
         if i not in self._alg:
@@ -133,16 +132,6 @@ class WordContext:
         if len(maximal) != 1:
             raise InvariantError(f"AFD core of node {i} must be unique, found {len(maximal)}")
         return maximal[0]
-
-
-def _fiber_rational(vfibers, efibers) -> RationalFunctionN:
-    num = Poly((1,))
-    for f in vfibers:
-        num = num * Poly.falling_factorial(f)
-    den = Poly((1,))
-    for f in efibers:
-        den = den * Poly.falling_factorial(f)
-    return RationalFunctionN.of(num, den)
 
 
 def _as_spec(phi) -> CharacterSpec:
@@ -275,7 +264,7 @@ def witness_report(
     non-zero relative expectation (trivial phi: where w is non-primitive),
     the minimal witness rank, the critical set, and its total value.
 
-    Every critical entry is a proper algebraic extension; this is asserted
+    Every critical entry is a proper algebraic extension; this is checked
     whenever the rank is within the Whitehead bound.
 
     ``partial`` is set when some quotient exceeded the Whitehead bound and
@@ -320,8 +309,8 @@ def witness_report(
         return WitnessReport(ctx.original, phi, (), inf, (), _ZERO, partial)
     pi = min(e.rank for e in entries)
     crit = tuple(e for e in entries if e.rank == pi)
-    for e in crit:
-        assert e.algebraic is not False, "critical subgroups must be algebraic"
+    if any(e.algebraic is False for e in crit):
+        raise InvariantError("critical subgroups must be algebraic")
     crit_value = _ZERO
     for e in crit:
         crit_value = crit_value + e.value
@@ -350,12 +339,6 @@ class IteratedSpec:
             raise ValidationError("need at least one wreath level")
         if self.degrees is not None and len(self.degrees) != self.levels:
             raise ValidationError("one degree per level required")
-
-    def dim_at(self, degrees) -> Cyclotomic:
-        d = self.phi.dim()
-        for n in degrees:
-            d = d * n
-        return d
 
 
 @dataclass(frozen=True)
@@ -418,10 +401,7 @@ class IteratedExpectation:
         for term in self.terms:
             prod = RationalFunctionN.constant(term.coefficient)
             for pieces in term.links:
-                lv = RationalFunctionN.zero()
-                for vf, ef in pieces:
-                    lv = lv + _fiber_rational(vf, ef)
-                prod = prod * lv
+                prod = prod * _sum_rational(pieces)
             total = total + prod
         return total
 
@@ -448,7 +428,7 @@ class IteratedExpectation:
 def _sum_rational(pieces) -> RationalFunctionN:
     total = RationalFunctionN.zero()
     for vf, ef in pieces:
-        total = total + _fiber_rational(vf, ef)
+        total = total + L_rational(vf, ef)
     return total
 
 
@@ -504,24 +484,6 @@ def iterated_value_at(w: Word, phi: CharacterSpec, degrees, budget=None) -> Cycl
     return total
 
 
-def _monotone_chains(ctx: WordContext, length: int, allowed=None):
-    """All weakly increasing node chains of the given length."""
-    nodes = range(len(ctx.nodes)) if allowed is None else allowed
-    chains: list[tuple[int, ...]] = []
-
-    def extend(prefix):
-        if len(prefix) == length:
-            chains.append(prefix)
-            return
-        for k in nodes:
-            if ctx.poset.leq(prefix[-1], k):
-                extend(prefix + (k,))
-
-    for start in nodes:
-        extend((start,))
-    return chains
-
-
 def iterated_expectation(
     w: Word | WordContext, spec: IteratedSpec, budget=None, route: str = "B"
 ) -> IteratedExpectation:
@@ -540,7 +502,7 @@ def iterated_expectation(
     m = spec.levels
     terms = []
     if route == "B":
-        for chain in _monotone_chains(ctx, m):
+        for chain in ctx.poset.chains(m):
             coeff = ctx.e_rel(chain[0], phi, budget)
             if coeff.is_zero():
                 continue
@@ -569,7 +531,7 @@ def iterated_expectation(
             return tuple(pieces)
 
         allowed = [i for i in alg_nodes if ctx.poset.leq(i, top_core)]
-        for chain in _monotone_chains(ctx, m, allowed):
+        for chain in ctx.poset.chains(m, allowed):
             coeff = ctx.e_rel(chain[0], phi, budget)
             if coeff.is_zero():
                 continue
@@ -794,7 +756,8 @@ def action_decay_bound_check(
         node = ctx.nodes[i]
         if i == ctx.bottom:
             continue
-        assert node.rank() >= 2, "non-power words have only non-cyclic proper quotients"
+        if node.rank() < 2:
+            raise InvariantError("non-power words have only non-cyclic proper quotients")
         if node.n_vertices <= X:
             inj_total += injective_orbit_count(action, node.n_vertices, budget)
     dim = float(spec.dim().to_fraction())

@@ -12,8 +12,17 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
-def test_seed_and_threads_are_usage_errors_outside_oracle(capsys):
-    for argv in (["rank", "a", "--threads", "2"], ["rank", "a", "--seed", "1"]):
+def test_unread_flags_are_usage_errors(capsys):
+    for argv in (
+        ["rank", "a", "--threads", "2"],
+        ["rank", "a", "--seed", "1"],
+        ["expect", "a", "--whitehead-rank-bound", "3"],
+        ["expect-iterated", "a", "--whitehead-rank-bound", "3"],
+        ["tree", "a", "--whitehead-rank-bound", "3"],
+        ["oracle", "a", "--whitehead-rank-bound", "3"],
+        ["orbits", "--action", "natural:3", "--whitehead-rank-bound", "3"],
+        ["whitehead", "aa", "--budget", "5"],
+    ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

@@ -277,6 +277,9 @@ def test_decomp_counts():
     # chain counting composes: Decomp^3 fibers over the first middle node
     chains3 = decomp(p, bot, top, 3)
     assert len(chains3) == sum(len(decomp(p, m, top, 2)) for m in p.interval(bot, top))
+    assert decomp(p, top, bot, 2) == []
+    with pytest.raises(ValidationError):
+        decomp(p, bot, top, 0)
 
 
 def test_decomp_on_commutator_poset():

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orbit_reference
 from wml.budget import BudgetError
 from wml.characters import builtin_group, classfunction_from_elements, inner_product
 from wml.cyclotomic import Cyclotomic
@@ -175,3 +178,19 @@ def test_injective_orbit_counts():
     assert injective_orbit_count(act, 2) == 1
     sub = PermAction.symmetric_on_subsets(4, 2)
     assert injective_orbit_count(sub, 2) == orbit_count(sub, 2) - 1  # minus diagonal
+
+
+ACTIONS = st.one_of(
+    st.integers(1, 5).map(PermAction.symmetric),
+    st.integers(2, 6).flatmap(
+        lambda n: st.integers(0, n).map(lambda k: PermAction.symmetric_on_subsets(n, k))
+    ),
+    st.sampled_from((2, 3)).map(PermAction.gl_on_nonzero_vectors),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ACTIONS, st.integers(0, 3))
+def test_burnside_orbit_counts_match_union_find(action, t):
+    assert orbit_count(action, t) == orbit_reference.orbit_count(action, t)
+    assert injective_orbit_count(action, t) == orbit_reference.injective_orbit_count(action, t)

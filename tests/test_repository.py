@@ -1,0 +1,37 @@
+"""Checks on the package source and the demos as a whole."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "wml").glob("*.py"))
+
+
+def test_no_assert_statements_in_the_package():
+    # assert is stripped under python -O; invariants raise InvariantError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and not found, found
+
+
+# 03 (the oracle cross-check) is left out: it takes about 14 s
+@pytest.mark.parametrize("demo", [
+    "01_ranks_and_witnesses.py",
+    "02_symbolic_expectations.py",
+    "04_iterated_wreaths_and_trees.py",
+    "05_general_actions_and_torsion_letters.py",
+])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
