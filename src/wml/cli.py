@@ -29,6 +29,7 @@ from .words import parse_word, whitehead_minimize, is_primitive, lies_in_proper_
 from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
+    WordContext,
     ind_expectation_at,
     ind_expectation_symbolic,
     chi_expectation_symbolic,
@@ -193,16 +194,17 @@ def cmd_expect(args) -> dict:
     w = parse_word(args.word, args.rank)
     spec = _char_spec(args)
     out = {"word": w.display(), "phi": spec.describe()}
+    ctx = WordContext(w)
     if args.symbolic or args.n is None:
-        f = ind_expectation_symbolic(w, spec, args.budget)
+        f = ind_expectation_symbolic(ctx, spec, args.budget)
         out["symbolic"] = f.to_json()
         if not f.is_zero():
             lt = leading_term(f)
             out["leading"] = {"exponent": lt.exponent, "coefficient": _cyclo_json(lt.coefficient)}
         if args.chi:
-            out["chi_symbolic"] = chi_expectation_symbolic(w, spec, args.budget).to_json()
+            out["chi_symbolic"] = chi_expectation_symbolic(ctx, spec, args.budget).to_json()
     if args.n is not None:
-        v = ind_expectation_at(w, spec, args.n, args.budget)
+        v = ind_expectation_at(ctx, spec, args.n, args.budget)
         out["n"] = args.n
         out["value"] = _cyclo_json(v)
     return out

@@ -573,16 +573,17 @@ class QuotientPoset:
 
     def chains(self, length: int, among=None):
         """Weakly increasing chains c_1 <= ... <= c_length of the nodes in
-        ``among`` (default: all), in lexicographic order of ``among``."""
-        if length < 1:
-            raise ValidationError("a chain has at least one node")
-        nodes = range(len(self.nodes)) if among is None else among
-        if length == 1:
-            yield from ((k,) for k in nodes)
+        ``among`` (default: all), in lexicographic order of ``among``; the
+        one chain of length 0 is ()."""
+        if length < 0:
+            raise ValidationError("a chain has a non-negative length")
+        if length == 0:
+            yield ()
             return
+        nodes = range(len(self.nodes)) if among is None else among
         for c in self.chains(length - 1, nodes):
             for k in nodes:
-                if self.leq(c[-1], k):
+                if not c or self.leq(c[-1], k):
                     yield c + (k,)
 
     def maximal(self, indices) -> list[int]:
@@ -613,7 +614,11 @@ def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]
     """All chains i = c_0 <= c_1 <= ... <= c_m = j in the poset, i.e. the
     decompositions of the morphism i -> j into m surjective morphisms.
     Degenerate links (isomorphisms) are allowed."""
-    return [c + (j,) for c in poset.chains(m, poset.interval(i, j)) if c[0] == i]
+    if m < 1:
+        raise ValidationError("a decomposition has at least one link")
+    if not poset.leq(i, j):
+        return []
+    return [(i,) + c + (j,) for c in poset.chains(m - 1, poset.interval(i, j))]
 
 
 # -- algebraicity and the algebraic-free decomposition ----------------------

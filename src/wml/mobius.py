@@ -25,7 +25,7 @@ from .core_graphs import (
     spanning_tree_basis,
     rewrite_in_subgroup,
 )
-from .rational import Poly, RationalFunctionN
+from .rational import PoleRational, RationalFunctionN
 from .words import Word
 
 
@@ -43,19 +43,18 @@ def L_B(eta: GraphMorphism) -> RationalFunctionN:
     """
     if not eta.is_surjective():
         raise ValidationError("L_B requires a morphism surjective on vertices and edges")
-    return L_rational(eta.vertex_fibers(), eta.edge_fibers())
+    return L_rational(eta.vertex_fibers(), eta.edge_fibers()).reduced()
 
 
-def L_rational(vertex_fibers, edge_fibers) -> RationalFunctionN:
-    """The L-term of a morphism with the given fiber sizes, as a reduced
-    rational function of n: the falling-factorial ratio above."""
-    num = Poly((1,))
-    for f in vertex_fibers:
-        num = num * Poly.falling_factorial(f)
-    den = Poly((1,))
-    for f in edge_fibers:
-        den = den * Poly.falling_factorial(f)
-    return RationalFunctionN.of(num, den)
+def L_rational(vertex_fibers, edge_fibers) -> PoleRational:
+    """The L-term of a morphism with the given fiber sizes, unreduced over
+    its poles: (n)_f is prod_{j < f} (n - j), so the ratio above is
+    prod_j (n - j)^e_j with e_j = #{edge fibers > j} - #{vertex fibers > j}."""
+    top = max((*vertex_fibers, *edge_fibers), default=0)
+    return PoleRational.of_exponents(
+        sum(f > j for f in edge_fibers) - sum(f > j for f in vertex_fibers)
+        for j in range(top)
+    )
 
 
 def falling(n: int, t: int) -> Fraction:

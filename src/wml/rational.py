@@ -3,13 +3,16 @@ with exact cyclotomic coefficients.
 
 These carry the symbolic side of every expectation formula: falling
 factorials, their ratios, and sums of such ratios scaled by character
-values.
+values.  Every pole of such a sum is a small integer j (a factor n - j
+of some falling factorial), so sums are accumulated unreduced over a
+pole-exponent denominator (``PoleRational``) and reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 from .cyclotomic import Cyclotomic
@@ -243,3 +246,73 @@ class RationalFunctionN:
             "num": self.num.to_json(conductor),
             "den": self.den.to_json(conductor),
         }
+
+
+def _times_poles(coeffs, exponents) -> list:
+    """coeffs * prod_j (n - j)^exponents[j], low degree first."""
+    out = list(coeffs)
+    if not out:
+        return out
+    for j, e in enumerate(exponents):
+        for _ in range(e):
+            lower = [out[k - 1] - out[k] * j for k in range(1, len(out))]
+            out = [out[0] * -j, *lower, out[-1]]
+    return out
+
+
+class PoleRational:
+    """num(n) / prod_j (n - j)^den[j], kept unreduced.
+
+    ``num`` holds coefficients, low degree first, each an int, a Fraction
+    or a Cyclotomic; ``den`` holds the exponents den[j] >= 0.  Sums bring
+    both sides to the elementwise maximum of the exponents, so adding
+    needs no gcd; ``reduced`` runs the one gcd of the whole sum.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=(), den=()):
+        num, den = list(num), list(den)
+        while num and num[-1] == 0:
+            num.pop()
+        while den and den[-1] == 0:
+            den.pop()
+        self.num = tuple(num)
+        self.den = tuple(den)
+
+    @staticmethod
+    def of_exponents(exponents) -> "PoleRational":
+        """prod_j (n - j)^exponents[j]; negative exponents are numerator
+        factors."""
+        exponents = list(exponents)
+        num = _times_poles((1,), (max(-e, 0) for e in exponents))
+        return PoleRational(num, (max(e, 0) for e in exponents))
+
+    def __add__(self, other):
+        if not isinstance(other, PoleRational):
+            return NotImplemented
+        pairs = list(zip_longest(self.den, other.den, fillvalue=0))
+        a = _times_poles(self.num, (max(0, f - e) for e, f in pairs))
+        b = _times_poles(other.num, (max(0, e - f) for e, f in pairs))
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] = a[i] + c
+        return PoleRational(a, (max(e, f) for e, f in pairs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return PoleRational((c * other for c in self.num), self.den)
+        if not isinstance(other, PoleRational):
+            return NotImplemented
+        num = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a != 0:
+                for j, b in enumerate(other.num):
+                    num[i + j] = num[i + j] + a * b
+        den = (e + f for e, f in zip_longest(self.den, other.den, fillvalue=0))
+        return PoleRational(num, den)
+
+    def reduced(self) -> RationalFunctionN:
+        den = _times_poles((1,), self.den)
+        return RationalFunctionN.of(Poly(self.num), Poly(den))

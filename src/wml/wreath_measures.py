@@ -40,7 +40,7 @@ from .core_graphs import (
 )
 from .cyclotomic import Cyclotomic
 from .mobius import L_rational, L_value_at, L_general, LetterDistribution, PermAction
-from .rational import RationalFunctionN
+from .rational import PoleRational, RationalFunctionN
 from .words import Word, cyclic_reduce, is_primitive
 
 _ZERO = Cyclotomic.zero()
@@ -111,9 +111,6 @@ class WordContext:
         eta = self.poset.morphism_between(i, j)
         return eta.vertex_fibers(), eta.edge_fibers()
 
-    def L_rational(self, i: int) -> RationalFunctionN:
-        return L_rational(*self.bouquet_fibers(i))
-
     def is_algebraic(self, i: int) -> bool:
         if i not in self._alg:
             self._alg[i] = is_algebraic_cyclic_base(
@@ -152,13 +149,14 @@ def ind_expectation_symbolic(
     n >= |w|; evaluate small n with ind_expectation_at)."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     phi = _as_spec(phi)
-    total = RationalFunctionN.zero()
+    by_fibers: dict = {}
     for i in range(len(ctx.nodes)):
         coeff = ctx.e_rel(i, phi, budget)
         if coeff.is_zero():
             continue
-        total = total + ctx.L_rational(i) * coeff
-    return total
+        fibers = ctx.bouquet_fibers(i)
+        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + coeff
+    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
@@ -397,13 +395,14 @@ class IteratedExpectation:
 
     def single_variable(self) -> RationalFunctionN:
         """Collapse all n_i to the same n, as a reduced rational function."""
-        total = RationalFunctionN.zero()
+        by_form: dict = {}
         for term in self.terms:
-            prod = RationalFunctionN.constant(term.coefficient)
+            prod = PoleRational((1,))
             for pieces in term.links:
                 prod = prod * _sum_rational(pieces)
-            total = total + prod
-        return total
+            form = (prod.num, prod.den)
+            by_form[form] = by_form.get(form, _ZERO) + term.coefficient
+        return _sum_forms((PoleRational(*form), c) for form, c in by_form.items())
 
     def to_json(self):
         return {
@@ -416,7 +415,7 @@ class IteratedExpectation:
                     "nodes": list(t.nodes),
                     "coefficient": t.coefficient.to_json(),
                     "value_terms": [
-                        _sum_rational(pieces).to_json() for pieces in t.links
+                        _sum_rational(pieces).reduced().to_json() for pieces in t.links
                     ],
                 }
                 for t in self.terms
@@ -425,11 +424,14 @@ class IteratedExpectation:
         }
 
 
-def _sum_rational(pieces) -> RationalFunctionN:
-    total = RationalFunctionN.zero()
-    for vf, ef in pieces:
-        total = total + L_rational(vf, ef)
-    return total
+def _sum_rational(pieces) -> PoleRational:
+    return sum((L_rational(vf, ef) for vf, ef in pieces), PoleRational())
+
+
+def _sum_forms(pairs) -> RationalFunctionN:
+    """The sum of form * coefficient over (form, coefficient) pairs,
+    reduced once."""
+    return sum((form * c for form, c in pairs), PoleRational()).reduced()
 
 
 _iterated_value_memo: dict = {}

@@ -282,6 +282,14 @@ def test_decomp_counts():
         decomp(p, bot, top, 0)
 
 
+def test_one_link_decomp_and_empty_chain():
+    p = enumerate_quotients(parse_word("aa"))
+    bot, top = p.bottom_index, p.top_index()
+    assert list(p.chains(0)) == [()]
+    assert decomp(p, bot, top, 1) == [(bot, top)]
+    assert decomp(p, top, bot, 1) == []
+
+
 def test_decomp_on_commutator_poset():
     p = enumerate_quotients(parse_word("[a,b]"))
     bot, top = p.bottom_index, p.top_index()

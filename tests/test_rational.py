@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wml.cyclotomic import Cyclotomic
-from wml.rational import Poly, RationalFunctionN
+from wml.cyclotomic import Cyclotomic, euler_phi
+from wml.mobius import L_rational
+from wml.rational import PoleRational, Poly, RationalFunctionN
 
 
 def test_falling_factorial():
@@ -81,3 +84,58 @@ def test_json():
     data = g.to_json()
     assert data["conductor"] == 3
     assert data["num"] == [["0", "1"]]
+
+
+def test_pole_rational_reads_the_exponents():
+    # (n)_3 / ((n)_2 (n)_2) = (n - 2) / (n (n - 1)): exponents (1, 1, -1)
+    f = L_rational((3,), (2, 2))
+    assert f.den == (1, 1) and f.num == (-2, 1)
+    assert f.reduced() == RationalFunctionN.of(Poly((-2, 1)), Poly((0, -1, 1)))
+    assert L_rational((2,), (2,)).reduced() == RationalFunctionN.constant(1)
+    assert PoleRational((0, 1), (1,)).reduced() == RationalFunctionN.constant(1)
+    assert PoleRational().reduced().is_zero()
+
+
+def _falling_factorial_ratio(vertex_fibers, edge_fibers) -> RationalFunctionN:
+    """The L-term as a reduced RationalFunctionN, built from falling
+    factorials: the reference for L_rational."""
+    num = Poly((1,))
+    for f in vertex_fibers:
+        num = num * Poly.falling_factorial(f)
+    den = Poly((1,))
+    for f in edge_fibers:
+        den = den * Poly.falling_factorial(f)
+    return RationalFunctionN.of(num, den)
+
+
+@st.composite
+def small_cyclotomics(draw):
+    n = draw(st.sampled_from([1, 3, 4]))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return Cyclotomic(n, draw(st.lists(q, min_size=euler_phi(n), max_size=euler_phi(n))))
+
+
+fibers = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+terms = st.lists(
+    st.tuples(fibers, st.lists(st.integers(1, 4), max_size=3), small_cyclotomics()),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _pole_sum(ts) -> PoleRational:
+    return sum((L_rational(vf, ef) * c for vf, ef, c in ts), PoleRational())
+
+
+def _reference_sum(ts) -> RationalFunctionN:
+    total = RationalFunctionN.zero()
+    for vf, ef, c in ts:
+        total = total + _falling_factorial_ratio(vf, ef) * c
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, terms)
+def test_pole_rational_sums_and_products_match_reduced_arithmetic(s, t):
+    assert _pole_sum(s).reduced() == _reference_sum(s)
+    assert (_pole_sum(s) * _pole_sum(t)).reduced() == _reference_sum(s) * _reference_sum(t)

@@ -99,6 +99,17 @@ class TestSymbolic:
         for n in (4, 5, 6, 9):
             assert f.eval(n) == ind_expectation_at(w, std, n)
 
+    def test_nested_commutator_trivial(self):
+        # 2175 quotients; equals the direct count (no rational assembly)
+        ctx = WordContext(parse_word("[[a,b],c]"))
+        f = ind_expectation_symbolic(ctx, TRIV)
+        den = Poly((1,))
+        for j in (0, 1, 1, 2, 3):
+            den = den * Poly((-j, 1))
+        assert f == RationalFunctionN.of(Poly((4, -6, -7, 12, -6, 1)), den)
+        for n in range(10, 21):
+            assert f.eval(n) == ind_expectation_at(ctx, TRIV, n)
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("gname", ["C2", "C3"])
@@ -275,6 +286,15 @@ class TestIterated:
         assert exp == 2 * (1 - rep.pi)
         assert coeff == 1
         assert 1 <= 1 <= len(rep.crit) ** 2
+
+    def test_two_commutators_single_variable(self):
+        it = iterated_expectation(parse_word("[a,b][a,c]"), IteratedSpec(2, TRIV))
+        f = it.single_variable()
+        # n^2 (n - 1)^2
+        den = Poly((0, 0, 1, -2, 1))
+        assert f == RationalFunctionN.of(Poly((3, 0, 3, -2, 1)), den)
+        for n in range(8, 12):
+            assert f.eval(n) == it.value_at_closed_form((n, n))
 
     def test_identity_word_dimension(self):
         assert iterated_value_at(Word(2, ()), CharacterSpec.finite(char("S3", "std")), (3, 4)) == 24
