@@ -501,9 +501,6 @@ def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> np
     return counts
 
 
-_expectation_memo: dict = {}
-
-
 def expectation_word(
     phi: ClassFunction, v: Word, budget: int | None = None
 ) -> Cyclotomic:
@@ -517,37 +514,28 @@ def expectation_word(
     k = v.rank
     if v.is_identity():
         return phi(0)
-    key = (group.uid, phi.values, v.letters, k)
-    if key in _expectation_memo:
-        return _expectation_memo[key]
-    result = None
     if phi.is_linear():
-        result = Cyclotomic.one()
         for nu in v.net_exponents():
-            trivial_power = all((val**nu) == 1 for val in phi.values)
-            if not trivial_power:
-                result = Cyclotomic.zero()
-                break
-    elif phi.is_irreducible and not phi.is_trivial():
+            if not all((val**nu) == 1 for val in phi.values):
+                return Cyclotomic.zero()
+        return Cyclotomic.one()
+    if phi.is_irreducible and not phi.is_trivial():
         occurrences = [0] * k
         for x in v.letters:
             occurrences[abs(x) - 1] += 1
         if any(c == 1 for c in occurrences):
-            result = Cyclotomic.zero()
-    if result is None:
-        counts = _word_counts(group, k, v.letters, eval_budget(budget))
-        by_class = [0] * len(group.classes)
-        for e in range(group.order):
-            c = int(counts[e])
-            if c:
-                by_class[group.class_of[e]] += c
-        total = Cyclotomic.zero()
-        for cnt, val in zip(by_class, phi.values):
-            if cnt:
-                total = total + val * cnt
-        result = total / Fraction(group.order**k)
-    _expectation_memo[key] = result
-    return result
+            return Cyclotomic.zero()
+    counts = _word_counts(group, k, v.letters, eval_budget(budget))
+    by_class = [0] * len(group.classes)
+    for e in range(group.order):
+        c = int(counts[e])
+        if c:
+            by_class[group.class_of[e]] += c
+    total = Cyclotomic.zero()
+    for cnt, val in zip(by_class, phi.values):
+        if cnt:
+            total = total + val * cnt
+    return total / Fraction(group.order**k)
 
 
 # -- character specifications -------------------------------------------------

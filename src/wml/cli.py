@@ -25,6 +25,7 @@ from .oracle import (
     monte_carlo_expectation,
     orbit_count,
 )
+from .rational import RationalFunctionN
 from .words import parse_word, whitehead_minimize, is_primitive, lies_in_proper_free_factor
 from .wreath_measures import (
     CharacterSpec,
@@ -32,9 +33,7 @@ from .wreath_measures import (
     WordContext,
     ind_expectation_at,
     ind_expectation_symbolic,
-    chi_expectation_symbolic,
     iterated_expectation,
-    iterated_value_at,
     leading_term,
     tree_dimension_identity,
     tree_fix_expectation,
@@ -202,7 +201,8 @@ def cmd_expect(args) -> dict:
             lt = leading_term(f)
             out["leading"] = {"exponent": lt.exponent, "coefficient": _cyclo_json(lt.coefficient)}
         if args.chi:
-            out["chi_symbolic"] = chi_expectation_symbolic(ctx, spec, args.budget).to_json()
+            chi = f - RationalFunctionN.constant(1) if spec.kind == "trivial" else f
+            out["chi_symbolic"] = chi.to_json()
     if args.n is not None:
         v = ind_expectation_at(ctx, spec, args.n, args.budget)
         out["n"] = args.n

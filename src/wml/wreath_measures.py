@@ -19,7 +19,6 @@ from math import inf, isqrt
 
 from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
-    DEFAULT_WORD_LENGTH_BOUND,
     InvariantError,
     ValidationError,
 )
@@ -32,9 +31,9 @@ from .characters import (
 from .core_graphs import (
     CoreGraph,
     QuotientPoset,
-    bouquet,
     enumerate_quotients,
     is_algebraic_cyclic_base,
+    rewrite_in_subgroup,
     spanning_tree_basis,
     trivial_graph,
 )
@@ -54,28 +53,25 @@ def _phi_key(phi: CharacterSpec):
 
 
 class WordContext:
-    """Per-word cache: compressed cyclic word, quotient poset, bases,
-    relative expectations, and L-term data."""
+    """Everything computed about one word: compressed cyclic word, quotient
+    poset, bases, relative expectations, L-term data, iterated values and
+    the contexts of the word rewritten in each node's basis.  A caller
+    holds one to share that work across calls and drops it to free it."""
 
-    def __init__(
-        self,
-        w: Word,
-        bound: int = DEFAULT_WORD_LENGTH_BOUND,
-        whitehead_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND,
-    ):
+    def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
         if not cyc.letters:
             raise ValidationError("identity word: handled by the callers")
         self.original = w
         self.word = cyc.to_word().compress()
-        self.whitehead_bound = whitehead_bound
-        self.poset: QuotientPoset = enumerate_quotients(self.word, bound)
+        self.poset: QuotientPoset = enumerate_quotients(self.word)
         self.rank = self.word.rank
-        self._bouquet = bouquet(self.rank, self.word.names)
         self._bases: dict = {}
         self._erel: dict = {}
         self._fibers: dict = {}
         self._alg: dict = {}
+        self._values: dict = {}
+        self._inner: dict = {}
 
     @property
     def nodes(self):
@@ -111,12 +107,18 @@ class WordContext:
         eta = self.poset.morphism_between(i, j)
         return eta.vertex_fibers(), eta.edge_fibers()
 
-    def is_algebraic(self, i: int) -> bool:
+    def is_algebraic(self, i: int, whitehead_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> bool:
+        # the bound only decides whether the answer is computed, never what it is
         if i not in self._alg:
-            self._alg[i] = is_algebraic_cyclic_base(
-                self.word, self.nodes[i], self.whitehead_bound
-            )
+            self._alg[i] = is_algebraic_cyclic_base(self.word, self.nodes[i], whitehead_bound)
         return self._alg[i]
+
+    def inner(self, i: int) -> "WordContext":
+        """The context of the word rewritten in node i's basis."""
+        rewritten = rewrite_in_subgroup(self.word, self.basis(i))
+        if rewritten.letters not in self._inner:
+            self._inner[rewritten.letters] = WordContext(rewritten)
+        return self._inner[rewritten.letters]
 
     def algebraic_core(self, i: int) -> int:
         """The AFD core of node i: the unique maximal algebraic node <= i."""
@@ -275,7 +277,7 @@ def witness_report(
     if isinstance(w, Word) and w.is_identity():
         entry = WitnessEntry(trivial_graph(max(1, w.rank), w.names), 0, phi.dim(), True)
         return WitnessReport(w, phi, (entry,), 0, (entry,), phi.dim())
-    ctx = w if isinstance(w, WordContext) else WordContext(w, whitehead_bound=whitehead_bound)
+    ctx = w if isinstance(w, WordContext) else WordContext(w)
     entries = []
     partial = False
     for i in range(len(ctx.nodes)):
@@ -287,8 +289,6 @@ def witness_report(
             if node.rank() > whitehead_bound:
                 partial = True
                 continue
-            from .core_graphs import rewrite_in_subgroup
-
             rewritten = rewrite_in_subgroup(ctx.word, ctx.basis(i))
             if is_primitive(rewritten, whitehead_bound):
                 continue
@@ -298,7 +298,7 @@ def witness_report(
             if value.is_zero():
                 continue
         if node.rank() <= whitehead_bound:
-            algebraic = ctx.is_algebraic(i)
+            algebraic = ctx.is_algebraic(i, whitehead_bound)
         else:
             algebraic = None
             partial = True
@@ -358,17 +358,21 @@ class IteratedExpectation:
     the direct-count semantics is exact for every n).
     """
 
-    word: Word
+    context: WordContext
     phi: CharacterSpec
     levels: int
     terms: tuple[ChainTerm, ...]
     route: str  # "B" or "alg"
 
+    @property
+    def word(self) -> Word:
+        return self.context.word
+
     def value_at(self, degrees, budget=None) -> Cyclotomic:
         degrees = tuple(degrees)
         if len(degrees) != self.levels:
             raise ValidationError("one degree per level required")
-        return iterated_value_at(self.word, self.phi, degrees, budget)
+        return iterated_value_at(self.context, self.phi, degrees, budget)
 
     def value_at_closed_form(self, degrees) -> Cyclotomic:
         """Evaluate the chain sum literally; requires degrees >= |w|."""
@@ -405,6 +409,13 @@ class IteratedExpectation:
         return _sum_forms((PoleRational(*form), c) for form, c in by_form.items())
 
     def to_json(self):
+        reduced: dict = {}  # the same links recur across chains
+
+        def link_json(pieces):
+            if pieces not in reduced:
+                reduced[pieces] = _sum_rational(pieces).reduced().to_json()
+            return reduced[pieces]
+
         return {
             "word": self.word.display(),
             "phi": self.phi.describe(),
@@ -414,9 +425,7 @@ class IteratedExpectation:
                 {
                     "nodes": list(t.nodes),
                     "coefficient": t.coefficient.to_json(),
-                    "value_terms": [
-                        _sum_rational(pieces).reduced().to_json() for pieces in t.links
-                    ],
+                    "value_terms": [link_json(pieces) for pieces in t.links],
                 }
                 for t in self.terms
                 if not t.coefficient.is_zero()
@@ -434,33 +443,31 @@ def _sum_forms(pairs) -> RationalFunctionN:
     return sum((form * c for form, c in pairs), PoleRational()).reduced()
 
 
-_iterated_value_memo: dict = {}
-
-
-def iterated_value_at(w: Word, phi: CharacterSpec, degrees, budget=None) -> Cyclotomic:
+def iterated_value_at(
+    w: Word | WordContext, phi: CharacterSpec, degrees, budget=None
+) -> Cyclotomic:
     """E_w[Ind_{n_1,...,n_m} phi] at concrete degrees, exact for every
     degree tuple.
 
     Peels the outermost wreath level: E_w[Ind_{n_m} X] expands over the
     quotients H of the w-cycle as E_{w->H}[X] L_{H->bouquet}(n_m), which
     is exact at every n_m; the inner factor is the same quantity for the
-    word rewritten in H's basis, handled recursively.
+    word rewritten in H's basis, handled recursively on ``ctx.inner``.
+    The values are kept on the context.
     """
     phi = _as_spec(phi)
     degrees = tuple(degrees)
-    if isinstance(w, WordContext):
-        w = w.word
     if any(n < 1 for n in degrees):
         raise ValidationError("degrees must be >= 1")
-    if w.is_identity():
+    if isinstance(w, Word) and w.is_identity():
         d = phi.dim()
         for n in degrees:
             d = d * n
         return d
-    key = (w.rank, w.letters, _phi_key(phi), degrees)
-    if key in _iterated_value_memo:
-        return _iterated_value_memo[key]
-    ctx = WordContextCache.get(w)
+    ctx = w if isinstance(w, WordContext) else WordContext(w)
+    key = (_phi_key(phi), degrees)
+    if key in ctx._values:
+        return ctx._values[key]
     total = _ZERO
     if not degrees:
         top = _bouquet_core_target(ctx)
@@ -468,21 +475,18 @@ def iterated_value_at(w: Word, phi: CharacterSpec, degrees, budget=None) -> Cycl
     else:
         n_last = degrees[-1]
         rest = degrees[:-1]
-        from .core_graphs import rewrite_in_subgroup
-
         for i in range(len(ctx.nodes)):
             vf, ef = ctx.bouquet_fibers(i)
             lv = L_value_at(vf, ef, n_last)
             if lv == 0:
                 continue
             if rest:
-                inner = rewrite_in_subgroup(ctx.word, ctx.basis(i))
-                coeff = iterated_value_at(inner, phi, rest, budget)
+                coeff = iterated_value_at(ctx.inner(i), phi, rest, budget)
             else:
                 coeff = ctx.e_rel(i, phi, budget)
             if not coeff.is_zero():
                 total = total + coeff * lv
-    _iterated_value_memo[key] = total
+    ctx._values[key] = total
     return total
 
 
@@ -544,7 +548,7 @@ def iterated_expectation(
             terms.append(ChainTerm(coeff, chain, tuple(links)))
     else:
         raise ValidationError(f"unknown route {route!r}")
-    return IteratedExpectation(ctx.word, phi, m, tuple(terms), route)
+    return IteratedExpectation(ctx, phi, m, tuple(terms), route)
 
 
 def _bouquet_core_target(ctx: WordContext) -> int:
@@ -587,27 +591,16 @@ class TreeFixReport:
         """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n."""
         total = self.total.single_variable()
         single = iterated_expectation(
-            WordContextCache.get(self.word), IteratedSpec(1, CharacterSpec.trivial())
+            self.total.context, IteratedSpec(1, CharacterSpec.trivial())
         ).single_variable()
         return total - single
-
-
-class WordContextCache:
-    _cache: dict = {}
-
-    @staticmethod
-    def get(w: Word) -> WordContext:
-        key = (w.rank, w.letters)
-        if key not in WordContextCache._cache:
-            WordContextCache._cache[key] = WordContext(w)
-        return WordContextCache._cache[key]
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:
     """The permutation character of Aut(tree) acting on the leaves equals
     1 + sum over levels of the induced standard characters; each term is
     computed as a difference of two trivial-base iterated expectations."""
-    ctx = w if isinstance(w, WordContext) else WordContextCache.get(w)
+    ctx = w if isinstance(w, WordContext) else WordContext(w)
     trivial = CharacterSpec.trivial()
     total = iterated_expectation(ctx, IteratedSpec(levels, trivial), budget)
     level_terms = []
@@ -665,9 +658,9 @@ def tree_dimension_identity(levels: int) -> bool:
 # -- profiles and bounds --------------------------------------------------------
 
 
-def pi_std_profile(w: Word, n_range, budget=None) -> list[float]:
+def pi_std_profile(w: Word | WordContext, n_range, budget=None) -> list[float]:
     """pi with respect to the standard character of S_n, per n."""
-    ctx = WordContextCache.get(w) if isinstance(w, Word) else w
+    ctx = w if isinstance(w, WordContext) else WordContext(w)
     out = []
     for n in n_range:
         phi = CharacterSpec.finite(symmetric_std_character(n))
@@ -694,7 +687,7 @@ def p_group_bound_check(w: Word, group, chars, budget=None):
             break
     if p is None or any(order % q == 0 for q in range(2, order) if q != p and _is_prime(q)):
         raise ValidationError(f"{group.name} is not a p-group")
-    ctx = WordContextCache.get(w)
+    ctx = WordContext(w)
     pi_c = witness_report(ctx, CharacterSpec.circle(p), budget).pi
     rows = []
     for cf in chars:
@@ -724,7 +717,7 @@ def general_action_expectation(
     """E_w[Ind_X phi] for an arbitrary permutation action (and optional
     letter distribution), via the convolution sum with directly counted
     L-terms."""
-    ctx = w if isinstance(w, WordContext) else WordContextCache.get(w)
+    ctx = w if isinstance(w, WordContext) else WordContext(w)
     phi = _as_spec(phi)
     dists = dists or LetterDistribution.uniform(action, ctx.rank)
     total = _ZERO
@@ -749,7 +742,7 @@ def action_decay_bound_check(
     cyc, _ = cyclic_reduce(w)
     if cyc.is_proper_power():
         raise ValidationError("the decay bound requires a non-proper-power word")
-    ctx = WordContextCache.get(w)
+    ctx = WordContext(w)
     spec = _as_spec(phi)
     value = general_action_expectation(ctx, spec, action, budget=budget)
     X = action.degree
@@ -790,7 +783,7 @@ def torsion_letter_expectation(
     spec = _as_spec(phi)
     if spec.kind == "finite" and math.gcd(spec.cf.group.order, m) != 1:
         raise ValidationError("finite base group must have order coprime to m")
-    ctx = WordContextCache.get(gamma)
+    ctx = WordContext(gamma)
     action = PermAction.symmetric(n)
     dists = LetterDistribution.m_torsion_uniform(action, m, ctx.rank)
     return general_action_expectation(ctx, spec, action, dists, budget)

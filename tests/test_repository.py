@@ -23,6 +23,32 @@ def test_no_assert_statements_in_the_package():
     assert SOURCES and not found, found
 
 
+def _is_empty_container(value) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set") and not value.args and not value.keywords)
+
+
+def test_no_module_or_class_level_empty_containers():
+    # an empty container bound at module or class level is a process-wide
+    # memo; per-word memos belong to the WordContext the caller holds
+    found = []
+    for path in SOURCES:
+        scopes = [ast.parse(path.read_text())]
+        while scopes:
+            scope = scopes.pop()
+            for node in scope.body:
+                if isinstance(node, ast.ClassDef):
+                    scopes.append(node)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    if _is_empty_container(node.value):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found
+
+
 # 03 (the oracle cross-check) is left out: it takes about 14 s
 @pytest.mark.parametrize("demo", [
     "01_ranks_and_witnesses.py",

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -325,6 +326,26 @@ class TestTree:
             for i in range(2):
                 recon = recon + rep.term_at(i, degs[i:])
             assert total == recon
+
+
+class TestContextOwnership:
+    def test_no_context_outlives_its_caller(self):
+        w = parse_word("aabAB")  # no other test builds a context of this word
+        iterated_value_at(w, TRIV, (2, 2))
+        tree_fix_expectation(w, 2).difference_single_variable()
+        witness_report(w, TRIV)
+        gc.collect()
+        live = [o for o in gc.get_objects() if isinstance(o, WordContext) and o.original == w]
+        assert not live
+
+    def test_one_context_serves_two_whitehead_bounds(self):
+        std = CharacterSpec.finite(char("S3", "std"))
+        ctx = WordContext(parse_word("[a,b][a,c]"))
+        low = witness_report(ctx, std, whitehead_bound=2)
+        assert low.partial
+        fresh = witness_report(parse_word("[a,b][a,c]"), std).to_json()
+        assert fresh["pi"] == 3 and fresh["partial"] is False
+        assert witness_report(ctx, std).to_json() == fresh
 
 
 class TestProfilesAndBounds:
