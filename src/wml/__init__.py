@@ -16,7 +16,6 @@ from .characters import (
     ClassFunction,
     FiniteGroup,
     builtin_group,
-    expectation_edge_based,
     expectation_rel,
     expectation_word,
     inner_product,

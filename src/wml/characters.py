@@ -16,7 +16,7 @@ from math import lcm
 import numpy as np
 
 from .budget import BudgetError, ValidationError, eval_budget
-from .core_graphs import CoreGraph, SubgroupBasis, rewrite_in_subgroup
+from .core_graphs import SubgroupBasis, rewrite_in_subgroup
 from .cyclotomic import Cyclotomic
 from .words import Word
 
@@ -610,31 +610,3 @@ def expectation_rel(
         return Cyclotomic.one()
     return expectation_word(phi.cf, rewritten, budget)
 
-
-def expectation_edge_based(
-    phi: ClassFunction, w: Word, h: CoreGraph, budget: int | None = None
-) -> Cyclotomic:
-    """Independent route to E_{w->H}[phi]: average over uniform edge
-    labelings beta: E(H) -> G of phi evaluated along the w-path."""
-    path = h.trace_edges(w.letters)
-    if path is None or h.trace(w.letters) != 0:
-        from .core_graphs import NotInSubgroupError
-
-        raise NotInSubgroupError("w does not lie in H")
-    group = phi.group
-    n_edges = h.n_edges
-    total = group.order**n_edges
-    if total > eval_budget(budget):
-        raise BudgetError("edge-labeling enumeration", total, eval_budget(budget))
-    counts = [0] * len(group.classes)
-    for beta in itertools.product(range(group.order), repeat=n_edges):
-        g = 0
-        for signed in path:
-            e = beta[abs(signed) - 1]
-            g = group.mult[g][e if signed > 0 else group.inverse[e]]
-        counts[group.class_of[g]] += 1
-    result = Cyclotomic.zero()
-    for cnt, val in zip(counts, phi.values):
-        if cnt:
-            result = result + val * cnt
-    return result / Fraction(total)

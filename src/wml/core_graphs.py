@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import DEFAULT_WORD_LENGTH_BOUND, InvariantError, ValidationError
+from .budget import (
+    DEFAULT_WHITEHEAD_RANK_BOUND,
+    DEFAULT_WORD_LENGTH_BOUND,
+    InvariantError,
+    ValidationError,
+)
 from .words import Word, CyclicWord, cyclic_reduce, lies_in_proper_free_factor, reduce_letters
 
 
@@ -624,12 +629,11 @@ def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]
 # -- algebraicity and the algebraic-free decomposition ----------------------
 
 
-def is_algebraic_cyclic_base(w: Word, h: CoreGraph, rank_bound: int | None = None) -> bool:
+def is_algebraic_cyclic_base(
+    w: Word, h: CoreGraph, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND
+) -> bool:
     """Is <w> <= H an algebraic extension?  True iff w, rewritten in a
     basis of H, lies in no proper free factor of H."""
-    from .budget import DEFAULT_WHITEHEAD_RANK_BOUND
-
-    rank_bound = rank_bound or DEFAULT_WHITEHEAD_RANK_BOUND
     basis = spanning_tree_basis(h)
     rewritten = rewrite_in_subgroup(w, basis)
     if rewritten.is_identity():

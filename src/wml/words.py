@@ -9,10 +9,12 @@ non-inverse first and last letters.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 
-from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, ValidationError
+from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError, eval_budget
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -479,17 +481,25 @@ def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     return _canon_rotation(current)
 
 
-def _level_walk(rank: int, min_key: tuple[int, ...], auts):
-    """Breadth-first walk of the cyclic words that the given Whitehead
-    moves reach from a minimal representative without changing its
-    length.  Yields the representative first, then each other word once,
-    as soon as it is reached, so a caller may stop early."""
+def _level_walk(rank: int, min_key: tuple[int, ...], budget: int | None = None):
+    """Breadth-first walk of the cyclic words that type-II Whitehead moves
+    reach from a minimal representative without changing its length.
+    Yields the representative first, then each other word once, as soon
+    as it is reached, so a caller may stop early.  With a budget, raises
+    ``BudgetError`` once more moves than that have been tried."""
+    auts = type2_automorphisms(rank)
     yield min_key
     seen = {min_key}
     frontier = [min_key]
+    tried = 0
     while frontier:
         nxt = []
         for ls in frontier:
+            tried += len(auts)
+            if budget is not None and tried > budget:
+                raise BudgetError(
+                    f"Whitehead level set ({len(seen)} states explored)", tried, budget
+                )
             for aut in auts:
                 img = _cyc_len(aut, ls, rank)
                 if len(img) == len(min_key):
@@ -504,9 +514,75 @@ def _level_walk(rank: int, min_key: tuple[int, ...], auts):
 @lru_cache(maxsize=4096)
 def _level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Closure of a minimal representative under the length-preserving
-    Whitehead moves of both kinds."""
-    auts = type2_automorphisms(rank) + type1_automorphisms(rank)
-    return tuple(sorted(_level_walk(rank, min_key, auts)))
+    Whitehead moves of both kinds: the relabelings of the type-II walk,
+    since a relabeling conjugates every type-II move to a type-II move."""
+    walk = tuple(_level_walk(rank, min_key))
+    return tuple(sorted({
+        _canon_rotation(_cyc_len(aut, ls, rank))
+        for aut in type1_automorphisms(rank)
+        for ls in walk
+    }))
+
+
+def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
+    """O(|w|) answer for a non-empty cyclically reduced word, or None when
+    neither certificate applies (always in rank 1, where w lies in no
+    proper free factor even when primitive).
+
+    True: some generator x occurs exactly once.  If w = A x B, then
+    x -> A^-1 x B^-1 sends w to x, so w is primitive and lies in a proper
+    free factor.  False: the Whitehead graph (vertices the letters +-g, an
+    edge x - y^-1 for each cyclically adjacent pair x y) is connected and
+    has no cut vertex; by Whitehead's cut-vertex lemma w then lies in no
+    proper free factor, so it is not primitive either.  A missing
+    generator leaves its two vertices isolated, so it gets no False.
+    """
+    if rank < 2:
+        return None
+    counts = Counter(abs(x) for x in cyc)
+    if 1 in counts.values():
+        return True
+
+    def vertex(x: int) -> int:
+        return 2 * (abs(x) - 1) + (x < 0)
+
+    adj = [set() for _ in range(2 * rank)]
+    for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+        u, v = vertex(x), vertex(-y)
+        adj[u].add(v)
+        adj[v].add(u)
+    # one iterative Tarjan DFS from vertex 0: a non-root v is a cut vertex
+    # iff some DFS child c has low[c] >= disc[v]; the root iff it has two
+    # or more DFS children
+    disc = [0] * (2 * rank)
+    low = [0] * (2 * rank)
+    disc[0] = low[0] = 1
+    clock = 1
+    root_children = 0
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for u in it:
+            if u == parent:
+                continue
+            if disc[u]:
+                low[v] = min(low[v], disc[u])
+            else:
+                clock += 1
+                disc[u] = low[u] = clock
+                stack.append((u, v, iter(adj[u])))
+                break
+        else:
+            stack.pop()
+            if parent == 0:
+                root_children += 1
+            elif parent > 0:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    return None
+    if root_children > 1 or not all(disc):
+        return None
+    return False
 
 
 def whitehead_minimize(
@@ -527,20 +603,23 @@ def is_primitive(w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> boo
     """True iff w is part of some basis of F_rank.
 
     A primitive word abelianizes to a unimodular row, so a gcd other than
-    1 settles the question without touching the orbit; otherwise descend
-    to the minimal length (the level set is never needed here).
+    1 settles the question without touching the orbit, and so does
+    ``_certificate`` for most other words.  Only the words left undecided
+    meet the rank bound and descend to the minimal length (the level set
+    is never needed here).
     """
     if w.is_identity():
         return False
-    from math import gcd
-
     g = 0
     for nu in w.net_exponents():
         g = gcd(g, abs(nu))
     if g != 1:
         return False
-    _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
+    answer = _certificate(w.rank, cyc.letters)
+    if answer is not None:
+        return answer
+    _check_rank_bound(w.rank, rank_bound)
     return len(_descend_key(w.rank, cyc.canonical_key())) == 1
 
 
@@ -550,22 +629,27 @@ def lies_in_proper_free_factor(
     """Whitehead's criterion: a word of minimal length in its orbit lies in
     a proper free factor iff some minimal representative omits a generator.
 
-    Explores the minimal level set breadth-first but stops at the first
-    omitting representative; only the negative answer pays for the whole
-    closure.
+    A word that omits a generator, and any word that ``_certificate``
+    decides, is answered in O(|w|).  Only the words left undecided meet
+    the rank bound, then descend and explore the minimal level set
+    breadth-first, under the evaluation budget on Whitehead moves tried,
+    stopping at the first omitting representative.
     """
 
     def omits(ls: tuple[int, ...]) -> bool:
         return len({abs(x) for x in ls}) < w.rank
 
-    if w.is_identity():
-        raise ValidationError("identity word: handled upstream as rank-0 case")
-    _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
         raise ValidationError("identity word: handled upstream as rank-0 case")
+    if omits(cyc.letters):
+        return True
+    answer = _certificate(w.rank, cyc.letters)
+    if answer is not None:
+        return answer
+    _check_rank_bound(w.rank, rank_bound)
     minimal = _descend_key(w.rank, cyc.canonical_key())
     # type-I moves only relabel, so they never change whether a generator
     # is omitted; expanding type-II moves alone still meets every omitting
     # class (relabelings can be commuted to the end of any move sequence)
-    return any(omits(c) for c in _level_walk(w.rank, minimal, type2_automorphisms(w.rank)))
+    return any(omits(c) for c in _level_walk(w.rank, minimal, eval_budget()))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from edge_reference import expectation_edge_based
 from wml.budget import BudgetError, ValidationError
 from wml.characters import (
     CharacterSpec,
@@ -9,7 +10,6 @@ from wml.characters import (
     FiniteGroup,
     builtin_group,
     classfunction_from_elements,
-    expectation_edge_based,
     expectation_rel,
     expectation_word,
     inner_product,

@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wml.budget import ValidationError
+import whitehead_reference
+from wml.budget import BudgetError, ValidationError
 from wml.words import (
     CyclicWord,
     Word,
     WordSyntaxError,
+    _certificate,
+    _descend_key,
+    _level_set_key,
     apply_whitehead,
     cyclic_reduce,
     is_primitive,
@@ -202,3 +208,75 @@ def test_disjoint_letter_products_fill_the_group():
 def test_rank_bound_guard():
     with pytest.raises(ValidationError):
         whitehead_minimize(Word(5, (1,)), rank_bound=4)
+
+
+@st.composite
+def _random_words(draw):
+    # a negative answer makes the search walk the whole level set, which at
+    # rank 4 takes up to a minute from length 8 on (aabbccdd: 58 s), so
+    # rank-4 words stay below that length here; [a,b][c,d] is checked below
+    rank = draw(st.integers(2, 4))
+    letter = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
+    max_size = 10 if rank < 4 else 7
+    letters = reduce_letters(draw(st.lists(letter, min_size=1, max_size=max_size)))
+    assume(letters)
+    return Word(rank, letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_words())
+def test_certificates_agree_with_the_search(w):
+    cyc, _ = cyclic_reduce(w)
+    answer = _certificate(w.rank, cyc.letters)
+    assume(answer is not None)
+    # True: primitive, hence in a proper free factor; False: neither
+    assert whitehead_reference.search_is_primitive(w) is answer
+    assert whitehead_reference.search_in_proper_free_factor(w) is answer
+    assert is_primitive(w) is answer
+    assert lies_in_proper_free_factor(w) is answer
+
+
+def test_rank4_negative_certificate_agrees_with_the_search():
+    w = parse_word("[a,b][c,d]")
+    assert _certificate(4, cyclic_reduce(w)[0].letters) is False
+    assert not whitehead_reference.search_is_primitive(w)
+    assert not whitehead_reference.search_in_proper_free_factor(w)
+
+
+@pytest.mark.parametrize("text", ["[a,b][a,c]", "[a,b][c,d]", "aabbcc", "abcABC", "[a,b]^2"])
+def test_level_set_equals_two_kind_walk(text):
+    w = parse_word(text)
+    cyc, _ = cyclic_reduce(w)
+    minimal = _descend_key(w.rank, cyc.canonical_key())
+    assert _level_set_key(w.rank, minimal) == whitehead_reference.level_set_key(w.rank, minimal)
+
+
+def test_certified_rank5_words_skip_the_rank_bound():
+    once = parse_word("[a,b][c,d]e")  # e occurs once: primitive
+    assert is_primitive(once, rank_bound=4)
+    assert lies_in_proper_free_factor(once, rank_bound=4)
+    omitting = parse_word("[a,b][c,d]", rank=5)
+    assert lies_in_proper_free_factor(omitting, rank_bound=4)
+    cycle = parse_word("aabbABccddCDee")  # 2-connected Whitehead graph, gcd 1
+    assert _certificate(5, cyclic_reduce(cycle)[0].letters) is False
+    assert not is_primitive(cycle, rank_bound=4)
+    assert not lies_in_proper_free_factor(cycle, rank_bound=4)
+
+
+def test_uncertified_rank5_word_still_meets_the_rank_bound():
+    w = parse_word("AceBEACDADB")  # every letter twice or more, a cut vertex, gcd 1
+    assert _certificate(5, cyclic_reduce(w)[0].letters) is None
+    with pytest.raises(ValidationError, match="rank 5 exceeds bound 4"):
+        lies_in_proper_free_factor(w, rank_bound=4)
+    with pytest.raises(ValidationError, match="rank 5 exceeds bound 4"):
+        is_primitive(w, rank_bound=4)
+
+
+def test_fallback_search_budget_names_the_stage(monkeypatch):
+    w = parse_word("aBab^-3")  # a cut vertex, in no proper free factor
+    assert _certificate(2, cyclic_reduce(w)[0].letters) is None
+    assert not lies_in_proper_free_factor(w)
+    monkeypatch.setenv("WML_BUDGET", "5")
+    with pytest.raises(BudgetError, match="Whitehead level set") as exc:
+        lies_in_proper_free_factor(w)
+    assert "states explored" in exc.value.what and exc.value.budget == 5

@@ -297,6 +297,20 @@ class TestIterated:
         for n in range(8, 12):
             assert f.eval(n) == it.value_at_closed_form((n, n))
 
+    def test_alg_route_past_the_whitehead_bound(self):
+        # [a,b][a,c] has rank-5 quotients; the free-factor certificates
+        # settle each of them, so route "alg" no longer meets the bound
+        ctx = WordContext(parse_word("[a,b][a,c]"))
+        assert max(node.rank() for node in ctx.nodes) == 5
+        spec = IteratedSpec(1, TRIV)
+        alg = iterated_expectation(ctx, spec, route="alg")
+        b = iterated_expectation(ctx, spec, route="B")
+        assert alg.single_variable() == b.single_variable()
+        for n in (3, 5, 8):
+            assert alg.value_at((n,)) == b.value_at((n,))
+        for n in (8, 9, 12):
+            assert alg.value_at_closed_form((n,)) == b.value_at_closed_form((n,))
+
     def test_identity_word_dimension(self):
         assert iterated_value_at(Word(2, ()), CharacterSpec.finite(char("S3", "std")), (3, 4)) == 24
 
