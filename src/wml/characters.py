@@ -460,11 +460,9 @@ def builtin_group(name: str):
 
 
 def symmetric_std_character(n: int) -> ClassFunction:
-    g, chars, _ = _symmetric_group(n)
-    for c in chars:
-        if c.name == ("std" if n >= 3 else "sign"):
-            return c
-    raise AssertionError
+    """The standard character of the builtin S_n (the sign for n = 2)."""
+    _, chars = builtin_group(f"S{n}")
+    return next(c for c in chars if c.name == ("std" if n >= 3 else "sign"))
 
 
 # -- word-measure expectations ----------------------------------------------

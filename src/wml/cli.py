@@ -18,8 +18,6 @@ from .cyclotomic import Cyclotomic
 from .mobius import PermAction
 from .oracle import (
     brute_expectation,
-    build_iterated_wreath,
-    build_wreath,
     injective_orbit_count,
     iterated_ind_character,
     monte_carlo_expectation,

@@ -9,8 +9,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .budget import (
-    BudgetError,
     DEFAULT_ACTION_ORDER_BUDGET,
     InvariantError,
     ValidationError,
@@ -26,7 +27,8 @@ from .core_graphs import (
     rewrite_in_subgroup,
 )
 from .rational import PoleRational, RationalFunctionN
-from .words import Word
+
+_CHUNK = 1 << 16  # assignments per numpy chunk in expectation_action
 
 
 def L_B(eta: GraphMorphism) -> RationalFunctionN:
@@ -392,33 +394,22 @@ def expectation_action(
     jbasis = spanning_tree_basis(j)
     hbasis = spanning_tree_basis(h)
     hgens = [rewrite_in_subgroup(wd, jbasis) for wd in hbasis.basis_words]
-    r = jbasis.rank()
-    total_homs = action.order**r
+    order = action.order
+    total_homs = order ** jbasis.rank()
     check("Hom(J, Sigma) enumeration", total_homs, eval_budget(budget))
-    X = action.degree
-    ident = tuple(range(X))
-    total = Fraction(0)
-    for assignment in itertools.product(range(action.order), repeat=r):
-        perms = [action.elements[i] for i in assignment]
-        inv_perms = [None] * r
-
-        def image(word: Word):
-            p = ident
-            for x in word.letters:
+    perms = np.array(action.elements, dtype=np.intp)
+    inverses = np.argsort(perms, axis=1)
+    points = np.arange(action.degree)
+    fixed = 0
+    for start in range(0, total_homs, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, total_homs))
+        common = np.ones((len(rows), action.degree), dtype=bool)
+        for wd in hgens:
+            p = np.broadcast_to(points, common.shape)
+            for x in wd.letters:
                 g = abs(x) - 1
-                if x > 0:
-                    q = perms[g]
-                else:
-                    if inv_perms[g] is None:
-                        ip = [0] * X
-                        for a, b in enumerate(perms[g]):
-                            ip[b] = a
-                        inv_perms[g] = tuple(ip)
-                    q = inv_perms[g]
-                p = tuple(q[p[i]] for i in range(X))
-            return p
-
-        images = [image(wd) for wd in hgens]
-        fixed = sum(1 for x in range(X) if all(p[x] == x for p in images))
-        total += fixed
-    return total / total_homs
+                q = (perms if x > 0 else inverses)[rows // order**g % order]
+                p = np.take_along_axis(q, p, axis=1)
+            common &= p == points
+        fixed += int(common.sum())
+    return Fraction(fixed, total_homs)

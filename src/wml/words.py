@@ -512,14 +512,21 @@ def _level_walk(rank: int, min_key: tuple[int, ...], budget: int | None = None):
 
 
 @lru_cache(maxsize=4096)
-def _level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _level_set_key(
+    rank: int, min_key: tuple[int, ...], budget: int
+) -> tuple[tuple[int, ...], ...]:
     """Closure of a minimal representative under the length-preserving
     Whitehead moves of both kinds: the relabelings of the type-II walk,
-    since a relabeling conjugates every type-II move to a type-II move."""
-    walk = tuple(_level_walk(rank, min_key))
+    since a relabeling conjugates every type-II move to a type-II move.
+    Raises ``BudgetError`` once the moves of both kinds exceed the budget."""
+    walk = tuple(_level_walk(rank, min_key, budget))
+    relabelings = type1_automorphisms(rank)
+    tried = len(walk) * (len(type2_automorphisms(rank)) + len(relabelings))
+    if tried > budget:
+        raise BudgetError(f"Whitehead level set ({len(walk)} states explored)", tried, budget)
     return tuple(sorted({
         _canon_rotation(_cyc_len(aut, ls, rank))
-        for aut in type1_automorphisms(rank)
+        for aut in relabelings
         for ls in walk
     }))
 
@@ -589,13 +596,14 @@ def whitehead_minimize(
     w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND
 ) -> tuple[int, frozenset[CyclicWord]]:
     """Minimal cyclic length over Aut(F_r), and the full level set of
-    minimal cyclic words reachable by length-preserving Whitehead moves."""
+    minimal cyclic words reachable by length-preserving Whitehead moves,
+    under the evaluation budget on the moves tried."""
     _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
         return 0, frozenset([cyc])
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    keys = _level_set_key(w.rank, minimal)
+    keys = _level_set_key(w.rank, minimal, eval_budget())
     return len(minimal), frozenset(CyclicWord(w.rank, k, w.names) for k in keys)
 
 

@@ -148,41 +148,21 @@ def ind_expectation_symbolic(
     w: Word | WordContext, phi, budget=None
 ) -> RationalFunctionN:
     """E_w[Ind_n phi] as an exact rational function of n (valid for
-    n >= |w|; evaluate small n with ind_expectation_at)."""
+    n >= |w|; evaluate small n with ind_expectation_at): the one-level
+    iterated expectation."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    phi = _as_spec(phi)
-    by_fibers: dict = {}
-    for i in range(len(ctx.nodes)):
-        coeff = ctx.e_rel(i, phi, budget)
-        if coeff.is_zero():
-            continue
-        fibers = ctx.bouquet_fibers(i)
-        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + coeff
-    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
+    return iterated_expectation(ctx, IteratedSpec(1, _as_spec(phi)), budget).single_variable()
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
-    """E_w[Ind_n phi] at a concrete n >= 1, exact for every n.
-
-    Below |w| the reduced rational function may hit spurious poles, so
-    each quotient's L-term is evaluated by its direct-count semantics
-    (zero when the quotient has more vertices than n).
-    """
+    """E_w[Ind_n phi] at a concrete n >= 1, exact for every n: the one-level
+    iterated value, which evaluates each quotient's L-term by its
+    direct-count semantics."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     phi = _as_spec(phi)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    total = _ZERO
-    for i in range(len(ctx.nodes)):
-        vf, ef = ctx.bouquet_fibers(i)
-        lv = L_value_at(vf, ef, n)
-        if lv == 0:
-            continue
-        coeff = ctx.e_rel(i, phi, budget)
-        if coeff.is_zero():
-            continue
-        total = total + coeff * lv
-    return total
+    return iterated_value_at(ctx, phi, (n,), budget)
 
 
 def chi_expectation_symbolic(w, phi, budget=None) -> RationalFunctionN:
@@ -398,14 +378,20 @@ class IteratedExpectation:
         return total
 
     def single_variable(self) -> RationalFunctionN:
-        """Collapse all n_i to the same n, as a reduced rational function."""
-        by_form: dict = {}
+        """Collapse all n_i to the same n, as a reduced rational function.
+
+        Chains with equal links share one coefficient sum, and links with
+        equal products another, so each distinct product is built once."""
+        by_links: dict = {}
         for term in self.terms:
+            by_links[term.links] = by_links.get(term.links, _ZERO) + term.coefficient
+        by_form: dict = {}
+        for links, c in by_links.items():
             prod = PoleRational((1,))
-            for pieces in term.links:
+            for pieces in links:
                 prod = prod * _sum_rational(pieces)
             form = (prod.num, prod.den)
-            by_form[form] = by_form.get(form, _ZERO) + term.coefficient
+            by_form[form] = by_form.get(form, _ZERO) + c
         return _sum_forms((PoleRational(*form), c) for form, c in by_form.items())
 
     def to_json(self):
@@ -589,30 +575,28 @@ class TreeFixReport:
 
     def difference_single_variable(self) -> RationalFunctionN:
         """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n."""
-        total = self.total.single_variable()
-        single = iterated_expectation(
-            self.total.context, IteratedSpec(1, CharacterSpec.trivial())
-        ).single_variable()
-        return total - single
+        one_level, _ = self.level_terms[-1]
+        return self.total.single_variable() - one_level.single_variable()
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:
     """The permutation character of Aut(tree) acting on the leaves equals
     1 + sum over levels of the induced standard characters; each term is
-    computed as a difference of two trivial-base iterated expectations."""
+    a difference of two trivial-base iterated expectations, built once per
+    number of levels."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
+    if levels < 1:
+        raise ValidationError("need at least one wreath level")
     trivial = CharacterSpec.trivial()
-    total = iterated_expectation(ctx, IteratedSpec(levels, trivial), budget)
-    level_terms = []
-    for i in range(1, levels + 1):
-        big = iterated_expectation(ctx, IteratedSpec(levels - i + 1, trivial), budget)
-        small = (
-            iterated_expectation(ctx, IteratedSpec(levels - i, trivial), budget)
-            if levels - i >= 1
-            else None
-        )
-        level_terms.append((big, small))
-    return TreeFixReport(ctx.word, levels, total, tuple(level_terms))
+    by_levels = [
+        iterated_expectation(ctx, IteratedSpec(m, trivial), budget)
+        for m in range(1, levels + 1)
+    ]
+    level_terms = tuple(
+        (by_levels[m - 1], by_levels[m - 2] if m > 1 else None)
+        for m in range(levels, 0, -1)
+    )
+    return TreeFixReport(ctx.word, levels, by_levels[-1], level_terms)
 
 
 def tree_dimension_identity(levels: int) -> bool:

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import whitehead_reference
-from wml.budget import BudgetError, ValidationError
+from wml.budget import DEFAULT_EVAL_BUDGET, BudgetError, ValidationError
+from wml.cli import run
 from wml.words import (
     CyclicWord,
     Word,
@@ -248,7 +249,21 @@ def test_level_set_equals_two_kind_walk(text):
     w = parse_word(text)
     cyc, _ = cyclic_reduce(w)
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    assert _level_set_key(w.rank, minimal) == whitehead_reference.level_set_key(w.rank, minimal)
+    assert (_level_set_key(w.rank, minimal, DEFAULT_EVAL_BUDGET)
+            == whitehead_reference.level_set_key(w.rank, minimal))
+
+
+def test_whitehead_minimize_level_set_is_under_the_budget(monkeypatch, capsys):
+    w = parse_word("aabbcc")
+    assert len(whitehead_minimize(w)[1]) == 328
+    # the budget is part of the level-set cache key, so the result above
+    # does not answer the call below
+    monkeypatch.setenv("WML_BUDGET", "1000")
+    with pytest.raises(BudgetError, match=r"Whitehead level set \(\d+ states explored\)"):
+        whitehead_minimize(w)
+    assert run(["whitehead", "aabbcc"]) == 3
+    monkeypatch.delenv("WML_BUDGET")
+    assert len(whitehead_minimize(w)[1]) == 328
 
 
 def test_certified_rank5_words_skip_the_rank_bound():

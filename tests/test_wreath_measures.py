@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import wml.wreath_measures as wreath_measures
 from wml.budget import ValidationError
 from wml.characters import CharacterSpec, builtin_group, symmetric_std_character
 from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word
 from wml.cyclotomic import Cyclotomic
-from wml.mobius import PermAction
+from wml.mobius import L_rational, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
 from wml.rational import Poly, RationalFunctionN
 from wml.words import Word, parse_word, parse_words
@@ -42,6 +43,21 @@ def char(group_name, char_name):
         if c.name == char_name:
             return c
     raise AssertionError(char_name)
+
+
+def single_variable_reference(it):
+    """The chain sum of an iterated expectation with every n_i = n, term
+    by term: coefficient times the product of the reduced link sums."""
+    total = RationalFunctionN.zero()
+    for term in it.terms:
+        prod = RationalFunctionN.constant(1)
+        for pieces in term.links:
+            link = RationalFunctionN.zero()
+            for vf, ef in pieces:
+                link = link + L_rational(vf, ef).reduced()
+            prod = prod * link
+        total = total + prod * term.coefficient
+    return total
 
 
 def one_over(poly_den):
@@ -237,11 +253,26 @@ class TestIterated:
                 assert it.value_at((n1, n2)) == Cyclotomic.one() / (d * n1 * n2)
 
     def test_m_equals_1_reduces_to_single(self):
+        # the one-level iterated expectation is E_w[Ind_n phi]: equal to
+        # the brute force below |w|, and to both closed forms from |w| on
         w = parse_word("aabb")
-        std = char("S3", "std")
-        it = iterated_expectation(w, IteratedSpec(1, CharacterSpec.finite(std)))
-        for n in (2, 3, 4, 7):
-            assert it.value_at((n,)) == ind_expectation_at(w, std, n)
+        G, chars = builtin_group("S3")
+        for c in (chars[0], char("S3", "std")):
+            it = iterated_expectation(w, IteratedSpec(1, CharacterSpec.finite(c)))
+            for n in (2, 3):
+                W = build_wreath(G, n)
+                assert it.value_at((n,)) == brute_expectation(w, W, W.ind_character_values(c))
+            f = it.single_variable()
+            for n in (4, 7):
+                assert it.value_at((n,)) == it.value_at_closed_form((n,)) == f.eval(n)
+
+    @pytest.mark.parametrize("text", ["aa", "aabb", "[a,b]", "abab^-1"])
+    def test_single_variable_equals_the_term_by_term_sum(self, text):
+        ctx = WordContext(parse_word(text))
+        for phi in (TRIV, CharacterSpec.finite(char("S3", "std"))):
+            for m in (1, 2, 3):
+                it = iterated_expectation(ctx, IteratedSpec(m, phi))
+                assert it.single_variable() == single_variable_reference(it)
 
     def test_routes_agree(self):
         for text in ("aa", "ab", "aabb", "[a,b]"):
@@ -332,6 +363,22 @@ class TestTree:
         lt = leading_term(diff)
         assert lt.exponent == -2  # 2 (1 - pi) with pi = 2
 
+    def test_each_level_count_is_built_once(self, monkeypatch):
+        built = []
+        real = wreath_measures.iterated_expectation
+
+        def counted(w, spec, *args, **kwargs):
+            built.append(spec.levels)
+            return real(w, spec, *args, **kwargs)
+
+        monkeypatch.setattr(wreath_measures, "iterated_expectation", counted)
+        tree_fix_expectation(parse_word("[a,b]"), 3).difference_single_variable()
+        assert sorted(built) == [1, 2, 3]
+
+    def test_at_least_one_level(self):
+        with pytest.raises(ValidationError):
+            tree_fix_expectation(parse_word("[a,b]"), 0)
+
     def test_decomposition_identity(self):
         rep = tree_fix_expectation(parse_word("[a,b]"), 2)
         for degs in [(2, 2), (3, 4), (4, 3)]:
@@ -370,6 +417,10 @@ class TestProfilesAndBounds:
 
     def test_std_profile_primitive(self):
         assert all(p == math.inf for p in pi_std_profile(parse_word("a"), range(2, 6)))
+
+    def test_std_profile_outside_the_builtin_groups(self):
+        with pytest.raises(ValidationError):
+            pi_std_profile(parse_word("[a,b]"), range(2, 7))
 
     def test_std_profile_square(self):
         assert all(p >= 1 for p in pi_std_profile(parse_word("aa"), range(2, 6)))
