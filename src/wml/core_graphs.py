@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
     DEFAULT_WORD_LENGTH_BOUND,
+    BudgetError,
     InvariantError,
     ValidationError,
+    eval_budget,
 )
 from .words import Word, CyclicWord, cyclic_reduce, lies_in_proper_free_factor, reduce_letters
 
@@ -258,10 +260,11 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
     the canonical core graph of the root's component.  The result is
     independent of fold order.
 
-    Quotient enumeration folds once per vertex merge and passes two
-    shortcuts.  ``tables`` is the graph's ``(out, inn, pending)`` as
-    ``_tables`` lays it out, made once by the caller, with the merged pair
-    added to ``pending``; it is copied here, never changed.  ``known`` is
+    Quotient enumeration folds once per pair orbit (``_pair_orbits``) and
+    passes two shortcuts.  ``tables`` is the graph's ``(out, inn,
+    pending)`` as ``_tables`` lays it out, made once by the caller, with
+    the merged pair added to ``pending``; it is copied here, never
+    changed.  ``known`` is
     a dict from keys to core graphs: a result whose key is in it is
     returned from it instead of being built again, and a new one is added.
     """
@@ -490,17 +493,52 @@ def _bits(x: int):
         x ^= low
 
 
+def _pair_orbits(out, inn, n, rank):
+    """One vertex pair from each orbit of merges that fold alike.
+
+    In a folded graph with neighbour tables ``out`` and ``inn`` (as
+    ``_tables`` lays them out), merging u, v forces their l-heads
+    together when both exist, and merging the heads forces u, v back
+    together, since a vertex has at most one incoming l-edge; likewise for
+    tails.  So ``fold`` gives one quotient on each class of the relation
+    generated by (u, v) ~ (out_l u, out_l v) and (u, v) ~ (inn_l u,
+    inn_l v) on unordered pairs of distinct vertices (a class never
+    reaches the diagonal, again by uniqueness).  Yields the least pair of
+    each class, found by one depth-first walk over a bitmap of the n*n
+    pairs.
+    """
+    rows = [out[k : k + rank] + inn[k : k + rank] for k in range(0, n * rank, rank)]
+    seen = bytearray(n * n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if seen[u * n + v]:
+                continue
+            seen[u * n + v] = 1
+            yield u, v
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                for x, y in zip(rows[a], rows[b]):
+                    if x >= 0 and y >= 0:
+                        if x > y:
+                            x, y = y, x
+                        if not seen[x * n + y]:
+                            seen[x * n + y] = 1
+                            stack.append((x, y))
+
+
 class QuotientPoset:
     """All quotients of the w-cycle: the lattice underlying every
     convolution formula.  Nodes are canonical core graphs, sorted by
     (rank, -vertices, key).
 
-    Enumeration closes the w-cycle under single vertex merges, each folded
-    by ``fold`` from neighbour tables laid out once per node.  H <= J
-    exactly when J is reachable from H by merges (a surjection of core
-    graphs factors into merge-then-fold steps), so the order is read off
-    the merge DAG: one bitset up-set per node, closed in order of
-    increasing vertex count.
+    Enumeration closes the w-cycle under single vertex merges, folding one
+    merge per pair orbit (``_pair_orbits``) by ``fold`` from neighbour
+    tables laid out once per node.  Each fold counts against the
+    evaluation budget.  H <= J exactly when J is reachable from H by
+    merges (a surjection of core graphs factors into merge-then-fold
+    steps), so the order is read off the merge DAG: one bitset up-set per
+    node, closed in order of increasing vertex count.
     """
 
     def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
@@ -518,19 +556,25 @@ class QuotientPoset:
         graphs = [bottom]
         index = {id(bottom): 0}  # by identity: fold returns the graph held in known
         children: list[tuple[int, ...]] = []
+        budget = eval_budget()
+        tried = 0
         for g in graphs:  # grows while it is scanned
             n = g.n_vertices
             out, inn, _ = _tables(n, g.edges, rank)
             kids = set()
-            for u in range(n):
-                for v in range(u + 1, n):
-                    q = fold(n, g.edges, 0, rank, names, tables=(out, inn, [(u, v)]),
-                             known=known)
-                    k = index.get(id(q))
-                    if k is None:
-                        k = index[id(q)] = len(graphs)
-                        graphs.append(q)
-                    kids.add(k)
+            for u, v in _pair_orbits(out, inn, n, rank):
+                tried += 1
+                if tried > budget:
+                    raise BudgetError(
+                        f"quotient enumeration ({len(graphs)} nodes reached)", tried, budget
+                    )
+                q = fold(n, g.edges, 0, rank, names, tables=(out, inn, [(u, v)]),
+                         known=known)
+                k = index.get(id(q))
+                if k is None:
+                    k = index[id(q)] = len(graphs)
+                    graphs.append(q)
+                kids.add(k)
             children.append(tuple(kids))
         order = sorted(
             range(len(graphs)),
@@ -608,9 +652,9 @@ def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> Quot
     """The poset Q_B(w) of quotients of the w-cycle.
 
     Enumerated by closing the w-cycle under single vertex merges followed
-    by folding; this reaches every folded quotient (any vertex-gluing
-    factors through a chain of such steps) without iterating all set
-    partitions.
+    by folding, one merge per pair orbit; this reaches every folded
+    quotient (any vertex-gluing factors through a chain of such steps)
+    without iterating all set partitions.
     """
     return QuotientPoset(w, bound)
 

@@ -3,8 +3,11 @@
 ``fold_reference`` is the plain restart-scan Stallings folding: after
 every identification it rebuilds the edge set and scans it again.
 ``quotient_keys_reference`` closes the w-cycle under single vertex merges,
-re-folding each merge from raw edges with it.  Both are slow and obviously
-correct; the library's incremental versions are compared against them.
+re-folding every pair's merge from raw edges with it
+(``merge_children_reference``).  ``pair_orbits_reference`` groups the
+vertex pairs of a core graph into the orbits that the enumeration folds
+once each.  All are slow and obviously correct; the library's
+incremental versions are compared against them.
 """
 
 from wml.core_graphs import CoreGraph, graph_of_word
@@ -102,6 +105,43 @@ def fold_reference(n_vertices, edges, root=0, rank=None, names=()) -> CoreGraph:
     return CoreGraph(nv, es, rank, names, _canonical=True)
 
 
+def merge_children_reference(g) -> dict:
+    """The folds of every single vertex merge of g, by key: the all-pairs
+    walk."""
+    children = {}
+    for u in range(g.n_vertices):
+        for v in range(u + 1, g.n_vertices):
+            edges = [(s if s != v else u, d if d != v else u, l) for s, d, l in g.edges]
+            q = fold_reference(g.n_vertices, edges, 0, g.rank_ambient, g.names)
+            children.setdefault(q.key(), q)
+    return children
+
+
+def pair_orbits_reference(g) -> list:
+    """The unordered pairs of distinct vertices of g, grouped by the
+    relation generated by (u, v) ~ (out_l u, out_l v), via union-find;
+    each orbit is a sorted list of (u, v) with u < v."""
+    parent = {}
+
+    def find(p):
+        while parent.setdefault(p, p) != p:
+            p = parent[p]
+        return p
+
+    for u in range(g.n_vertices):
+        for v in range(u + 1, g.n_vertices):
+            for l in range(g.rank_ambient):
+                hu, hv = g.out_edge(u, l), g.out_edge(v, l)
+                if hu is not None and hv is not None:
+                    head = tuple(sorted((hu[0], hv[0])))
+                    parent[find(head)] = find((u, v))
+    orbits: dict = {}
+    for u in range(g.n_vertices):
+        for v in range(u + 1, g.n_vertices):
+            orbits.setdefault(find((u, v)), []).append((u, v))
+    return sorted(orbits.values())
+
+
 def quotient_keys_reference(w) -> list:
     """Keys of the quotients of the w-cycle, in the poset's node order."""
     bottom = graph_of_word(w)
@@ -109,12 +149,9 @@ def quotient_keys_reference(w) -> list:
     queue = [bottom]
     while queue:
         g = queue.pop()
-        for u in range(g.n_vertices):
-            for v in range(u + 1, g.n_vertices):
-                edges = [(s if s != v else u, d if d != v else u, l) for s, d, l in g.edges]
-                q = fold_reference(g.n_vertices, edges, 0, g.rank_ambient, g.names)
-                if q.key() not in seen:
-                    seen[q.key()] = q
-                    queue.append(q)
+        for key, q in merge_children_reference(g).items():
+            if key not in seen:
+                seen[key] = q
+                queue.append(q)
     nodes = sorted(seen.values(), key=lambda g: (g.rank(), -g.n_vertices, g.key()))
     return [g.key() for g in nodes]

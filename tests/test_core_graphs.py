@@ -6,11 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fold_reference import fold_reference, quotient_keys_reference
-from wml.budget import ValidationError
+from fold_reference import (
+    fold_reference,
+    merge_children_reference,
+    pair_orbits_reference,
+    quotient_keys_reference,
+)
+from wml.budget import BudgetError, ValidationError
 from wml.core_graphs import (
     CoreGraph,
     NotInSubgroupError,
+    _pair_orbits,
+    _tables,
     afd_cyclic,
     bouquet,
     decomp,
@@ -329,6 +336,25 @@ def test_word_length_bound():
         enumerate_quotients(parse_word("a^20"))
 
 
+def test_enumeration_budget_names_the_stage(monkeypatch):
+    w = parse_word("[a,b][c,d]")
+    monkeypatch.setenv("WML_BUDGET", "100")
+    with pytest.raises(BudgetError, match=r"quotient enumeration \(\d+ nodes reached\)") as exc:
+        enumerate_quotients(w)
+    assert exc.value.needed == 101 and exc.value.budget == 100
+    monkeypatch.delenv("WML_BUDGET")
+    assert len(enumerate_quotients(w)) == 908
+
+
+@pytest.mark.parametrize("text, folds", [("x^-3(xy^6)^2", 2307), ("[a,b]^2", 380)])
+def test_enumeration_folds_once_per_pair_orbit(text, folds):
+    # the count of pair orbits over all nodes does not depend on which
+    # pair of an orbit is folded
+    with mock.patch("wml.core_graphs.fold", wraps=fold) as counted:
+        enumerate_quotients(parse_word(text))
+    assert counted.call_count == folds
+
+
 # -- incremental folding and the merge-DAG order against the references --------
 
 
@@ -352,15 +378,25 @@ def test_index_of_uses_node_keys():
 
 
 @st.composite
-def cyclic_words(draw):
+def cyclic_words(draw, max_length=8):
     rank = draw(st.integers(2, 3))
     alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
     letters = [draw(st.sampled_from(alphabet))]
-    for _ in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, max_length - 1))):
         letters.append(draw(st.sampled_from([x for x in alphabet if x != -letters[-1]])))
     cyc, _ = cyclic_reduce(Word(rank, tuple(letters)))
     assume(cyc.letters)
     return cyc.to_word()
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclic_words(max_length=7))
+def test_bitset_order_is_morphism_existence_on_random_words(w):
+    # a merge child missed by the enumeration would drop a comparable pair
+    p = enumerate_quotients(w)
+    for i, h in enumerate(p.nodes):
+        for j, g in enumerate(p.nodes):
+            assert p.leq(i, j) == (morphism(h, g) is not None), (w, i, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,6 +404,27 @@ def cyclic_words(draw):
 def test_enumeration_matches_restart_fold_reference(w):
     poset = enumerate_quotients(w)
     assert [g.key() for g in poset.nodes] == quotient_keys_reference(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclic_words())
+def test_pair_orbits_fold_alike(w):
+    # every pair of an orbit folds to one graph, and folding the orbits'
+    # representatives reaches the same children as folding every pair
+    for g in enumerate_quotients(w).nodes:
+        n, rank = g.n_vertices, g.rank_ambient
+        out, inn, _ = _tables(n, g.edges, rank)
+        reps = list(_pair_orbits(out, inn, n, rank))
+        orbits = pair_orbits_reference(g)
+        assert sorted(reps) == [orbit[0] for orbit in orbits]
+        for orbit in orbits:
+            folds = set()
+            for u, v in orbit:
+                edges = [(s if s != v else u, d if d != v else u, l) for s, d, l in g.edges]
+                folds.add(fold(n, edges, 0, rank, g.names))
+            assert len(folds) == 1, (w, g, orbit)
+        kids = {fold(n, g.edges, 0, rank, tables=(out, inn, [p])).key() for p in reps}
+        assert kids == set(merge_children_reference(g))
 
 
 @st.composite
