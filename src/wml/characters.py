@@ -8,7 +8,7 @@ by exact inner products at construction time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -166,13 +166,18 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A class function with exact cyclotomic values, one per class."""
+    """A class function with exact cyclotomic values, one per class.
+
+    A linear character (a character of dimension 1) is a homomorphism to
+    the roots of unity; ``linear_order`` is its order, the lcm of the
+    orders of its values, and None for any other class function."""
 
     group: FiniteGroup
     values: tuple[Cyclotomic, ...]
     name: str = "f"
     is_character: bool = False
     is_irreducible: bool = False
+    linear_order: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
@@ -181,6 +186,17 @@ class ClassFunction:
             ip = inner_product(self, self)
             if ip != 1:
                 raise ValidationError(f"{self.name}: <f,f> = {ip} != 1, not irreducible")
+        if self.is_character and self.dim() == 1:
+            order = 1
+            for v in self.values:
+                k = v.root_order(self.group.order)
+                if k is None:
+                    raise ValidationError(
+                        f"{self.name}: linear character value {v} is not a root of "
+                        f"unity of order dividing {self.group.order}"
+                    )
+                order = lcm(order, k)
+            object.__setattr__(self, "linear_order", order)
 
     def __call__(self, element: int) -> Cyclotomic:
         return self.values[self.group.class_of[element]]
@@ -189,7 +205,17 @@ class ClassFunction:
         return self.values[self.group.class_of[0]]
 
     def is_linear(self) -> bool:
-        return self.is_character and self.dim() == 1
+        return self.linear_order is not None
+
+    def mean(self) -> Cyclotomic:
+        """<f, 1>: the average of f over G, i.e. its Haar expectation.  For
+        an irreducible character it is 1 or 0 (Schur orthogonality)."""
+        if self.is_character and self.is_irreducible:
+            return Cyclotomic.one() if self.is_trivial() else Cyclotomic.zero()
+        total = Cyclotomic.zero()
+        for cls, v in zip(self.group.classes, self.values):
+            total = total + v * len(cls)
+        return total / self.group.order
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)
@@ -504,25 +530,26 @@ def expectation_word(
 ) -> Cyclotomic:
     """E over Haar tuples (g_1..g_k) in G^k of phi(v(g_1..g_k)), exactly.
 
-    Fast paths: linear characters factor through the abelianization; an
-    irreducible non-trivial character integrates to zero as soon as some
-    generator occurs exactly once in v.
+    Fast paths: a linear character factors through the abelianization, so
+    its expectation is 1 if its order divides every net exponent of v and
+    0 otherwise.  If some generator occurs exactly once in v, then v(g) is
+    Haar-distributed (fix the other letters and solve for that one), so
+    the expectation of any class function is its mean <phi, 1>.
     """
     group = phi.group
     k = v.rank
     if v.is_identity():
         return phi(0)
     if phi.is_linear():
-        for nu in v.net_exponents():
-            if not all((val**nu) == 1 for val in phi.values):
-                return Cyclotomic.zero()
-        return Cyclotomic.one()
-    if phi.is_irreducible and not phi.is_trivial():
-        occurrences = [0] * k
-        for x in v.letters:
-            occurrences[abs(x) - 1] += 1
-        if any(c == 1 for c in occurrences):
+        order = phi.linear_order
+        if any(nu % order for nu in v.net_exponents()):
             return Cyclotomic.zero()
+        return Cyclotomic.one()
+    occurrences = [0] * k
+    for x in v.letters:
+        occurrences[abs(x) - 1] += 1
+    if 1 in occurrences:
+        return phi.mean()
     counts = _word_counts(group, k, v.letters, eval_budget(budget))
     by_class = [0] * len(group.classes)
     for e in range(group.order):

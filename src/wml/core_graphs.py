@@ -252,7 +252,7 @@ def graph_of_word(w: Word | CyclicWord) -> CoreGraph:
 
 
 def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
-         known=None) -> CoreGraph:
+         known=None, cycle=None) -> CoreGraph:
     """Stallings folding of a raw rooted labeled graph.
 
     Identifies targets (sources) of same-label edges sharing a source
@@ -264,9 +264,12 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
     passes two shortcuts.  ``tables`` is the graph's ``(out, inn,
     pending)`` as ``_tables`` lays it out, made once by the caller, with
     the merged pair added to ``pending``; it is copied here, never
-    changed.  ``known`` is
-    a dict from keys to core graphs: a result whose key is in it is
-    returned from it instead of being built again, and a new one is added.
+    changed.  ``known`` maps partitions of the w-cycle's positions to core
+    graphs, and ``cycle`` gives the input graph's vertex at each position
+    of w (root at position 0).  The result's partition, as a
+    restricted-growth tuple, is read off the folded classes; a quotient of
+    the w-cycle is determined by it, so a partition in ``known`` returns
+    its graph before pruning and renumbering, and a new one is added.
     """
     if rank is None:
         rank = 1 + max((l for _, _, l in edges), default=-1)
@@ -277,6 +280,12 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
     _fold_tables(out, inn, parent, rank, pending)
     rep = _representatives(parent)
     root = rep[root]
+    if known is not None:
+        blocks = {}
+        key = tuple([blocks.setdefault(rep[v], len(blocks)) for v in cycle])
+        g = known.get(key)
+        if g is not None:
+            return g
     # prune hanging trees: strip degree-1 vertices other than the root; a
     # class's rows hold all its edge ends, a loop counting twice
     degree = [0] * n_vertices
@@ -301,12 +310,13 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
                 if degree[x] == 1 and x != root:
                     leaves.append(x)
     nv, es = _renumber(out, inn, rep, rank, root)
-    if known is None:
-        return CoreGraph(nv, es, rank, names, _canonical=True)
-    key = (nv, rank, es)
-    g = known.get(key)
-    if g is None:
-        g = known[key] = CoreGraph(nv, es, rank, names, _canonical=True)
+    g = CoreGraph(nv, es, rank, names, _canonical=True)
+    if known is not None:
+        if nv != len(blocks):
+            raise InvariantError(
+                f"quotient with {nv} vertices has {len(blocks)} blocks on the w-cycle"
+            )
+        known[key] = g
     return g
 
 
@@ -527,6 +537,17 @@ def _pair_orbits(out, inn, n, rank):
                             stack.append((x, y))
 
 
+def _cycle_map(g: CoreGraph, letters) -> tuple[int, ...]:
+    """The vertex of g at each position of the closed path spelling
+    ``letters`` from the root: position i is reached by letters[:i]."""
+    vertices = []
+    v = 0
+    for x in letters:
+        vertices.append(v)
+        v = (g.out_edge(v, x - 1) if x > 0 else g.in_edge(v, -x - 1))[0]
+    return tuple(vertices)
+
+
 class QuotientPoset:
     """All quotients of the w-cycle: the lattice underlying every
     convolution formula.  Nodes are canonical core graphs, sorted by
@@ -534,7 +555,9 @@ class QuotientPoset:
 
     Enumeration closes the w-cycle under single vertex merges, folding one
     merge per pair orbit (``_pair_orbits``) by ``fold`` from neighbour
-    tables laid out once per node.  Each fold counts against the
+    tables laid out once per node.  Nodes are found by the partition of
+    the w-cycle's positions they induce, so a quotient reached again is
+    recognised before it is renumbered.  Each fold counts against the
     evaluation budget.  H <= J exactly when J is reachable from H by
     merges (a surjection of core graphs factors into merge-then-fold
     steps), so the order is read off the merge DAG: one bitset up-set per
@@ -550,15 +573,17 @@ class QuotientPoset:
                 f"|w| = {len(cyc.letters)} exceeds quotient enumeration bound {bound}"
             )
         self.word = cyc.to_word()
+        letters = cyc.letters
         bottom = graph_of_word(cyc)
         rank, names = bottom.rank_ambient, bottom.names
-        known = {bottom.key(): bottom}
+        known = {tuple(range(len(letters))): bottom}
         graphs = [bottom]
+        cycles = [_cycle_map(bottom, letters)]  # each node's vertex at each position of w
         index = {id(bottom): 0}  # by identity: fold returns the graph held in known
         children: list[tuple[int, ...]] = []
         budget = eval_budget()
         tried = 0
-        for g in graphs:  # grows while it is scanned
+        for g, cycle in zip(graphs, cycles):  # both grow while they are scanned
             n = g.n_vertices
             out, inn, _ = _tables(n, g.edges, rank)
             kids = set()
@@ -569,11 +594,12 @@ class QuotientPoset:
                         f"quotient enumeration ({len(graphs)} nodes reached)", tried, budget
                     )
                 q = fold(n, g.edges, 0, rank, names, tables=(out, inn, [(u, v)]),
-                         known=known)
+                         known=known, cycle=cycle)
                 k = index.get(id(q))
                 if k is None:
                     k = index[id(q)] = len(graphs)
                     graphs.append(q)
+                    cycles.append(_cycle_map(q, letters))
                 kids.add(k)
             children.append(tuple(kids))
         order = sorted(

@@ -129,7 +129,7 @@ def _normalized_traces(n: int) -> tuple[Fraction, ...]:
 class Cyclotomic:
     """An element of Q(zeta_N), immutable."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs):
         deg = euler_phi(conductor)
@@ -281,6 +281,20 @@ class Cyclotomic:
             k >>= 1
         return result
 
+    def root_order(self, n: int) -> int | None:
+        """The order of this element if it is a root of unity whose order
+        divides n, else None.  The nearest n-th root of unity by angle is
+        the only candidate; it is checked exactly."""
+        import cmath
+
+        if self.is_rational():
+            q = self.to_fraction()
+            return 1 if q == 1 else 2 if q == -1 and n % 2 == 0 else None
+        k = round(cmath.phase(self.to_complex()) * n / (2 * cmath.pi)) % n
+        if self != Cyclotomic.root_of_unity(n, k):
+            return None
+        return n // gcd(k, n)
+
     def conjugate(self) -> "Cyclotomic":
         """Galois automorphism zeta_N -> zeta_N^(-1) (complex conjugation)."""
         n = self.conductor
@@ -309,9 +323,16 @@ class Cyclotomic:
     def __hash__(self):
         # Tr/[Q(zeta_N):Q] does not depend on the field the element is
         # written in, so equal elements at different conductors agree; on
-        # rationals it is the rational itself, matching __eq__ with ints
+        # rationals it is the rational itself, matching __eq__ with ints.
+        # Computed on first use and kept in a slot.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         traces = _normalized_traces(self.conductor)
-        return hash(sum(c * t for c, t in zip(self.coeffs, traces) if c))
+        h = hash(sum(c * t for c, t in zip(self.coeffs, traces) if c))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         if self.is_rational():

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edge_reference import expectation_edge_based
 from wml.budget import BudgetError, ValidationError
@@ -8,6 +11,7 @@ from wml.characters import (
     CharacterSpec,
     ClassFunction,
     FiniteGroup,
+    _word_counts,
     builtin_group,
     classfunction_from_elements,
     expectation_rel,
@@ -16,8 +20,9 @@ from wml.characters import (
     symmetric_std_character,
 )
 from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word, spanning_tree_basis
+from wml.cli import parse_group_spec
 from wml.cyclotomic import Cyclotomic
-from wml.words import parse_word, parse_words
+from wml.words import Word, parse_word, parse_words, reduce_letters
 
 F1 = spanning_tree_basis(bouquet(1))
 F2 = spanning_tree_basis(bouquet(2))
@@ -209,3 +214,82 @@ def test_group_json_roundtrip():
     rebuilt = FiniteGroup(data["mult"], "S3'")
     assert rebuilt.order == g.order
     assert sorted(map(len, rebuilt.classes)) == sorted(map(len, g.classes))
+
+
+# -- the linear and singleton rules against the counting oracle ---------------
+
+LINEAR_RULE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C8", "S2", "S3", "S4", "S5",
+                      "D4", "D6", "D8", "D12", "Q8")
+
+
+def test_linear_order_divides_exactly_the_killing_exponents():
+    for name in LINEAR_RULE_GROUPS:
+        g, chars = builtin_group(name)
+        for c in chars:
+            if not c.is_linear():
+                assert c.linear_order is None
+                continue
+            assert g.order % c.linear_order == 0
+            for nu in range(-60, 61):
+                assert (nu % c.linear_order == 0) == all(v**nu == 1 for v in c.values), (
+                    name, c.name, nu)
+
+
+def test_json_linear_character_with_a_non_root_value_raises(tmp_path):
+    data = {
+        "mult": [[0, 1], [1, 0]],
+        "characters": [
+            {"name": "bad", "conductor": 1, "values": [["1"], ["2"]], "is_character": True},
+        ],
+    }
+    path = tmp_path / "bad_linear.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="not a root of unity"):
+        parse_group_spec(str(path))
+
+
+def _counted(phi, v):
+    """E[phi(v)] by counting over all of G^k."""
+    group = phi.group
+    counts = _word_counts(group, v.rank, v.letters, 10**6)
+    total = Cyclotomic.zero()
+    for e in range(group.order):
+        total = total + phi(e) * int(counts[e])
+    return total / group.order**v.rank
+
+
+@st.composite
+def sums_on_singleton_words(draw):
+    g, chars = builtin_group(draw(st.sampled_from(["C2", "C3", "C4", "S3", "D8", "Q8"])))
+    coefficients = draw(st.lists(st.integers(-2, 3), min_size=len(chars),
+                                 max_size=len(chars)))
+    assume(any(coefficients))
+    values = tuple(
+        sum((c.values[i] * a for a, c in zip(coefficients, chars)), Cyclotomic.zero())
+        for i in range(len(g.classes))
+    )
+    psi = ClassFunction(g, values, "psi", is_character=min(coefficients) >= 0)
+    rank = draw(st.integers(1, 3))
+    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
+    letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=7))
+    v = Word(rank, reduce_letters(letters))
+    occurrences = [sum(abs(x) == l for x in v.letters) for l in range(1, rank + 1)]
+    assume(1 in occurrences)
+    return psi, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(sums_on_singleton_words())
+def test_singleton_rule_for_every_class_function(case):
+    psi, v = case
+    assert expectation_word(psi, v) == _counted(psi, v) == psi.mean()
+
+
+def test_singleton_rule_uses_the_mean_of_a_non_character():
+    # minus the trivial character has norm 1 but is not a character, so
+    # orthogonality does not make its mean 0
+    g, chars = builtin_group("S3")
+    minus_trivial = ClassFunction(g, tuple(-v for v in chars[0].values), "-1",
+                                  is_irreducible=True)
+    w = parse_word("aab")
+    assert expectation_word(minus_trivial, w) == -1 == _counted(minus_trivial, w)

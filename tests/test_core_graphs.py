@@ -12,11 +12,12 @@ from fold_reference import (
     pair_orbits_reference,
     quotient_keys_reference,
 )
-from wml.budget import BudgetError, ValidationError
+from wml.budget import BudgetError, InvariantError, ValidationError
 from wml.core_graphs import (
     CoreGraph,
     NotInSubgroupError,
     _pair_orbits,
+    _renumber,
     _tables,
     afd_cyclic,
     bouquet,
@@ -353,6 +354,21 @@ def test_enumeration_folds_once_per_pair_orbit(text, folds):
     with mock.patch("wml.core_graphs.fold", wraps=fold) as counted:
         enumerate_quotients(parse_word(text))
     assert counted.call_count == folds
+
+
+@pytest.mark.parametrize("text, nodes", [("x^-3(xy^6)^2", 357), ("[a,b]^2", 100)])
+def test_enumeration_renumbers_once_per_node(text, nodes):
+    # a quotient reached again is found by its partition of the w-cycle,
+    # before it is renumbered; the one extra call canonicalizes the w-cycle
+    with mock.patch("wml.core_graphs._renumber", wraps=_renumber) as counted:
+        poset = enumerate_quotients(parse_word(text))
+    assert counted.call_count == len(poset) == nodes
+
+
+def test_fold_checks_the_partition_against_the_vertex_count():
+    # a cycle map that misses a vertex gives too few blocks
+    with pytest.raises(InvariantError, match="2 vertices has 1 blocks"):
+        fold(2, [(0, 1, 0), (1, 0, 1)], 0, 2, known={}, cycle=(0,))
 
 
 # -- incremental folding and the merge-DAG order against the references --------

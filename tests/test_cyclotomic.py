@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wml import cyclotomic
 from wml.budget import ValidationError
 from wml.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 
@@ -92,6 +94,16 @@ def test_equal_elements_at_different_conductors_hash_equal():
     assert z3 == z3.lift(6)
     assert len({z3, z3.lift(6)}) == 1
     assert hash(Cyclotomic.root_of_unity(6, 3)) == hash(-1)
+
+
+def test_hash_is_computed_once():
+    x = Cyclotomic.root_of_unity(12, 5) * Fraction(2, 3)
+    with mock.patch("wml.cyclotomic._normalized_traces",
+                    wraps=cyclotomic._normalized_traces) as traces:
+        first = hash(x)
+        assert traces.call_count == 1
+        assert hash(x) == first
+        assert traces.call_count == 1
 
 
 @st.composite
