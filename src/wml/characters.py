@@ -17,7 +17,7 @@ import numpy as np
 
 from .budget import BudgetError, ValidationError, eval_budget
 from .core_graphs import SubgroupBasis, rewrite_in_subgroup
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, powers_sum_is_zero
 from .words import Word
 
 _uid_counter = itertools.count()
@@ -251,14 +251,26 @@ def classfunction_from_elements(group, element_values, name="f", **flags) -> Cla
     return ClassFunction(group, tuple(vals), name, **flags)
 
 
+def _class_sum(group: FiniteGroup, f_terms, g_terms, n: int) -> list:
+    """sum_c |c| f(c) conj(g(c)) as a coefficient per power of zeta_n,
+    from the values' ``power_terms(n)``."""
+    acc = [0] * n
+    for cls, t1, t2 in zip(group.classes, f_terms, g_terms):
+        size = len(cls)
+        for e1, a in t1:
+            for e2, b in t2:
+                acc[(e1 - e2) % n] += size * a * b
+    return acc
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """<f,g> = (1/|G|) sum |class| f(c) conj(g(c)), exactly."""
     if f.group is not g.group:
         raise ValidationError("inner product requires class functions on one group")
-    total = Cyclotomic.zero()
-    for cls, fv, gv in zip(f.group.classes, f.values, g.values):
-        total = total + fv * gv.conjugate() * len(cls)
-    return total / f.group.order
+    n = lcm(*(v.conductor for v in f.values + g.values))
+    f_terms = [v.power_terms(n) for v in f.values]
+    g_terms = [v.power_terms(n) for v in g.values]
+    return Cyclotomic(n, _class_sum(f.group, f_terms, g_terms, n)) / f.group.order
 
 
 # -- builtin groups ----------------------------------------------------------
@@ -449,6 +461,21 @@ def _quaternion_group():
     return group, chars
 
 
+def _check_orthogonal(name: str, group: FiniteGroup, chars) -> None:
+    """Raise ``ValidationError`` unless every pair of characters is
+    orthogonal, exactly: each value is written in powers of zeta_N over
+    the common conductor N once, and each pair's class sum is tested for
+    zero once."""
+    n = lcm(*(v.conductor for c in chars for v in c.values))
+    terms = [[v.power_terms(n) for v in c.values] for c in chars]
+    for i, c1 in enumerate(chars):
+        for j in range(i + 1, len(chars)):
+            if not powers_sum_is_zero(n, _class_sum(group, terms[i], terms[j], n)):
+                raise ValidationError(
+                    f"{name}: characters {c1.name},{chars[j].name} not orthogonal"
+                )
+
+
 @lru_cache(maxsize=None)
 def builtin_group(name: str):
     """Builtin groups with verified irreducible character tables.
@@ -478,10 +505,7 @@ def builtin_group(name: str):
     total = sum((c.dim() * c.dim() for c in chars), Cyclotomic.zero())
     if total != g.order:
         raise ValidationError(f"{name}: character table incomplete")
-    for i, c1 in enumerate(chars):
-        for c2 in chars[i + 1 :]:
-            if inner_product(c1, c2) != 0:
-                raise ValidationError(f"{name}: characters {c1.name},{c2.name} not orthogonal")
+    _check_orthogonal(name, g, chars)
     return g, tuple(chars)
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .budget import BudgetError, ValidationError
 from .characters import ClassFunction, FiniteGroup, builtin_group
@@ -307,7 +308,9 @@ def cmd_whitehead(args) -> dict:
     }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="wml",
         description="Exact word measures on wreath products G wr S_n.",

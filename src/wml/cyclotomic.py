@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .budget import InvariantError, ValidationError
 
@@ -66,40 +66,35 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^j mod Phi_n for 0 <= j < n, as dense degree-<phi(n) vectors."""
-    phi_n = list(cyclotomic_polynomial(n))
-    deg = len(phi_n) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * deg
-    if deg > 0:
-        cur[0] = Fraction(1)
-    rows.append(tuple(cur))
-    for _ in range(1, n):
-        nxt = [Fraction(0)] + cur
-        if len(nxt) > deg:
-            lead = nxt.pop()
-            if lead:
-                for i in range(deg):
-                    nxt[i] -= lead * phi_n[i]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of Phi_n and its non-zero terms (i, c) below the leading
+    one; Phi_n is monic with integer coefficients."""
+    phi_n = cyclotomic_polynomial(n)
+    return len(phi_n) - 1, tuple((i, int(c)) for i, c in enumerate(phi_n[:-1]) if c)
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (any degree) to the power basis."""
-    deg = euler_phi(n)
-    rows = _power_reductions(n)
-    out = [Fraction(0)] * deg
+def _reduce_mod_phi(n: int, coeffs) -> tuple[Fraction, ...]:
+    """Reduce a polynomial in zeta_n (any degree, int or Fraction
+    coefficients) to the power basis: over the common denominator, fold
+    the powers modulo n (zeta_n^n = 1), then divide by Phi_n in integers,
+    touching only its non-zero terms."""
+    deg, low = _phi_terms(n)
+    den = lcm(*(c.denominator for c in coeffs))
+    rem = [0] * n
     for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = rows[j % n]  # zeta_n^n = 1
-        for i, ri in enumerate(row):
-            if ri:
-                out[i] += c * ri
-    return tuple(out)
+        if c:
+            rem[j % n] += c.numerator * (den // c.denominator)
+    for top in range(n - 1, deg - 1, -1):
+        lead = rem[top]
+        if lead:
+            for i, c in low:
+                rem[top - deg + i] -= lead * c
+    return tuple(Fraction(r, den) for r in rem[:deg])
+
+
+def powers_sum_is_zero(n: int, coeffs) -> bool:
+    """Whether sum_k coeffs[k] * zeta_n^k is zero."""
+    return not any(_reduce_mod_phi(n, coeffs))
 
 
 def _moebius(n: int) -> int:
@@ -161,10 +156,7 @@ class Cyclotomic:
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k."""
-        k %= n
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return Cyclotomic(n, _reduce_mod_phi(n, coeffs))
+        return _root_of_unity(n, k % n)
 
     # -- conversions ---------------------------------------------------
 
@@ -183,6 +175,19 @@ class Cyclotomic:
                     out += [Fraction(0)] * (idx + 1 - len(out))
                 out[idx] += c
         return Cyclotomic(m, _reduce_mod_phi(m, out))
+
+    def power_terms(self, m: int) -> tuple[tuple[int, int | Fraction], ...]:
+        """This element as a sum of coefficient * zeta_m^exponent over
+        ((exponent, coefficient), ...), one term per non-zero power-basis
+        coefficient, for m a multiple of the conductor."""
+        if m % self.conductor:
+            raise ValidationError(f"cannot write Q(zeta_{self.conductor}) in powers of zeta_{m}")
+        step = m // self.conductor
+        return tuple(
+            (j * step, c.numerator if c.denominator == 1 else c)
+            for j, c in enumerate(self.coeffs)
+            if c
+        )
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -376,6 +381,13 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     for i, y in enumerate(b):
         out[i] -= y
     return _poly_trim(out)
+
+
+@lru_cache(maxsize=4096)
+def _root_of_unity(n: int, k: int) -> Cyclotomic:
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    return Cyclotomic(n, _reduce_mod_phi(n, coeffs))
 
 
 _ZERO = Cyclotomic(1, (Fraction(0),))

@@ -463,31 +463,94 @@ def _canon_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
     return min(ls[i:] + ls[:i] for i in range(len(ls))) if ls else ()
 
 
+def _vertex(x: int) -> int:
+    return 2 * (abs(x) - 1) + (x < 0)
+
+
+def _whitehead_graph(rank: int, cyc: tuple[int, ...]) -> list[dict[int, int]]:
+    """The Whitehead graph of a cyclic word: vertices the letters +-g
+    (numbered by ``_vertex``) and an edge x - y^-1 for each cyclically
+    adjacent pair x y, as a multiplicity per neighbour of each vertex."""
+    adj: list[dict[int, int]] = [{} for _ in range(2 * rank)]
+    for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+        u, v = _vertex(x), _vertex(-y)
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
+    return adj
+
+
+def _cut_sizes(rank: int, cyc: tuple[int, ...]) -> list[int]:
+    """For every vertex set S of the Whitehead graph (a bitmask over
+    ``_vertex``), the number of edges with exactly one end in S.
+
+    The type-II move (A, a) changes the cyclic length of the word by
+    ``cut[A] - cut[{a}]`` (Whitehead 1936; Lyndon-Schupp, Prop. I.4.16),
+    so a move is priced without rewriting the word.  Built by adding one
+    vertex h at a time: cut(S + h) = cut(S) + deg(h) - 2 * edges(h, S).
+    """
+    cut = [0]
+    for h, row in enumerate(_whitehead_graph(rank, cyc)):
+        inward = [0]  # edges from h into each subset of the vertices below h
+        for u in range(h):
+            m = row.get(u, 0)
+            inward += [t + m for t in inward] if m else inward
+        deg = sum(row.values())
+        cut += [c + deg - 2 * t for c, t in zip(cut, inward)]
+    return cut
+
+
+@lru_cache(maxsize=None)
+def _screened_moves(rank: int) -> tuple[tuple[WhiteheadAut, int, int], ...]:
+    """(move, bitmask of A, bitmask of {a}) for the type-II moves that
+    can reach a new cyclic word, in ``type2_automorphisms`` order.
+
+    (A, a) and (L - A, a^-1) differ by conjugation by a, so they agree on
+    cyclic words and only the earlier of the two is kept; the inner moves
+    A = L - {a^-1} (conjugation by a) are dropped.  The first move of the
+    full list that shortens a word is therefore always kept.
+    """
+    auts = type2_automorphisms(rank)
+    index = {(aut.multiplier, aut.letter_set): i for i, aut in enumerate(auts)}
+    everything = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
+    moves = []
+    for i, aut in enumerate(auts):
+        a, A = aut.multiplier, aut.letter_set
+        partner = index.get((-a, everything - A))
+        if partner is None or partner < i:
+            continue  # inner, or the complement was kept
+        mask = sum(1 << _vertex(x) for x in A)
+        moves.append((aut, mask, 1 << _vertex(a)))
+    return tuple(moves)
+
+
 @lru_cache(maxsize=65536)
 def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """Greedy peak descent: a minimal-length cyclic representative of the
-    automorphism orbit (type-II moves suffice to shorten)."""
+    automorphism orbit (type-II moves suffice to shorten).  Each step
+    applies the first move, in ``type2_automorphisms`` order, that the
+    Whitehead graph shows to shorten the word."""
     current = key
-    t2 = type2_automorphisms(rank)
-    improved = True
-    while improved:
-        improved = False
-        for aut in t2:
-            img = _cyc_len(aut, current, rank)
-            if len(img) < len(current):
-                current = img
-                improved = True
+    moves = _screened_moves(rank)
+    while True:
+        cut = _cut_sizes(rank, current)
+        for aut, mask, amask in moves:
+            if cut[mask] < cut[amask]:
+                current = _cyc_len(aut, current, rank)
                 break
-    return _canon_rotation(current)
+        else:
+            return _canon_rotation(current)
 
 
 def _level_walk(rank: int, min_key: tuple[int, ...], budget: int | None = None):
     """Breadth-first walk of the cyclic words that type-II Whitehead moves
     reach from a minimal representative without changing its length.
     Yields the representative first, then each other word once, as soon
-    as it is reached, so a caller may stop early.  With a budget, raises
+    as it is reached, so a caller may stop early.  Only the moves that the
+    Whitehead graph shows to keep the length are applied, but every word
+    walked is charged all the type-II moves: with a budget, raises
     ``BudgetError`` once more moves than that have been tried."""
-    auts = type2_automorphisms(rank)
+    per_word = len(type2_automorphisms(rank))
+    moves = _screened_moves(rank)
     yield min_key
     seen = {min_key}
     frontier = [min_key]
@@ -495,15 +558,15 @@ def _level_walk(rank: int, min_key: tuple[int, ...], budget: int | None = None):
     while frontier:
         nxt = []
         for ls in frontier:
-            tried += len(auts)
+            tried += per_word
             if budget is not None and tried > budget:
                 raise BudgetError(
                     f"Whitehead level set ({len(seen)} states explored)", tried, budget
                 )
-            for aut in auts:
-                img = _cyc_len(aut, ls, rank)
-                if len(img) == len(min_key):
-                    c = _canon_rotation(img)
+            cut = _cut_sizes(rank, ls)
+            for aut, mask, amask in moves:
+                if cut[mask] == cut[amask]:
+                    c = _canon_rotation(_cyc_len(aut, ls, rank))
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
@@ -524,11 +587,13 @@ def _level_set_key(
     tried = len(walk) * (len(type2_automorphisms(rank)) + len(relabelings))
     if tried > budget:
         raise BudgetError(f"Whitehead level set ({len(walk)} states explored)", tried, budget)
-    return tuple(sorted({
-        _canon_rotation(_cyc_len(aut, ls, rank))
-        for aut in relabelings
-        for ls in walk
-    }))
+    # a relabeling sigma maps the walk onto the type-II component of
+    # sigma(min_key), so it is applied only when that word is new
+    found: set[tuple[int, ...]] = set()
+    for aut in relabelings:
+        if _canon_rotation(_cyc_len(aut, min_key, rank)) not in found:
+            found.update(_canon_rotation(_cyc_len(aut, ls, rank)) for ls in walk)
+    return tuple(sorted(found))
 
 
 def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
@@ -550,14 +615,7 @@ def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
     if 1 in counts.values():
         return True
 
-    def vertex(x: int) -> int:
-        return 2 * (abs(x) - 1) + (x < 0)
-
-    adj = [set() for _ in range(2 * rank)]
-    for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-        u, v = vertex(x), vertex(-y)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _whitehead_graph(rank, cyc)
     # one iterative Tarjan DFS from vertex 0: a non-root v is a cut vertex
     # iff some DFS child c has low[c] >= disc[v]; the root iff it has two
     # or more DFS children

@@ -114,8 +114,12 @@ class WordContext:
         return self._alg[i]
 
     def inner(self, i: int) -> "WordContext":
-        """The context of the word rewritten in node i's basis."""
+        """The context of the word rewritten in node i's basis: this
+        context itself when that is the word (at the bouquet), which is
+        not stored, so a context never holds a reference to itself."""
         rewritten = rewrite_in_subgroup(self.word, self.basis(i))
+        if rewritten == self.word:
+            return self
         if rewritten.letters not in self._inner:
             self._inner[rewritten.letters] = WordContext(rewritten)
         return self._inner[rewritten.letters]

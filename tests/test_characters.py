@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wml.characters as characters
 from edge_reference import expectation_edge_based
 from wml.budget import BudgetError, ValidationError
 from wml.characters import (
@@ -73,6 +74,28 @@ def test_irreducibility_is_verified_not_assumed():
             is_character=True,
             is_irreducible=True,
         )
+
+
+def test_a_wrong_table_value_fails_the_orthogonality_check(monkeypatch):
+    # one value of chi1 on C5 moved to another fifth root of unity keeps
+    # <chi1, chi1> = 1, the dimensions and the linear order, so only the
+    # pairwise check can catch it
+    group, chars = characters._cyclic_group(5)
+    values = list(chars[1].values)
+    values[2] = Cyclotomic.root_of_unity(5, 3)
+    chars[1] = ClassFunction(group, tuple(values), "chi1", is_character=True,
+                             is_irreducible=True)
+    monkeypatch.setattr(characters, "_cyclic_group", lambda m: (group, chars))
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        builtin_group.__wrapped__("C5")
+
+
+def test_large_cyclic_tables_pass_the_exact_checks():
+    for name in ("C36", "C60"):
+        g, chars = builtin_group(name)
+        assert len(chars) == g.order
+    for psi in chars[1:4]:
+        assert inner_product(chars[0], psi) == 0 and inner_product(psi, psi) == 1
 
 
 def test_class_function_constancy_check():

@@ -29,6 +29,23 @@ def test_unread_flags_are_usage_errors(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert run(["whitehead", "ab"]) == 0
+    assert run(["rank", "ab"]) == 0
+    assert build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_a_usage_error_exits_with_code_2_from_the_cached_parser(capsys):
+    assert run(["whitehead", "ab"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["expect"])
+    assert exc.value.code == 2
+    assert run(["whitehead", "ab"]) == 0
+    capsys.readouterr()
+
+
 def test_rank_command(capsys):
     code, data = run_json(capsys, "rank", "[a,b]")
     assert code == 0

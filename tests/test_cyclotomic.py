@@ -125,3 +125,29 @@ def test_lifts_compare_and_hash_equal(pair):
 def test_lift_to_a_non_multiple_of_the_conductor_raises():
     with pytest.raises(ValidationError):
         Cyclotomic.root_of_unity(3).lift(4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 100), st.data())
+def test_power_sums_reduce_to_their_complex_value(n, data):
+    # any number of int or Fraction coefficients, folded modulo n and
+    # divided by Phi_n; shifted multiples of Phi_n vanish exactly
+    coeffs = data.draw(st.lists(
+        st.one_of(st.integers(-5, 5), st.fractions(max_denominator=6).filter(lambda q: abs(q) < 5)),
+        max_size=2 * n,
+    ))
+    z = Cyclotomic.root_of_unity(n).to_complex()
+    value = Cyclotomic(n, cyclotomic._reduce_mod_phi(n, coeffs))
+    assert abs(value.to_complex() - sum(float(c) * z**k for k, c in enumerate(coeffs))) < 1e-6
+    shift = data.draw(st.integers(0, n))
+    multiple = [0] * shift + [c * 3 for c in cyclotomic_polynomial(n)]
+    assert cyclotomic.powers_sum_is_zero(n, multiple)
+    assert not cyclotomic.powers_sum_is_zero(n, multiple + [1])
+
+
+def test_power_terms_write_an_element_in_powers_of_a_larger_root():
+    x = Cyclotomic.root_of_unity(3) * 2 + Fraction(1, 2)
+    terms = x.power_terms(12)
+    assert terms == ((0, Fraction(1, 2)), (4, 2))
+    with pytest.raises(ValidationError):
+        x.power_terms(4)

@@ -69,6 +69,18 @@ def test_every_import_is_used():
     assert SOURCES and not found, found
 
 
+def test_the_whitehead_reference_prices_moves_by_rewriting():
+    # the tests compare the library's descent and walks, which read each
+    # move's length off the Whitehead graph, against this reference
+    tree = ast.parse((ROOT / "tests" / "whitehead_reference.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    library = {"_descend_key", "_level_walk", "_level_set_key", "_cut_sizes",
+               "_whitehead_graph", "_screened_moves"}
+    assert not names & library, names & library
+
+
 # 03 (the oracle cross-check) is left out: it takes about 14 s
 @pytest.mark.parametrize("demo", [
     "01_ranks_and_witnesses.py",

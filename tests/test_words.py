@@ -11,9 +11,16 @@ from wml.words import (
     CyclicWord,
     Word,
     WordSyntaxError,
+    WhiteheadAut,
+    _canon_rotation,
     _certificate,
+    _cut_sizes,
+    _cyc_len,
     _descend_key,
     _level_set_key,
+    _level_walk,
+    _screened_moves,
+    _vertex,
     apply_whitehead,
     cyclic_reduce,
     is_primitive,
@@ -251,6 +258,82 @@ def test_level_set_equals_two_kind_walk(text):
     minimal = _descend_key(w.rank, cyc.canonical_key())
     assert (_level_set_key(w.rank, minimal, DEFAULT_EVAL_BUDGET)
             == whitehead_reference.level_set_key(w.rank, minimal))
+
+
+def _cyclic_letters(w: Word) -> tuple[int, ...]:
+    cyc, _ = cyclic_reduce(w)
+    assume(cyc.letters)
+    return cyc.letters
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_words())
+def test_whitehead_graph_prices_every_type2_move(w):
+    rank, cyc = w.rank, _cyclic_letters(w)
+    cut = _cut_sizes(rank, cyc)
+    for aut in type2_automorphisms(rank):
+        mask = sum(1 << _vertex(x) for x in aut.letter_set)
+        change = cut[mask] - cut[1 << _vertex(aut.multiplier)]
+        assert change == len(_cyc_len(aut, cyc, rank)) - len(cyc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_words())
+def test_complement_moves_agree_on_cyclic_words(w):
+    # (A, a) and (L - A, a^-1) differ by conjugation by a; the inner
+    # moves A = L - {a^-1} are conjugations by a and fix the cyclic word
+    rank, cyc = w.rank, _cyclic_letters(w)
+    letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
+    for aut in type2_automorphisms(rank):
+        a, A = aut.multiplier, aut.letter_set
+        image = _canon_rotation(_cyc_len(aut, cyc, rank))
+        if A == letters - {-a}:
+            assert image == _canon_rotation(cyc)
+        else:
+            partner = WhiteheadAut(rank, 2, multiplier=-a, letter_set=letters - A)
+            assert image == _canon_rotation(_cyc_len(partner, cyc, rank))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_screened_moves_keep_the_earlier_of_each_complement_pair(rank):
+    auts = type2_automorphisms(rank)
+    kept = [aut for aut, _, _ in _screened_moves(rank)]
+    letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
+    expected = []
+    for i, aut in enumerate(auts):
+        a, A = aut.multiplier, aut.letter_set
+        partner = WhiteheadAut(rank, 2, multiplier=-a, letter_set=letters - A)
+        if A != letters - {-a} and auts.index(partner) > i:
+            expected.append(aut)
+    assert kept == expected
+    assert 2 * len(kept) + 2 * rank == len(auts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_words())
+def test_descent_equals_the_rewriting_descent(w):
+    rank, key = w.rank, _canon_rotation(_cyclic_letters(w))
+    assert _descend_key(rank, key) == whitehead_reference.descend_key(rank, key)
+
+
+@pytest.mark.parametrize("text", ["[a,b][a,c]", "[a,b][c,d]", "aabbcc", "abcABC", "[a,b]^2"])
+def test_level_walk_yields_the_rewriting_walk_in_order(text):
+    w = parse_word(text)
+    minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
+    assert (list(_level_walk(w.rank, minimal))
+            == list(whitehead_reference.type2_walk(w.rank, minimal)))
+
+
+def test_whitehead_minimize_charges_every_move(monkeypatch):
+    # 328 words, each charged its 90 type-II moves in the walk and the
+    # 90 + 48 moves of both kinds in the level set: 45,264 in all
+    w = parse_word("aabbcc")
+    monkeypatch.setenv("WML_BUDGET", "45263")
+    with pytest.raises(BudgetError, match=r"\(328 states explored\)") as exc:
+        whitehead_minimize(w)
+    assert exc.value.needed == 45264
+    monkeypatch.setenv("WML_BUDGET", "45264")
+    assert len(whitehead_minimize(w)[1]) == 328
 
 
 def test_whitehead_minimize_level_set_is_under_the_budget(monkeypatch, capsys):

@@ -399,6 +399,12 @@ class TestContextOwnership:
         live = [o for o in gc.get_objects() if isinstance(o, WordContext) and o.original == w]
         assert not live
 
+    def test_the_bouquet_rewrites_to_the_context_itself(self):
+        ctx = WordContext(parse_word("[a,b][a,c]"))
+        top = ctx.poset.top_index()
+        assert ctx.inner(top) is ctx
+        assert ctx.word.letters not in ctx._inner
+
     def test_one_context_serves_two_whitehead_bounds(self):
         std = CharacterSpec.finite(char("S3", "std"))
         ctx = WordContext(parse_word("[a,b][a,c]"))

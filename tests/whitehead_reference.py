@@ -1,11 +1,16 @@
 """Reference Whitehead searches for the tests.
 
+Every move here is priced by rewriting the word with ``_cyc_len``; the
+library reads the length change of each move off the Whitehead graph
+instead, and its descent and walks are compared against these.
+``descend_key`` is the greedy peak descent, ``type2_walk`` the
+breadth-first walk of the minimal level set under type-II moves, and
 ``level_set_key`` closes a minimal representative under the
-length-preserving Whitehead moves of both kinds by one breadth-first
-walk; the library computes the same set as the relabelings of a type-II
-walk.  ``search_in_proper_free_factor`` and ``search_is_primitive``
-answer by descent and level-set search alone, with no certificate and no
-budget; the library's O(|w|) certificates are compared against them.
+length-preserving moves of both kinds by one walk (the library
+relabels a type-II walk).  ``search_in_proper_free_factor`` and
+``search_is_primitive`` answer by descent and level-set search alone,
+with no certificate and no budget; the library's O(|w|) certificates
+are compared against them.
 """
 
 from math import gcd
@@ -14,11 +19,23 @@ from wml.words import (
     Word,
     _canon_rotation,
     _cyc_len,
-    _descend_key,
     cyclic_reduce,
     type1_automorphisms,
     type2_automorphisms,
 )
+
+
+def descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
+    current = key
+    improved = True
+    while improved:
+        improved = False
+        for aut in type2_automorphisms(rank):
+            img = _cyc_len(aut, current, rank)
+            if len(img) < len(current):
+                current, improved = img, True
+                break
+    return _canon_rotation(current)
 
 
 def _walk(rank: int, min_key: tuple[int, ...], auts):
@@ -39,6 +56,10 @@ def _walk(rank: int, min_key: tuple[int, ...], auts):
         frontier = nxt
 
 
+def type2_walk(rank: int, min_key: tuple[int, ...]):
+    return _walk(rank, min_key, type2_automorphisms(rank))
+
+
 def level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     auts = type2_automorphisms(rank) + type1_automorphisms(rank)
     return tuple(sorted(_walk(rank, min_key, auts)))
@@ -46,11 +67,8 @@ def level_set_key(rank: int, min_key: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 def search_in_proper_free_factor(w: Word) -> bool:
     cyc, _ = cyclic_reduce(w)
-    minimal = _descend_key(w.rank, cyc.canonical_key())
-    return any(
-        len({abs(x) for x in c}) < w.rank
-        for c in _walk(w.rank, minimal, type2_automorphisms(w.rank))
-    )
+    minimal = descend_key(w.rank, cyc.canonical_key())
+    return any(len({abs(x) for x in c}) < w.rank for c in type2_walk(w.rank, minimal))
 
 
 def search_is_primitive(w: Word) -> bool:
@@ -60,4 +78,4 @@ def search_is_primitive(w: Word) -> bool:
     if g != 1:
         return False
     cyc, _ = cyclic_reduce(w)
-    return len(_descend_key(w.rank, cyc.canonical_key())) == 1
+    return len(descend_key(w.rank, cyc.canonical_key())) == 1
