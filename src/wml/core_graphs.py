@@ -10,6 +10,8 @@ equality of the serialized form coincides with based isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
@@ -17,6 +19,7 @@ from .budget import (
     BudgetError,
     InvariantError,
     ValidationError,
+    check,
     eval_budget,
 )
 from .words import Word, CyclicWord, cyclic_reduce, lies_in_proper_free_factor, reduce_letters
@@ -230,6 +233,13 @@ def trivial_graph(rank: int, names=()) -> CoreGraph:
     return CoreGraph(1, [], rank, names, _canonical=True)
 
 
+def _cycle_edges(letters):
+    """The raw w-cycle's edges: vertex i is position i of the cyclic word."""
+    n = len(letters)
+    return [(i, (i + 1) % n, x - 1) if x > 0 else ((i + 1) % n, i, -x - 1)
+            for i, x in enumerate(letters)]
+
+
 def graph_of_word(w: Word | CyclicWord) -> CoreGraph:
     """The w-cycle: one directed cycle spelling w from the root."""
     if isinstance(w, Word):
@@ -239,20 +249,11 @@ def graph_of_word(w: Word | CyclicWord) -> CoreGraph:
         w = cyc
     if not w.letters:
         raise ValidationError("graph_of_word is undefined for the identity word")
-    n = len(w.letters)
-    edges = []
-    for i, x in enumerate(w.letters):
-        a, b = i, (i + 1) % n
-        if x > 0:
-            edges.append((a, b, x - 1))
-        else:
-            edges.append((b, a, -x - 1))
-    nv, es = _canonicalize(n, edges, 0, w.rank)
+    nv, es = _canonicalize(len(w.letters), _cycle_edges(w.letters), 0, w.rank)
     return CoreGraph(nv, es, w.rank, w.names, _canonical=True)
 
 
-def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
-         known=None, cycle=None) -> CoreGraph:
+def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None) -> CoreGraph:
     """Stallings folding of a raw rooted labeled graph.
 
     Identifies targets (sources) of same-label edges sharing a source
@@ -260,16 +261,11 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
     the canonical core graph of the root's component.  The result is
     independent of fold order.
 
-    Quotient enumeration folds once per pair orbit (``_pair_orbits``) and
-    passes two shortcuts.  ``tables`` is the graph's ``(out, inn,
-    pending)`` as ``_tables`` lays it out, made once by the caller, with
-    the merged pair added to ``pending``; it is copied here, never
-    changed.  ``known`` maps partitions of the w-cycle's positions to core
-    graphs, and ``cycle`` gives the input graph's vertex at each position
-    of w (root at position 0).  The result's partition, as a
-    restricted-growth tuple, is read off the folded classes; a quotient of
-    the w-cycle is determined by it, so a partition in ``known`` returns
-    its graph before pruning and renumbering, and a new one is added.
+    ``tables`` is the graph's ``(out, inn, pending)`` as ``_tables`` lays
+    it out, made once by a caller that folds one graph many ways, with the
+    vertex pairs to identify added to ``pending``; it is copied here, never
+    changed.  Quotient enumeration passes the raw w-cycle's tables and the
+    pairs of one fold-closed partition of its positions.
     """
     if rank is None:
         rank = 1 + max((l for _, _, l in edges), default=-1)
@@ -280,12 +276,6 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
     _fold_tables(out, inn, parent, rank, pending)
     rep = _representatives(parent)
     root = rep[root]
-    if known is not None:
-        blocks = {}
-        key = tuple([blocks.setdefault(rep[v], len(blocks)) for v in cycle])
-        g = known.get(key)
-        if g is not None:
-            return g
     # prune hanging trees: strip degree-1 vertices other than the root; a
     # class's rows hold all its edge ends, a loop counting twice
     degree = [0] * n_vertices
@@ -310,14 +300,7 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None,
                 if degree[x] == 1 and x != root:
                     leaves.append(x)
     nv, es = _renumber(out, inn, rep, rank, root)
-    g = CoreGraph(nv, es, rank, names, _canonical=True)
-    if known is not None:
-        if nv != len(blocks):
-            raise InvariantError(
-                f"quotient with {nv} vertices has {len(blocks)} blocks on the w-cycle"
-            )
-        known[key] = g
-    return g
+    return CoreGraph(nv, es, rank, names, _canonical=True)
 
 
 def graph_of_subgroup(generators: list[Word], rank: int | None = None, names=()) -> CoreGraph:
@@ -503,49 +486,57 @@ def _bits(x: int):
         x ^= low
 
 
-def _pair_orbits(out, inn, n, rank):
-    """One vertex pair from each orbit of merges that fold alike.
+def fold_closed_partitions(letters, rank: int, budget: int):
+    """Every partition of the positions of the cyclic word ``letters``
+    whose quotient of the w-cycle is folded, each exactly once, as a
+    restricted-growth tuple: position 0 is in block 0, and a position that
+    opens a block numbers it one past the last.
 
-    In a folded graph with neighbour tables ``out`` and ``inn`` (as
-    ``_tables`` lays them out), merging u, v forces their l-heads
-    together when both exist, and merging the heads forces u, v back
-    together, since a vertex has at most one incoming l-edge; likewise for
-    tails.  So ``fold`` gives one quotient on each class of the relation
-    generated by (u, v) ~ (out_l u, out_l v) and (u, v) ~ (inn_l u,
-    inn_l v) on unordered pairs of distinct vertices (a class never
-    reaches the diagonal, again by uniqueness).  Yields the least pair of
-    each class, found by one depth-first walk over a bitmap of the n*n
-    pairs.
+    A quotient of the w-cycle is fixed by the partition it induces on the
+    positions of w, and the partitions that arise are exactly those whose
+    quotient graph is folded.  Positions are assigned in order, so
+    assigning position i crosses the edge from i-1 to i.  If the block of
+    i-1 already has an edge of that label and direction, i is forced into
+    the block at its other end; otherwise i joins any block without such an
+    edge on the other side, or opens a block.  The edge from the last
+    position back to position 0 is checked at the end.  Each assignment is
+    one state charged against ``budget``.
     """
-    rows = [out[k : k + rank] + inn[k : k + rank] for k in range(0, n * rank, rank)]
-    seen = bytearray(n * n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if seen[u * n + v]:
-                continue
-            seen[u * n + v] = 1
-            yield u, v
-            stack = [(u, v)]
-            while stack:
-                a, b = stack.pop()
-                for x, y in zip(rows[a], rows[b]):
-                    if x >= 0 and y >= 0:
-                        if x > y:
-                            x, y = y, x
-                        if not seen[x * n + y]:
-                            seen[x * n + y] = 1
-                            stack.append((x, y))
+    n = len(letters)
+    heads = [-1] * (n * rank)  # heads[b*rank + l]: the block the l-edge leaving b enters
+    tails = [-1] * (n * rank)  # tails[b*rank + l]: the block the l-edge entering b leaves
+    steps = [(heads, tails, x - 1) if x > 0 else (tails, heads, -x - 1) for x in letters]
+    rgs = [0] * n
+    states = found = 0
+
+    def extend(i, blocks):
+        nonlocal states, found
+        near, far, l = steps[i - 1]
+        b = rgs[i - 1]
+        c = near[b * rank + l]
+        if i == n:
+            if c == 0 or c < 0 and far[l] < 0:
+                found += 1
+                yield tuple(rgs)
+            return
+        forced = c >= 0  # the edge is already there, and so is its far end
+        for c in (c,) if forced else [c for c in range(blocks + 1) if far[c * rank + l] < 0]:
+            states += 1
+            if states > budget:
+                raise BudgetError(f"quotient enumeration ({found} nodes reached)", states, budget)
+            rgs[i] = near[b * rank + l] = c
+            far[c * rank + l] = b
+            yield from extend(i + 1, max(blocks, c + 1))
+            if not forced:
+                near[b * rank + l] = far[c * rank + l] = -1
+
+    yield from extend(1, 1)
 
 
-def _cycle_map(g: CoreGraph, letters) -> tuple[int, ...]:
-    """The vertex of g at each position of the closed path spelling
-    ``letters`` from the root: position i is reached by letters[:i]."""
-    vertices = []
-    v = 0
-    for x in letters:
-        vertices.append(v)
-        v = (g.out_edge(v, x - 1) if x > 0 else g.in_edge(v, -x - 1))[0]
-    return tuple(vertices)
+def _merged_pairs(partition) -> list[tuple[int, int]]:
+    """(first member of its block, i) for each position i of a
+    restricted-growth partition that does not open its block."""
+    return [(partition.index(b), i) for i, b in enumerate(partition) if partition.index(b) < i]
 
 
 class QuotientPoset:
@@ -553,15 +544,14 @@ class QuotientPoset:
     convolution formula.  Nodes are canonical core graphs, sorted by
     (rank, -vertices, key).
 
-    Enumeration closes the w-cycle under single vertex merges, folding one
-    merge per pair orbit (``_pair_orbits``) by ``fold`` from neighbour
-    tables laid out once per node.  Nodes are found by the partition of
-    the w-cycle's positions they induce, so a quotient reached again is
-    recognised before it is renumbered.  Each fold counts against the
-    evaluation budget.  H <= J exactly when J is reachable from H by
-    merges (a surjection of core graphs factors into merge-then-fold
-    steps), so the order is read off the merge DAG: one bitset up-set per
-    node, closed in order of increasing vertex count.
+    Each quotient is generated once, as a fold-closed partition of the
+    positions of w (``fold_closed_partitions``), and built by one ``fold``
+    of the raw w-cycle's tables, laid out once, that identifies each
+    position with the first member of its block.  H <= J exactly when H's
+    partition refines J's: the morphism of core graphs commutes with the
+    maps from the w-cycle.  The order is one bitset up-set per node, built
+    on the first order query and charged against the evaluation budget
+    before it is allocated.
     """
 
     def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
@@ -574,53 +564,55 @@ class QuotientPoset:
             )
         self.word = cyc.to_word()
         letters = cyc.letters
+        n = len(letters)
         bottom = graph_of_word(cyc)
         rank, names = bottom.rank_ambient, bottom.names
-        known = {tuple(range(len(letters))): bottom}
-        graphs = [bottom]
-        cycles = [_cycle_map(bottom, letters)]  # each node's vertex at each position of w
-        index = {id(bottom): 0}  # by identity: fold returns the graph held in known
-        children: list[tuple[int, ...]] = []
-        budget = eval_budget()
-        tried = 0
-        for g, cycle in zip(graphs, cycles):  # both grow while they are scanned
-            n = g.n_vertices
-            out, inn, _ = _tables(n, g.edges, rank)
-            kids = set()
-            for u, v in _pair_orbits(out, inn, n, rank):
-                tried += 1
-                if tried > budget:
-                    raise BudgetError(
-                        f"quotient enumeration ({len(graphs)} nodes reached)", tried, budget
-                    )
-                q = fold(n, g.edges, 0, rank, names, tables=(out, inn, [(u, v)]),
-                         known=known, cycle=cycle)
-                k = index.get(id(q))
-                if k is None:
-                    k = index[id(q)] = len(graphs)
-                    graphs.append(q)
-                    cycles.append(_cycle_map(q, letters))
-                kids.add(k)
-            children.append(tuple(kids))
-        order = sorted(
-            range(len(graphs)),
-            key=lambda k: (graphs[k].rank(), -graphs[k].n_vertices, graphs[k].key()),
-        )
-        position = [0] * len(graphs)
-        for i, k in enumerate(order):
-            position[k] = i
-        self.nodes: tuple[CoreGraph, ...] = tuple(graphs[k] for k in order)
+        edges = _cycle_edges(letters)
+        out, inn, _ = _tables(n, edges, rank)
+        found = []
+        for p in fold_closed_partitions(letters, rank, eval_budget()):
+            pairs = _merged_pairs(p)
+            g = fold(n, edges, 0, rank, names, tables=(out, inn, pairs)) if pairs else bottom
+            if g.n_vertices != max(p) + 1:
+                raise InvariantError(
+                    f"quotient with {g.n_vertices} vertices has {max(p) + 1} blocks on the w-cycle"
+                )
+            found.append((g, p))
+        found.sort(key=lambda gp: (gp[0].rank(), -gp[0].n_vertices, gp[0].key()))
+        self.nodes: tuple[CoreGraph, ...] = tuple(g for g, _ in found)
+        self._partitions = tuple(p for _, p in found)
         self._index = {g: i for i, g in enumerate(self.nodes)}
-        self.bottom_index = position[0]
-        # merges strictly lower the vertex count, so children close first
-        up = [0] * len(graphs)
-        for k in sorted(range(len(graphs)), key=lambda k: graphs[k].n_vertices):
-            bits = 1 << position[k]
-            for c in children[k]:
-                bits |= up[position[c]]
-            up[position[k]] = bits
-        self._up = up
+        self.bottom_index = self._index[bottom]
+        self._up: list[int] | None = None
         self._morphisms: dict = {}
+
+    def _order(self) -> list[int]:
+        """The up-set of every node as a bitset of node indices.  J lies
+        above H when every position of w shares J's block with the first
+        member of its H-block, so the up-set of H is the AND, over H's
+        merged pairs (f, i), of the nodes that put f and i in one block."""
+        if self._up is None:
+            size = len(self.nodes)
+            check(f"quotient order ({size} nodes)", size * -(-size // 64), eval_budget())
+            # cells[i][b]: the nodes that put position i in block b (b <= i)
+            cells = [[bytearray((size + 7) // 8) for _ in range(i + 1)]
+                     for i in range(len(self.word.letters))]
+            for k, p in enumerate(self._partitions):
+                byte, bit = k >> 3, 1 << (k & 7)
+                for row, b in zip(cells, p):
+                    row[b][byte] |= bit
+            cells = [[int.from_bytes(c, "little") for c in row] for row in cells]
+            together = {}  # (f, i) -> the nodes that put f and i in one block
+            up = []
+            for p in self._partitions:
+                bits = (1 << size) - 1
+                for f, i in _merged_pairs(p):
+                    if (f, i) not in together:
+                        together[f, i] = reduce(or_, map(and_, cells[f], cells[i]))
+                    bits &= together[f, i]
+                up.append(bits)
+            self._up = up
+        return self._up
 
     def __len__(self):
         return len(self.nodes)
@@ -638,13 +630,14 @@ class QuotientPoset:
         return self._morphisms[key]
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._up[i] >> j & 1)
+        return bool(self._order()[i] >> j & 1)
 
     def comparable_pairs(self):
-        return [(i, j) for i, up in enumerate(self._up) for j in _bits(up)]
+        return [(i, j) for i, up in enumerate(self._order()) for j in _bits(up)]
 
     def interval(self, i: int, j: int) -> list[int]:
-        return [k for k in _bits(self._up[i]) if self._up[k] >> j & 1]
+        up = self._order()
+        return [k for k in _bits(up[i]) if up[k] >> j & 1]
 
     def chains(self, length: int, among=None):
         """Weakly increasing chains c_1 <= ... <= c_length of the nodes in
@@ -663,11 +656,12 @@ class QuotientPoset:
 
     def maximal(self, indices) -> list[int]:
         """The elements of ``indices`` lying below no other one of them."""
+        up = self._order()
         indices = list(indices)
         mask = 0
         for k in indices:
             mask |= 1 << k
-        return [k for k in indices if self._up[k] & mask == 1 << k]
+        return [k for k in indices if up[k] & mask == 1 << k]
 
     def top_index(self) -> int | None:
         """Index of the bouquet node, if w uses every ambient generator."""
@@ -677,10 +671,9 @@ class QuotientPoset:
 def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> QuotientPoset:
     """The poset Q_B(w) of quotients of the w-cycle.
 
-    Enumerated by closing the w-cycle under single vertex merges followed
-    by folding, one merge per pair orbit; this reaches every folded
-    quotient (any vertex-gluing factors through a chain of such steps)
-    without iterating all set partitions.
+    Generated as the fold-closed partitions of the positions of w, each
+    once, without iterating all set partitions; the order is refinement
+    of partitions, built on the first order query.
     """
     return QuotientPoset(w, bound)
 

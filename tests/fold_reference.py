@@ -4,10 +4,11 @@
 every identification it rebuilds the edge set and scans it again.
 ``quotient_keys_reference`` closes the w-cycle under single vertex merges,
 re-folding every pair's merge from raw edges with it
-(``merge_children_reference``).  ``pair_orbits_reference`` groups the
-vertex pairs of a core graph into the orbits that the enumeration folds
-once each.  All are slow and obviously correct; the library's
-incremental versions are compared against them.
+(``merge_children_reference``); the merge DAG it walks, closed
+transitively, is the order of the quotient poset.  All are slow and
+obviously correct; the library's fold, partition generator and
+refinement order are compared against them, so this module uses none of
+the library's enumeration.
 """
 
 from wml.core_graphs import CoreGraph, graph_of_word
@@ -115,31 +116,6 @@ def merge_children_reference(g) -> dict:
             q = fold_reference(g.n_vertices, edges, 0, g.rank_ambient, g.names)
             children.setdefault(q.key(), q)
     return children
-
-
-def pair_orbits_reference(g) -> list:
-    """The unordered pairs of distinct vertices of g, grouped by the
-    relation generated by (u, v) ~ (out_l u, out_l v), via union-find;
-    each orbit is a sorted list of (u, v) with u < v."""
-    parent = {}
-
-    def find(p):
-        while parent.setdefault(p, p) != p:
-            p = parent[p]
-        return p
-
-    for u in range(g.n_vertices):
-        for v in range(u + 1, g.n_vertices):
-            for l in range(g.rank_ambient):
-                hu, hv = g.out_edge(u, l), g.out_edge(v, l)
-                if hu is not None and hv is not None:
-                    head = tuple(sorted((hu[0], hv[0])))
-                    parent[find(head)] = find((u, v))
-    orbits: dict = {}
-    for u in range(g.n_vertices):
-        for v in range(u + 1, g.n_vertices):
-            orbits.setdefault(find((u, v)), []).append((u, v))
-    return sorted(orbits.values())
 
 
 def quotient_keys_reference(w) -> list:

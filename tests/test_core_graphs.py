@@ -6,24 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fold_reference import (
-    fold_reference,
-    merge_children_reference,
-    pair_orbits_reference,
-    quotient_keys_reference,
-)
+from fold_reference import fold_reference, merge_children_reference, quotient_keys_reference
 from wml.budget import BudgetError, InvariantError, ValidationError
+from wml.characters import CharacterSpec
 from wml.core_graphs import (
     CoreGraph,
     NotInSubgroupError,
-    _pair_orbits,
     _renumber,
-    _tables,
     afd_cyclic,
     bouquet,
     decomp,
     enumerate_quotients,
     fold,
+    fold_closed_partitions,
     graph_of_subgroup,
     graph_of_word,
     is_algebraic_cyclic_base,
@@ -32,6 +27,7 @@ from wml.core_graphs import (
     spanning_tree_basis,
 )
 from wml.words import Word, cyclic_reduce, parse_word, parse_words, reduce_letters
+from wml.wreath_measures import WordContext, ind_expectation_symbolic, witness_report
 
 
 def expand_basis_word(word, basis):
@@ -347,13 +343,12 @@ def test_enumeration_budget_names_the_stage(monkeypatch):
     assert len(enumerate_quotients(w)) == 908
 
 
-@pytest.mark.parametrize("text, folds", [("x^-3(xy^6)^2", 2307), ("[a,b]^2", 380)])
-def test_enumeration_folds_once_per_pair_orbit(text, folds):
-    # the count of pair orbits over all nodes does not depend on which
-    # pair of an orbit is folded
+@pytest.mark.parametrize("text, folds", [("x^-3(xy^6)^2", 356), ("[a,b]^2", 99)])
+def test_enumeration_folds_once_per_node(text, folds):
+    # each quotient is generated once; the bottom is the w-cycle itself
     with mock.patch("wml.core_graphs.fold", wraps=fold) as counted:
-        enumerate_quotients(parse_word(text))
-    assert counted.call_count == folds
+        poset = enumerate_quotients(parse_word(text))
+    assert counted.call_count == len(poset) - 1 == folds
 
 
 @pytest.mark.parametrize("text, nodes", [("x^-3(xy^6)^2", 357), ("[a,b]^2", 100)])
@@ -365,13 +360,45 @@ def test_enumeration_renumbers_once_per_node(text, nodes):
     assert counted.call_count == len(poset) == nodes
 
 
-def test_fold_checks_the_partition_against_the_vertex_count():
-    # a cycle map that misses a vertex gives too few blocks
-    with pytest.raises(InvariantError, match="2 vertices has 1 blocks"):
-        fold(2, [(0, 1, 0), (1, 0, 1)], 0, 2, known={}, cycle=(0,))
+def test_enumeration_checks_the_partition_against_the_vertex_count():
+    # aab with positions 0 and 1 together forces 1 and 2 together as well
+    with mock.patch("wml.core_graphs.fold_closed_partitions", return_value=[(0, 0, 1)]):
+        with pytest.raises(InvariantError, match="1 vertices has 2 blocks"):
+            enumerate_quotients(parse_word("aab"))
 
 
-# -- incremental folding and the merge-DAG order against the references --------
+@pytest.mark.parametrize("text, nodes", [
+    ("[a,b]^2", 100), ("[a,b][a,c]", 234), ("x^-3(xy^6)^2", 357), ("abab^-1", 7),
+    ("aabbcc", 57), ("[[a,b],c]", 2175), ("abcabcABC", 1074), ("[a,b]^3", 2750),
+    ("[a,b]^2[a,c]", 10861),
+])
+def test_quotient_counts(text, nodes):
+    assert len(enumerate_quotients(parse_word(text))) == nodes
+
+
+def test_order_is_built_only_for_order_queries():
+    # rank, witnesses and one-level expectations never read the order
+    ctx = WordContext(parse_word("[[a,b],c]"))
+    ind_expectation_symbolic(ctx, CharacterSpec.trivial())
+    witness_report(ctx, CharacterSpec.trivial())
+    assert ctx.poset._up is None
+    assert ctx.poset.leq(ctx.poset.bottom_index, ctx.poset.top_index())
+    assert ctx.poset._up is not None
+
+
+def test_order_budget_names_the_stage(monkeypatch):
+    # the generation's states fit the budget, the order's words do not
+    w = parse_word("[[a,b],c]")
+    size = len(enumerate_quotients(w))
+    words = size * -(-size // 64)
+    monkeypatch.setenv("WML_BUDGET", str(words - 1))
+    poset = enumerate_quotients(w)
+    with pytest.raises(BudgetError, match=rf"quotient order \({size} nodes\)") as exc:
+        poset.leq(0, 0)
+    assert exc.value.needed == words and poset._up is None
+
+
+# -- incremental folding and the refinement order against the references ------
 
 
 @pytest.mark.parametrize(
@@ -422,25 +449,24 @@ def test_enumeration_matches_restart_fold_reference(w):
     assert [g.key() for g in poset.nodes] == quotient_keys_reference(w)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(cyclic_words())
-def test_pair_orbits_fold_alike(w):
-    # every pair of an orbit folds to one graph, and folding the orbits'
-    # representatives reaches the same children as folding every pair
-    for g in enumerate_quotients(w).nodes:
-        n, rank = g.n_vertices, g.rank_ambient
-        out, inn, _ = _tables(n, g.edges, rank)
-        reps = list(_pair_orbits(out, inn, n, rank))
-        orbits = pair_orbits_reference(g)
-        assert sorted(reps) == [orbit[0] for orbit in orbits]
-        for orbit in orbits:
-            folds = set()
-            for u, v in orbit:
-                edges = [(s if s != v else u, d if d != v else u, l) for s, d, l in g.edges]
-                folds.add(fold(n, edges, 0, rank, g.names))
-            assert len(folds) == 1, (w, g, orbit)
-        kids = {fold(n, g.edges, 0, rank, tables=(out, inn, [p])).key() for p in reps}
-        assert kids == set(merge_children_reference(g))
+def test_refinement_order_matches_merge_dag_reference(w):
+    # the generator yields each partition once, and refinement is the
+    # order the merge DAG closes to
+    partitions = list(fold_closed_partitions(w.letters, w.rank, 10**7))
+    assert len(set(partitions)) == len(partitions)
+    poset = enumerate_quotients(w)
+    assert len(poset) == len(partitions)
+    keys = [g.key() for g in poset.nodes]
+    up = {}
+    for g in sorted(poset.nodes, key=lambda g: g.n_vertices):  # merges lower the count
+        above = {g.key()}
+        for key in merge_children_reference(g):
+            above |= up[key]
+        up[g.key()] = above
+    for i, h in enumerate(keys):
+        assert {keys[j] for j in range(len(keys)) if poset.leq(i, j)} == up[h], (w, i)
 
 
 @st.composite

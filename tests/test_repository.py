@@ -81,6 +81,17 @@ def test_the_whitehead_reference_prices_moves_by_rewriting():
     assert not names & library, names & library
 
 
+def test_the_fold_reference_closes_under_merges():
+    # the tests compare the library's partition generator and refinement
+    # order against this reference's merge DAG
+    tree = ast.parse((ROOT / "tests" / "fold_reference.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    library = {"QuotientPoset", "enumerate_quotients", "fold_closed_partitions"}
+    assert not names & library, names & library
+
+
 # 03 (the oracle cross-check) is left out: it takes about 14 s
 @pytest.mark.parametrize("demo", [
     "01_ranks_and_witnesses.py",
