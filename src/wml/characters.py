@@ -641,7 +641,16 @@ def expectation_rel(
     budget: int | None = None,
 ) -> Cyclotomic:
     """E_{w -> H}[phi]: the w-measure expectation when w is seen as an
-    element of the subgroup H (given by a spanning-tree basis).
+    element of the subgroup H (given by a spanning-tree basis)."""
+    return expectation_rewritten(phi, rewrite_in_subgroup(w, basis), budget)
+
+
+def expectation_rewritten(
+    phi: CharacterSpec | ClassFunction,
+    rewritten: Word,
+    budget: int | None = None,
+) -> Cyclotomic:
+    """E_{w -> H}[phi] from w rewritten in a free basis of H.
 
     For the circle embedding this is 1 iff every basis letter of H has
     total exponent divisible by m in the rewritten word (net zero when
@@ -649,7 +658,6 @@ def expectation_rel(
     """
     if isinstance(phi, ClassFunction):
         phi = CharacterSpec.finite(phi)
-    rewritten = rewrite_in_subgroup(w, basis)
     if phi.kind == "trivial":
         return Cyclotomic.one()
     if phi.kind == "circle":

@@ -30,6 +30,7 @@ from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
     WordContext,
+    chi_expectation_at,
     ind_expectation_at,
     ind_expectation_symbolic,
     iterated_expectation,
@@ -206,6 +207,8 @@ def cmd_expect(args) -> dict:
         v = ind_expectation_at(ctx, spec, args.n, args.budget)
         out["n"] = args.n
         out["value"] = _cyclo_json(v)
+        if args.chi:
+            out["chi_value"] = _cyclo_json(chi_expectation_at(ctx, spec, args.n, args.budget))
     return out
 
 

@@ -486,11 +486,13 @@ def _bits(x: int):
         x ^= low
 
 
-def fold_closed_partitions(letters, rank: int, budget: int):
+def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | None = None):
     """Every partition of the positions of the cyclic word ``letters``
     whose quotient of the w-cycle is folded, each exactly once, as a
     restricted-growth tuple: position 0 is in block 0, and a position that
-    opens a block numbers it one past the last.
+    opens a block numbers it one past the last.  With ``max_blocks`` no
+    block is opened past that many, so exactly the partitions with at most
+    ``max_blocks`` blocks come out, in the same order, from fewer states.
 
     A quotient of the w-cycle is fixed by the partition it induces on the
     positions of w, and the partitions that arise are exactly those whose
@@ -503,6 +505,7 @@ def fold_closed_partitions(letters, rank: int, budget: int):
     one state charged against ``budget``.
     """
     n = len(letters)
+    cap = n if max_blocks is None else min(n, max_blocks)
     heads = [-1] * (n * rank)  # heads[b*rank + l]: the block the l-edge leaving b enters
     tails = [-1] * (n * rank)  # tails[b*rank + l]: the block the l-edge entering b leaves
     steps = [(heads, tails, x - 1) if x > 0 else (tails, heads, -x - 1) for x in letters]
@@ -520,7 +523,8 @@ def fold_closed_partitions(letters, rank: int, budget: int):
                 yield tuple(rgs)
             return
         forced = c >= 0  # the edge is already there, and so is its far end
-        for c in (c,) if forced else [c for c in range(blocks + 1) if far[c * rank + l] < 0]:
+        free = range(min(blocks + 1, cap))
+        for c in (c,) if forced else [c for c in free if far[c * rank + l] < 0]:
             states += 1
             if states > budget:
                 raise BudgetError(f"quotient enumeration ({found} nodes reached)", states, budget)
@@ -537,6 +541,75 @@ def _merged_pairs(partition) -> list[tuple[int, int]]:
     """(first member of its block, i) for each position i of a
     restricted-growth partition that does not open its block."""
     return [(partition.index(b), i) for i, b in enumerate(partition) if partition.index(b) < i]
+
+
+def check_word_length(cyc: CyclicWord, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> None:
+    """Refuse a cyclic word longer than the quotient enumeration bound."""
+    if len(cyc.letters) > bound:
+        raise ValidationError(
+            f"|w| = {len(cyc.letters)} exceeds quotient enumeration bound {bound}"
+        )
+
+
+def read_partition(letters, rank: int, partition, rewrite: bool = True):
+    """The quotient of the w-cycle by one fold-closed partition of the
+    positions of ``letters``, read off the partition with no core graph.
+
+    Returns ``(fibers, rewritten)``.  ``fibers`` is ``((V,), (E_l, ...))``,
+    the block count and the non-zero edge count of each label: the fibers
+    of the morphism from the quotient to the bouquet.  ``rewritten`` is w
+    in the basis of the BFS tree over the blocks from block 0, labels in
+    order and outgoing before incoming, with the non-tree edges numbered in
+    canonical edge order (None unless ``rewrite``).  That is the tree
+    ``spanning_tree_basis`` takes on the canonical core graph, where the
+    BFS order is the numbering, so the word equals
+    ``rewrite_in_subgroup(w, spanning_tree_basis(node))``.
+    """
+    n = len(letters)
+    blocks = max(partition) + 1
+    out = [-1] * (blocks * rank)  # out[b*rank + l]: the block the l-edge leaving b enters
+    inn = [-1] * (blocks * rank)
+    counts = [0] * rank
+    for i, x in enumerate(letters):
+        a, b = partition[i], partition[(i + 1) % n]
+        if x < 0:
+            a, b, x = b, a, -x
+        k = a * rank + x - 1
+        if out[k] < 0:
+            out[k] = b
+            inn[b * rank + x - 1] = a
+            counts[x - 1] += 1
+    fibers = ((blocks,), tuple(c for c in counts if c))
+    if not rewrite:
+        return fibers, None
+    # an edge is named by the slot of its tail in ``out``
+    num = [-1] * blocks
+    num[0] = 0
+    queue = [0]
+    tree = set()
+    for v in queue:
+        for l in range(rank):
+            k = v * rank + l
+            for u, edge in ((out[k], k), (inn[k], inn[k] * rank + l)):
+                if u >= 0 and num[u] < 0:
+                    num[u] = len(queue)
+                    queue.append(u)
+                    tree.add(edge)
+    cotree = sorted(
+        (num[k // rank], num[d], k % rank, k)
+        for k, d in enumerate(out) if d >= 0 and k not in tree
+    )
+    letter = {k: j for j, (*_, k) in enumerate(cotree, 1)}
+    path = []
+    for i, x in enumerate(letters):
+        if x > 0:
+            j = letter.get(partition[i] * rank + x - 1)
+        else:
+            j = letter.get(partition[(i + 1) % n] * rank - x - 1)
+            j = j and -j
+        if j:
+            path.append(j)
+    return fibers, Word(len(cotree), reduce_letters(path))
 
 
 class QuotientPoset:
@@ -558,10 +631,7 @@ class QuotientPoset:
         cyc, _ = cyclic_reduce(word)
         if not cyc.letters:
             raise ValidationError("quotient poset is undefined for the identity word")
-        if len(cyc.letters) > bound:
-            raise ValidationError(
-                f"|w| = {len(cyc.letters)} exceeds quotient enumeration bound {bound}"
-            )
+        check_word_length(cyc, bound)
         self.word = cyc.to_word()
         letters = cyc.letters
         n = len(letters)

@@ -21,18 +21,23 @@ from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
     InvariantError,
     ValidationError,
+    eval_budget,
 )
 from .characters import (
     CharacterSpec,
     ClassFunction,
     expectation_rel,
+    expectation_rewritten,
     symmetric_std_character,
 )
 from .core_graphs import (
     CoreGraph,
     QuotientPoset,
+    check_word_length,
     enumerate_quotients,
+    fold_closed_partitions,
     is_algebraic_cyclic_base,
+    read_partition,
     rewrite_in_subgroup,
     spanning_tree_basis,
     trivial_graph,
@@ -55,23 +60,33 @@ def _phi_key(phi: CharacterSpec):
 class WordContext:
     """Everything computed about one word: compressed cyclic word, quotient
     poset, bases, relative expectations, L-term data, iterated values and
-    the contexts of the word rewritten in each node's basis.  A caller
+    the contexts of the word rewritten in a quotient's basis.  A caller
     holds one to share that work across calls and drops it to free it."""
 
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
         if not cyc.letters:
             raise ValidationError("identity word: handled by the callers")
+        check_word_length(cyc)
         self.original = w
         self.word = cyc.to_word().compress()
-        self.poset: QuotientPoset = enumerate_quotients(self.word)
         self.rank = self.word.rank
+        self._poset: QuotientPoset | None = None
         self._bases: dict = {}
         self._erel: dict = {}
         self._fibers: dict = {}
         self._alg: dict = {}
         self._values: dict = {}
         self._inner: dict = {}
+
+    @property
+    def poset(self) -> QuotientPoset:
+        """The stored quotient poset, built on first access.  Ranks,
+        witnesses and chains of two or more levels read it; one-level sums
+        and values at concrete degrees stream the partitions instead."""
+        if self._poset is None:
+            self._poset = enumerate_quotients(self.word)
+        return self._poset
 
     @property
     def nodes(self):
@@ -113,11 +128,10 @@ class WordContext:
             self._alg[i] = is_algebraic_cyclic_base(self.word, self.nodes[i], whitehead_bound)
         return self._alg[i]
 
-    def inner(self, i: int) -> "WordContext":
-        """The context of the word rewritten in node i's basis: this
+    def context_of(self, rewritten: Word) -> "WordContext":
+        """The context of the word rewritten in a quotient's basis: this
         context itself when that is the word (at the bouquet), which is
         not stored, so a context never holds a reference to itself."""
-        rewritten = rewrite_in_subgroup(self.word, self.basis(i))
         if rewritten == self.word:
             return self
         if rewritten.letters not in self._inner:
@@ -148,14 +162,48 @@ def _as_spec(phi) -> CharacterSpec:
 # -- the induction-convolution sum -------------------------------------------
 
 
+def _quotient_terms(ctx: WordContext, phi: CharacterSpec, rest, budget, max_blocks=None):
+    """(bouquet fibers, coefficient) of each quotient H of the w-cycle with
+    at most ``max_blocks`` vertices whose coefficient is non-zero, streamed
+    off the fold-closed partitions with no stored poset.
+
+    The coefficient is E_{w->H}[phi] when ``rest`` is empty, and otherwise
+    the iterated value at degrees ``rest`` of w rewritten in H's basis.
+    Both depend only on the rewritten word, so each is computed once per
+    call; the trivial character at one level needs no rewriting."""
+    letters, rank = ctx.word.letters, ctx.rank
+    rewrite = bool(rest) or phi.kind != "trivial"
+    coefficients = {None: _ONE}  # None: the word is not rewritten
+    for p in fold_closed_partitions(letters, rank, eval_budget(), max_blocks):
+        fibers, rewritten = read_partition(letters, rank, p, rewrite)
+        c = coefficients.get(rewritten)
+        if c is None:
+            if rest:
+                c = iterated_value_at(ctx.context_of(rewritten), phi, rest, budget)
+            else:
+                c = expectation_rewritten(phi, rewritten, budget)
+            coefficients[rewritten] = c
+        if not c.is_zero():
+            yield fibers, c
+
+
 def ind_expectation_symbolic(
     w: Word | WordContext, phi, budget=None
 ) -> RationalFunctionN:
     """E_w[Ind_n phi] as an exact rational function of n (valid for
-    n >= |w|; evaluate small n with ind_expectation_at): the one-level
-    iterated expectation."""
+    n >= |w|; evaluate small n with ind_expectation_at).
+
+    The sum over the quotients H of the w-cycle of E_{w->H}[phi] times
+    L^B_H(n), streamed off the fold-closed partitions without storing the
+    poset.  L^B_H depends only on H's fibers over the bouquet, so the
+    coefficients are summed per fiber signature, each signature's L-term
+    is added once, and the sum is reduced once.  It equals the one-level
+    iterated expectation's ``single_variable``."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    return iterated_expectation(ctx, IteratedSpec(1, _as_spec(phi)), budget).single_variable()
+    by_fibers: dict = {}
+    for fibers, c in _quotient_terms(ctx, _as_spec(phi), (), budget):
+        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + c
+    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
@@ -442,8 +490,11 @@ def iterated_value_at(
     Peels the outermost wreath level: E_w[Ind_{n_m} X] expands over the
     quotients H of the w-cycle as E_{w->H}[X] L_{H->bouquet}(n_m), which
     is exact at every n_m; the inner factor is the same quantity for the
-    word rewritten in H's basis, handled recursively on ``ctx.inner``.
-    The values are kept on the context.
+    word rewritten in H's basis, handled recursively on the context of that
+    word (``ctx.context_of``).  The quotients are streamed off the
+    fold-closed partitions with at most n_m blocks, since the L-term is 0
+    on a quotient with more than n_m vertices; no poset is stored.  The
+    values are kept on the context.
     """
     phi = _as_spec(phi)
     degrees = tuple(degrees)
@@ -460,22 +511,12 @@ def iterated_value_at(
         return ctx._values[key]
     total = _ZERO
     if not degrees:
-        top = _bouquet_core_target(ctx)
-        total = ctx.e_rel(top, phi, budget)
+        # w rewritten at the bouquet, the top quotient, is w itself
+        total = expectation_rewritten(phi, ctx.word, budget)
     else:
         n_last = degrees[-1]
-        rest = degrees[:-1]
-        for i in range(len(ctx.nodes)):
-            vf, ef = ctx.bouquet_fibers(i)
-            lv = L_value_at(vf, ef, n_last)
-            if lv == 0:
-                continue
-            if rest:
-                coeff = iterated_value_at(ctx.inner(i), phi, rest, budget)
-            else:
-                coeff = ctx.e_rel(i, phi, budget)
-            if not coeff.is_zero():
-                total = total + coeff * lv
+        for (vf, ef), c in _quotient_terms(ctx, phi, degrees[:-1], budget, n_last):
+            total = total + c * L_value_at(vf, ef, n_last)
     ctx._values[key] = total
     return total
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,49 @@ def test_expect_at_n_matches_oracle(capsys):
     code2, data2 = run_json(capsys, "oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "3")
     assert code2 == 0
     assert data["value"] == data2["value"] == "1/3"
+
+
+def test_expect_at_n_reports_chi(capsys):
+    code, data = run_json(capsys, "expect", "aabb", "--n", "3", "--chi")
+    assert code == 0
+    assert data == {"word": "a^2 b^2", "phi": "trivial", "n": 3, "value": "3/2", "chi_value": "1/2"}
+    code, data = run_json(capsys, "expect", "aabb", "--n", "3")
+    assert code == 0 and "chi_value" not in data
+    # chi subtracts the constant 1 only for the trivial character
+    code, data = run_json(capsys, "expect", "aabb", "--group", "C2", "--char", "chi1",
+                          "--n", "3", "--chi")
+    assert code == 0 and data["chi_value"] == data["value"]
+
+
+def test_expect_leaves_the_poset_unbuilt(capsys, monkeypatch):
+    import wml.wreath_measures
+
+    def unbuilt(w):
+        raise AssertionError("one-level expect built the quotient poset")
+
+    monkeypatch.setattr(wml.wreath_measures, "enumerate_quotients", unbuilt)
+    code, data = run_json(capsys, "expect", "[a,b][a,c]", "--group", "S3", "--char", "std",
+                          "--symbolic", "--n", "2", "--chi")
+    assert code == 0 and "value" in data and "chi_symbolic" in data
+
+
+def test_one_level_expect_fits_one_gibibyte():
+    # 221,008 quotients: the stored poset took about 2 GB, the stream does not store it
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from wml.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "expect", "[[a,b],[a,c]]", "--symbolic"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    symbolic = json.loads(proc.stdout)["symbolic"]
+    assert [int(c) for c, in symbolic["num"]] == [32, 48, -295, 120, 117, -123, 51, -11, 1]
+    assert [int(c) for c, in symbolic["den"]] == [0, 0, 36, -132, 193, -144, 58, -12, 1]
 
 
 def test_expect_circle(capsys):

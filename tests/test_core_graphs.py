@@ -23,11 +23,13 @@ from wml.core_graphs import (
     graph_of_word,
     is_algebraic_cyclic_base,
     morphism,
+    read_partition,
     rewrite_in_subgroup,
     spanning_tree_basis,
 )
-from wml.words import Word, cyclic_reduce, parse_word, parse_words, reduce_letters
+from wml.words import Word, parse_word, parse_words, reduce_letters
 from wml.wreath_measures import WordContext, ind_expectation_symbolic, witness_report
+from word_strategies import cyclic_words
 
 
 def expand_basis_word(word, basis):
@@ -420,18 +422,6 @@ def test_index_of_uses_node_keys():
         p.index_of(graph_of_word(parse_word("ab")))
 
 
-@st.composite
-def cyclic_words(draw, max_length=8):
-    rank = draw(st.integers(2, 3))
-    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
-    letters = [draw(st.sampled_from(alphabet))]
-    for _ in range(draw(st.integers(0, max_length - 1))):
-        letters.append(draw(st.sampled_from([x for x in alphabet if x != -letters[-1]])))
-    cyc, _ = cyclic_reduce(Word(rank, tuple(letters)))
-    assume(cyc.letters)
-    return cyc.to_word()
-
-
 @settings(max_examples=30, deadline=None)
 @given(cyclic_words(max_length=7))
 def test_bitset_order_is_morphism_existence_on_random_words(w):
@@ -467,6 +457,46 @@ def test_refinement_order_matches_merge_dag_reference(w):
         up[g.key()] = above
     for i, h in enumerate(keys):
         assert {keys[j] for j in range(len(keys)) if poset.leq(i, j)} == up[h], (w, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclic_words(max_length=10))
+def test_partition_reader_matches_the_core_graph(w):
+    # one-level sums read each quotient off its partition instead of
+    # building its core graph, basis and rewritten word
+    ctx = WordContext(w)
+    poset = ctx.poset
+    letters, rank = ctx.word.letters, ctx.rank
+    for i, (node, p) in enumerate(zip(poset.nodes, poset._partitions)):
+        fibers, rewritten = read_partition(letters, rank, p)
+        assert fibers == ctx.bouquet_fibers(i), (w, p)
+        expected = rewrite_in_subgroup(ctx.word, spanning_tree_basis(node))
+        assert rewritten == expected and rewritten.rank == expected.rank, (w, p)
+        assert read_partition(letters, rank, p, rewrite=False) == (fibers, None)
+
+
+def states_charged(letters, rank, max_blocks=None):
+    """The states a whole generation charges: the least budget it fits."""
+    lo, hi = 0, 10**6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            list(fold_closed_partitions(letters, rank, mid, max_blocks))
+            hi = mid
+        except BudgetError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("text", ["[a,b]^2", "x^-3(xy^6)^2", "abcabcABC"])
+def test_capped_generation_is_the_uncapped_one_filtered(text):
+    w = parse_word(text)
+    full = list(fold_closed_partitions(w.letters, w.rank, 10**7))
+    whole = states_charged(w.letters, w.rank)
+    for k in (1, 2, 4, max(max(p) for p in full)):
+        capped = list(fold_closed_partitions(w.letters, w.rank, 10**7, max_blocks=k))
+        assert capped == [p for p in full if max(p) < k]
+        assert states_charged(w.letters, w.rank, k) < whole
 
 
 @st.composite

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import wml.wreath_measures as wreath_measures
-from wml.budget import ValidationError
+from wml.budget import BudgetError, ValidationError
 from wml.characters import CharacterSpec, builtin_group, symmetric_std_character
-from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word
+from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word, read_partition
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
@@ -33,6 +34,7 @@ from wml.wreath_measures import (
     tree_fix_expectation,
     witness_report,
 )
+from word_strategies import cyclic_words
 
 TRIV = CharacterSpec.trivial()
 
@@ -346,6 +348,36 @@ class TestIterated:
         assert iterated_value_at(Word(2, ()), CharacterSpec.finite(char("S3", "std")), (3, 4)) == 24
 
 
+class TestStreamedSums:
+    """One-level sums and values at concrete degrees stream the fold-closed
+    partitions; the chain route over the stored poset is their reference."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(cyclic_words(max_length=12, min_length=7))
+    def test_symbolic_equals_the_one_level_chain_route(self, w):
+        ctx = WordContext(w)
+        for phi in (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("S3", "std"))):
+            chains = iterated_expectation(ctx, IteratedSpec(1, phi)).single_variable()
+            streamed = ind_expectation_symbolic(ctx, phi)
+            assert streamed == chains
+            assert streamed.to_json() == chains.to_json()
+
+    def test_the_stream_charges_generation_states(self, monkeypatch):
+        monkeypatch.setenv("WML_BUDGET", "100")
+        with pytest.raises(BudgetError, match="quotient enumeration") as exc:
+            ind_expectation_symbolic(parse_word("[a,b][c,d]"), TRIV)
+        assert exc.value.needed == 101
+
+    @pytest.mark.parametrize("text", ["aabb", "abab^-1", "[a,b]^2", "aabbcc"])
+    def test_values_equal_the_closed_form(self, text):
+        ctx = WordContext(parse_word(text))
+        n = len(ctx.word.letters)
+        for phi in (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("S3", "std"))):
+            for degrees in ((n,), (n + 3,), (n, n + 1)):
+                it = iterated_expectation(ctx, IteratedSpec(len(degrees), phi))
+                assert iterated_value_at(ctx, phi, degrees) == it.value_at_closed_form(degrees)
+
+
 class TestTree:
     def test_dimension_identity(self):
         assert tree_dimension_identity(1)
@@ -401,9 +433,25 @@ class TestContextOwnership:
 
     def test_the_bouquet_rewrites_to_the_context_itself(self):
         ctx = WordContext(parse_word("[a,b][a,c]"))
-        top = ctx.poset.top_index()
-        assert ctx.inner(top) is ctx
-        assert ctx.word.letters not in ctx._inner
+        bouquet_partition = (0,) * len(ctx.word.letters)
+        _, rewritten = read_partition(ctx.word.letters, ctx.rank, bouquet_partition)
+        assert ctx.context_of(rewritten) is ctx
+        iterated_value_at(ctx, TRIV, (2, 2))
+        assert ctx._inner and ctx.word.letters not in ctx._inner
+
+    def test_one_level_queries_leave_the_poset_unbuilt(self):
+        ctx = WordContext(parse_word("[[a,b],c]"))
+        std = CharacterSpec.finite(char("S3", "std"))
+        for phi in (TRIV, CharacterSpec.circle(2), std):
+            ind_expectation_symbolic(ctx, phi)
+            ind_expectation_at(ctx, phi, 4)
+        chi_expectation_at(ctx, std, 5)
+        iterated_value_at(ctx, TRIV, (3, 2))
+        haar = iterated_value_at(ctx, std, ())
+        assert ctx._poset is None
+        assert haar == ctx.e_rel(ctx.poset.top_index(), std)
+        assert witness_report(ctx, TRIV).pi == 2
+        assert ctx._poset is not None
 
     def test_one_context_serves_two_whitehead_bounds(self):
         std = CharacterSpec.finite(char("S3", "std"))

@@ -1,0 +1,20 @@
+"""Hypothesis strategies for the tests: random cyclically reduced words."""
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from wml.words import Word, cyclic_reduce
+
+
+@st.composite
+def cyclic_words(draw, max_length=8, min_length=1):
+    """A cyclically reduced word of rank 2 or 3 and at most ``max_length``
+    letters, drawn with at least ``min_length`` letters before reduction."""
+    rank = draw(st.integers(2, 3))
+    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
+    letters = [draw(st.sampled_from(alphabet))]
+    for _ in range(draw(st.integers(min_length - 1, max_length - 1))):
+        letters.append(draw(st.sampled_from([x for x in alphabet if x != -letters[-1]])))
+    cyc, _ = cyclic_reduce(Word(rank, tuple(letters)))
+    assume(cyc.letters)
+    return cyc.to_word()
