@@ -543,6 +543,33 @@ def _merged_pairs(partition) -> list[tuple[int, int]]:
     return [(partition.index(b), i) for i, b in enumerate(partition) if partition.index(b) < i]
 
 
+def partition_graphs(letters, rank: int, names=()):
+    """The function taking a fold-closed partition of the positions of the
+    cyclic word ``letters`` to the canonical core graph of its quotient of
+    the w-cycle: one ``fold`` of the raw w-cycle's tables, laid out here
+    once, that identifies each position with the first member of its
+    block (the partition into singletons is the w-cycle, canonicalized
+    here once).  The graph must have one vertex per block."""
+    n = len(letters)
+    edges = _cycle_edges(letters)
+    out, inn, _ = _tables(n, edges, rank)
+    cycle = CoreGraph(*_canonicalize(n, edges, 0, rank), rank, names, _canonical=True)
+
+    def graph_of(partition) -> CoreGraph:
+        pairs = _merged_pairs(partition)
+        if not pairs:
+            return cycle
+        g = fold(n, edges, 0, rank, names, tables=(out, inn, pairs))
+        if g.n_vertices != max(partition) + 1:
+            raise InvariantError(
+                f"quotient with {g.n_vertices} vertices has {max(partition) + 1} blocks "
+                "on the w-cycle"
+            )
+        return g
+
+    return graph_of
+
+
 def check_word_length(cyc: CyclicWord, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> None:
     """Refuse a cyclic word longer than the quotient enumeration bound."""
     if len(cyc.letters) > bound:
@@ -619,8 +646,7 @@ class QuotientPoset:
 
     Each quotient is generated once, as a fold-closed partition of the
     positions of w (``fold_closed_partitions``), and built by one ``fold``
-    of the raw w-cycle's tables, laid out once, that identifies each
-    position with the first member of its block.  H <= J exactly when H's
+    (``partition_graphs``).  H <= J exactly when H's
     partition refines J's: the morphism of core graphs commutes with the
     maps from the w-cycle.  The order is one bitset up-set per node, built
     on the first order query and charged against the evaluation budget
@@ -634,25 +660,13 @@ class QuotientPoset:
         check_word_length(cyc, bound)
         self.word = cyc.to_word()
         letters = cyc.letters
-        n = len(letters)
-        bottom = graph_of_word(cyc)
-        rank, names = bottom.rank_ambient, bottom.names
-        edges = _cycle_edges(letters)
-        out, inn, _ = _tables(n, edges, rank)
-        found = []
-        for p in fold_closed_partitions(letters, rank, eval_budget()):
-            pairs = _merged_pairs(p)
-            g = fold(n, edges, 0, rank, names, tables=(out, inn, pairs)) if pairs else bottom
-            if g.n_vertices != max(p) + 1:
-                raise InvariantError(
-                    f"quotient with {g.n_vertices} vertices has {max(p) + 1} blocks on the w-cycle"
-                )
-            found.append((g, p))
+        graph_of = partition_graphs(letters, cyc.rank, cyc.names)
+        found = [(graph_of(p), p) for p in fold_closed_partitions(letters, cyc.rank, eval_budget())]
         found.sort(key=lambda gp: (gp[0].rank(), -gp[0].n_vertices, gp[0].key()))
         self.nodes: tuple[CoreGraph, ...] = tuple(g for g, _ in found)
         self._partitions = tuple(p for _, p in found)
         self._index = {g: i for i, g in enumerate(self.nodes)}
-        self.bottom_index = self._index[bottom]
+        self.bottom_index = self._partitions.index(tuple(range(len(letters))))
         self._up: list[int] | None = None
         self._morphisms: dict = {}
 

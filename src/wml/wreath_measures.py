@@ -37,15 +37,15 @@ from .core_graphs import (
     enumerate_quotients,
     fold_closed_partitions,
     is_algebraic_cyclic_base,
+    partition_graphs,
     read_partition,
-    rewrite_in_subgroup,
     spanning_tree_basis,
     trivial_graph,
 )
 from .cyclotomic import Cyclotomic
 from .mobius import L_rational, L_value_at, L_general, LetterDistribution, PermAction
 from .rational import PoleRational, RationalFunctionN
-from .words import Word, cyclic_reduce, is_primitive
+from .words import Word, cyclic_reduce, is_primitive, lies_in_proper_free_factor
 
 _ZERO = Cyclotomic.zero()
 _ONE = Cyclotomic.one()
@@ -81,9 +81,10 @@ class WordContext:
 
     @property
     def poset(self) -> QuotientPoset:
-        """The stored quotient poset, built on first access.  Ranks,
-        witnesses and chains of two or more levels read it; one-level sums
-        and values at concrete degrees stream the partitions instead."""
+        """The stored quotient poset, built on first access.  Chains of
+        iterated expectations and general actions read it; one-level sums,
+        values at concrete degrees and witness reports stream the
+        partitions instead."""
         if self._poset is None:
             self._poset = enumerate_quotients(self.word)
         return self._poset
@@ -296,6 +297,13 @@ def witness_report(
     non-zero relative expectation (trivial phi: where w is non-primitive),
     the minimal witness rank, the critical set, and its total value.
 
+    One pass over the fold-closed partitions, with no stored poset: each
+    quotient above the w-cycle is read off its partition, whether it is a
+    witness and whether it is algebraic are decided on w rewritten in its
+    basis (once per rewritten word), and only a witness is folded into a
+    core graph.  Critical entries come in the poset's node order and
+    witnesses sorted by (rank, graph key).
+
     Every critical entry is a proper algebraic extension; this is checked
     whenever the rank is within the Whitehead bound.
 
@@ -310,34 +318,45 @@ def witness_report(
         entry = WitnessEntry(trivial_graph(max(1, w.rank), w.names), 0, phi.dim(), True)
         return WitnessReport(w, phi, (entry,), 0, (entry,), phi.dim())
     ctx = w if isinstance(w, WordContext) else WordContext(w)
+    letters, rank = ctx.word.letters, ctx.rank
+    graph_of = partition_graphs(letters, rank, ctx.word.names)
+    values: dict = {}  # rewritten word -> E_{w->H}[phi] (trivial phi: 1 iff non-primitive)
+    algebraic: dict = {}  # rewritten word -> is <w> <= H algebraic
     entries = []
     partial = False
-    for i in range(len(ctx.nodes)):
-        if i == ctx.bottom:
-            continue
-        node = ctx.nodes[i]
+    for p in fold_closed_partitions(letters, rank, eval_budget()):
+        if max(p) + 1 == len(p):
+            continue  # the w-cycle itself
         if phi.kind == "trivial":
-            # witness iff w is non-primitive in H
-            if node.rank() > whitehead_bound:
+            # H's rank 1 - V + E off its fibers: above the bound, nothing to rewrite
+            (v,), e = read_partition(letters, rank, p, False)[0]
+            if 1 - v + sum(e) > whitehead_bound:
                 partial = True
                 continue
-            rewritten = rewrite_in_subgroup(ctx.word, ctx.basis(i))
-            if is_primitive(rewritten, whitehead_bound):
-                continue
-            value = _ONE
+        _, rewritten = read_partition(letters, rank, p)
+        h_rank = rewritten.rank
+        value = values.get(rewritten)
+        if value is None:
+            if phi.kind == "trivial":
+                value = _ZERO if is_primitive(rewritten, whitehead_bound) else _ONE
+            else:
+                value = expectation_rewritten(phi, rewritten, budget)
+            values[rewritten] = value
+        if value.is_zero():
+            continue
+        if h_rank <= whitehead_bound:
+            alg = algebraic.get(rewritten)
+            if alg is None:
+                alg = h_rank <= 1 or not lies_in_proper_free_factor(rewritten, whitehead_bound)
+                algebraic[rewritten] = alg
         else:
-            value = ctx.e_rel(i, phi, budget)
-            if value.is_zero():
-                continue
-        if node.rank() <= whitehead_bound:
-            algebraic = ctx.is_algebraic(i, whitehead_bound)
-        else:
-            algebraic = None
+            alg = None
             partial = True
-        entries.append(WitnessEntry(node, node.rank(), value, algebraic))
+        entries.append(WitnessEntry(graph_of(p), h_rank, value, alg))
     if not entries:
         return WitnessReport(ctx.original, phi, (), inf, (), _ZERO, partial)
-    pi = min(e.rank for e in entries)
+    entries.sort(key=lambda e: (e.rank, -e.graph.n_vertices, e.graph.key()))
+    pi = entries[0].rank
     crit = tuple(e for e in entries if e.rank == pi)
     if any(e.algebraic is False for e in crit):
         raise InvariantError("critical subgroups must be algebraic")

@@ -92,16 +92,32 @@ def test_expect_at_n_reports_chi(capsys):
     assert code == 0 and data["chi_value"] == data["value"]
 
 
-def test_expect_leaves_the_poset_unbuilt(capsys, monkeypatch):
+def _forbid_the_poset(monkeypatch, command):
     import wml.wreath_measures
 
     def unbuilt(w):
-        raise AssertionError("one-level expect built the quotient poset")
+        raise AssertionError(f"{command} built the quotient poset")
 
     monkeypatch.setattr(wml.wreath_measures, "enumerate_quotients", unbuilt)
+
+
+def test_expect_leaves_the_poset_unbuilt(capsys, monkeypatch):
+    _forbid_the_poset(monkeypatch, "one-level expect")
     code, data = run_json(capsys, "expect", "[a,b][a,c]", "--group", "S3", "--char", "std",
                           "--symbolic", "--n", "2", "--chi")
     assert code == 0 and "value" in data and "chi_symbolic" in data
+
+
+def test_rank_leaves_the_poset_unbuilt(capsys, monkeypatch):
+    _forbid_the_poset(monkeypatch, "rank")
+    code, data = run_json(capsys, "rank", "[a,b][a,c]")
+    assert code == 0 and data["pi"] == 3 and data["partial"] is True
+
+
+def test_witnesses_leaves_the_poset_unbuilt(capsys, monkeypatch):
+    _forbid_the_poset(monkeypatch, "witnesses")
+    code, data = run_json(capsys, "witnesses", "[a,b][a,c]", "--group", "S3", "--char", "std")
+    assert code == 0 and data["pi"] == 3 and data["witnesses"]
 
 
 def test_one_level_expect_fits_one_gibibyte():

@@ -383,6 +383,7 @@ def test_order_is_built_only_for_order_queries():
     ctx = WordContext(parse_word("[[a,b],c]"))
     ind_expectation_symbolic(ctx, CharacterSpec.trivial())
     witness_report(ctx, CharacterSpec.trivial())
+    assert ctx._poset is None
     assert ctx.poset._up is None
     assert ctx.poset.leq(ctx.poset.bottom_index, ctx.poset.top_index())
     assert ctx.poset._up is not None

@@ -92,6 +92,16 @@ def test_the_fold_reference_closes_under_merges():
     assert not names & library, names & library
 
 
+def test_the_witness_reference_reads_the_stored_poset():
+    # the tests compare the streamed witness report against this reference
+    tree = ast.parse((ROOT / "tests" / "witness_reference.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    library = {"fold_closed_partitions", "read_partition", "witness_report"}
+    assert not names & library, names & library
+
+
 # 03 (the oracle cross-check) is left out: it takes about 14 s
 @pytest.mark.parametrize("demo", [
     "01_ranks_and_witnesses.py",

@@ -1,10 +1,11 @@
 import gc
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import wml.wreath_measures as wreath_measures
 from wml.budget import BudgetError, ValidationError
@@ -34,6 +35,7 @@ from wml.wreath_measures import (
     tree_fix_expectation,
     witness_report,
 )
+from witness_reference import witness_report_reference
 from word_strategies import cyclic_words
 
 TRIV = CharacterSpec.trivial()
@@ -378,6 +380,22 @@ class TestStreamedSums:
                 assert iterated_value_at(ctx, phi, degrees) == it.value_at_closed_form(degrees)
 
 
+class TestStreamedWitnesses:
+    """The witness report streams the fold-closed partitions; the loop over
+    the stored poset is its reference."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(cyclic_words(max_length=9, min_length=5))
+    @example(parse_word("[a,b][a,c]"))
+    @example(parse_word("x^-3(xy^6)^2"))
+    def test_report_equals_the_stored_poset_loop(self, w):
+        for phi in (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("S3", "std"))):
+            for bound in (2, 4):
+                streamed = witness_report(w, phi, whitehead_bound=bound).to_json()
+                reference = witness_report_reference(w, phi, whitehead_bound=bound).to_json()
+                assert json.dumps(streamed) == json.dumps(reference), (phi.describe(), bound)
+
+
 class TestTree:
     def test_dimension_identity(self):
         assert tree_dimension_identity(1)
@@ -448,9 +466,9 @@ class TestContextOwnership:
         chi_expectation_at(ctx, std, 5)
         iterated_value_at(ctx, TRIV, (3, 2))
         haar = iterated_value_at(ctx, std, ())
+        assert witness_report(ctx, TRIV).pi == 2
         assert ctx._poset is None
         assert haar == ctx.e_rel(ctx.poset.top_index(), std)
-        assert witness_report(ctx, TRIV).pi == 2
         assert ctx._poset is not None
 
     def test_one_context_serves_two_whitehead_bounds(self):
