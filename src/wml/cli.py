@@ -230,7 +230,7 @@ def cmd_expect_iterated(args) -> dict:
 def cmd_tree(args) -> dict:
     w = parse_word(args.word, args.rank)
     degrees = [int(x) for x in args.n_list.split(",")] if args.n_list else None
-    levels = len(degrees) if degrees else (args.levels or 2)
+    levels = len(degrees) if degrees else (2 if args.levels is None else args.levels)
     rep = tree_fix_expectation(w, levels, args.budget)
     out = {
         "word": w.display(),
@@ -258,7 +258,8 @@ def cmd_oracle(args) -> dict:
     group, chars = parse_group_spec(args.group)
     cf = _select_chars(args.char, group, chars)[0]
     degrees = (
-        [int(x) for x in args.n_list.split(",")] if args.n_list else [args.n or 2]
+        [int(x) for x in args.n_list.split(",")] if args.n_list
+        else [2 if args.n is None else args.n]
     )
     wreath, chi_vals = iterated_ind_character(group, cf, degrees, None)
     out = {
@@ -268,7 +269,7 @@ def cmd_oracle(args) -> dict:
         "degrees": degrees,
         "wreath_order": wreath.order,
     }
-    if args.samples:
+    if args.samples is not None:
         est = monte_carlo_expectation(w, wreath, chi_vals, args.samples, args.seed)
         out["monte_carlo"] = {
             "mean": est.mean,

@@ -488,11 +488,18 @@ def _bits(x: int):
 
 def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | None = None):
     """Every partition of the positions of the cyclic word ``letters``
-    whose quotient of the w-cycle is folded, each exactly once, as a
-    restricted-growth tuple: position 0 is in block 0, and a position that
-    opens a block numbers it one past the last.  With ``max_blocks`` no
-    block is opened past that many, so exactly the partitions with at most
-    ``max_blocks`` blocks come out, in the same order, from fewer states.
+    whose quotient of the w-cycle is folded, each exactly once, as
+    ``(partition, fibers, tables)``.  The partition is a restricted-growth
+    tuple: position 0 is in block 0, and a position that opens a block
+    numbers it one past the last.  ``fibers`` is ``((V,), (E_l, ...))``,
+    the block count and the non-zero edge count of each label: the fibers
+    over the bouquet.  ``tables`` is ``(heads, tails)``, the quotient's
+    edges: ``heads[b*rank + l]`` (``tails``) is the block the l-edge
+    leaving (entering) b enters (leaves), or -1.  The tables are the
+    generator's own, valid only until the next item is drawn; partition
+    and fibers are snapshots.  With ``max_blocks`` no block is opened past
+    that many, so exactly the partitions with at most ``max_blocks``
+    blocks come out, in the same order, from fewer states.
 
     A quotient of the w-cycle is fixed by the partition it induces on the
     positions of w, and the partitions that arise are exactly those whose
@@ -506,10 +513,10 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
     """
     n = len(letters)
     cap = n if max_blocks is None else min(n, max_blocks)
-    heads = [-1] * (n * rank)  # heads[b*rank + l]: the block the l-edge leaving b enters
-    tails = [-1] * (n * rank)  # tails[b*rank + l]: the block the l-edge entering b leaves
+    heads, tails = tables = [-1] * (n * rank), [-1] * (n * rank)
     steps = [(heads, tails, x - 1) if x > 0 else (tails, heads, -x - 1) for x in letters]
     rgs = [0] * n
+    counts = [0] * rank  # the edges of each label
     states = found = 0
 
     def extend(i, blocks):
@@ -517,12 +524,17 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
         near, far, l = steps[i - 1]
         b = rgs[i - 1]
         c = near[b * rank + l]
-        if i == n:
-            if c == 0 or c < 0 and far[l] < 0:
-                found += 1
-                yield tuple(rgs)
-            return
         forced = c >= 0  # the edge is already there, and so is its far end
+        if i == n:  # the edge back to position 0
+            if c == 0 or not forced and far[l] < 0:
+                found += 1
+                near[b * rank + l], far[l] = 0, b
+                counts[l] += not forced
+                yield tuple(rgs), ((blocks,), tuple(e for e in counts if e)), tables
+                if not forced:
+                    near[b * rank + l] = far[l] = -1
+                    counts[l] -= 1
+            return
         free = range(min(blocks + 1, cap))
         for c in (c,) if forced else [c for c in free if far[c * rank + l] < 0]:
             states += 1
@@ -530,9 +542,11 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
                 raise BudgetError(f"quotient enumeration ({found} nodes reached)", states, budget)
             rgs[i] = near[b * rank + l] = c
             far[c * rank + l] = b
+            counts[l] += not forced
             yield from extend(i + 1, max(blocks, c + 1))
             if not forced:
                 near[b * rank + l] = far[c * rank + l] = -1
+                counts[l] -= 1
 
     yield from extend(1, 1)
 
@@ -578,39 +592,23 @@ def check_word_length(cyc: CyclicWord, bound: int = DEFAULT_WORD_LENGTH_BOUND) -
         )
 
 
-def read_partition(letters, rank: int, partition, rewrite: bool = True):
-    """The quotient of the w-cycle by one fold-closed partition of the
-    positions of ``letters``, read off the partition with no core graph.
+def read_partition(letters, rank: int, partition, tables) -> Word:
+    """w rewritten in the basis of the quotient of the w-cycle by one
+    fold-closed partition of the positions of ``letters``, read off the
+    partition and its block ``tables`` as ``fold_closed_partitions``
+    yields them (so before the generator's next item), with no core graph.
 
-    Returns ``(fibers, rewritten)``.  ``fibers`` is ``((V,), (E_l, ...))``,
-    the block count and the non-zero edge count of each label: the fibers
-    of the morphism from the quotient to the bouquet.  ``rewritten`` is w
-    in the basis of the BFS tree over the blocks from block 0, labels in
-    order and outgoing before incoming, with the non-tree edges numbered in
-    canonical edge order (None unless ``rewrite``).  That is the tree
+    The basis is that of the BFS tree over the blocks from block 0, labels
+    in order and outgoing before incoming, with the non-tree edges
+    numbered in canonical edge order.  That is the tree
     ``spanning_tree_basis`` takes on the canonical core graph, where the
     BFS order is the numbering, so the word equals
     ``rewrite_in_subgroup(w, spanning_tree_basis(node))``.
     """
+    out, inn = tables
     n = len(letters)
-    blocks = max(partition) + 1
-    out = [-1] * (blocks * rank)  # out[b*rank + l]: the block the l-edge leaving b enters
-    inn = [-1] * (blocks * rank)
-    counts = [0] * rank
-    for i, x in enumerate(letters):
-        a, b = partition[i], partition[(i + 1) % n]
-        if x < 0:
-            a, b, x = b, a, -x
-        k = a * rank + x - 1
-        if out[k] < 0:
-            out[k] = b
-            inn[b * rank + x - 1] = a
-            counts[x - 1] += 1
-    fibers = ((blocks,), tuple(c for c in counts if c))
-    if not rewrite:
-        return fibers, None
     # an edge is named by the slot of its tail in ``out``
-    num = [-1] * blocks
+    num = [-1] * n
     num[0] = 0
     queue = [0]
     tree = set()
@@ -636,7 +634,7 @@ def read_partition(letters, rank: int, partition, rewrite: bool = True):
             j = j and -j
         if j:
             path.append(j)
-    return fibers, Word(len(cotree), reduce_letters(path))
+    return Word(len(cotree), reduce_letters(path))
 
 
 class QuotientPoset:
@@ -646,7 +644,8 @@ class QuotientPoset:
 
     Each quotient is generated once, as a fold-closed partition of the
     positions of w (``fold_closed_partitions``), and built by one ``fold``
-    (``partition_graphs``).  H <= J exactly when H's
+    (``partition_graphs``); ``fibers[i]`` keeps node i's fibers over the
+    bouquet as the generator yields them.  H <= J exactly when H's
     partition refines J's: the morphism of core graphs commutes with the
     maps from the w-cycle.  The order is one bitset up-set per node, built
     on the first order query and charged against the evaluation budget
@@ -661,10 +660,10 @@ class QuotientPoset:
         self.word = cyc.to_word()
         letters = cyc.letters
         graph_of = partition_graphs(letters, cyc.rank, cyc.names)
-        found = [(graph_of(p), p) for p in fold_closed_partitions(letters, cyc.rank, eval_budget())]
-        found.sort(key=lambda gp: (gp[0].rank(), -gp[0].n_vertices, gp[0].key()))
-        self.nodes: tuple[CoreGraph, ...] = tuple(g for g, _ in found)
-        self._partitions = tuple(p for _, p in found)
+        found = [(graph_of(p), p, fibers)
+                 for p, fibers, _ in fold_closed_partitions(letters, cyc.rank, eval_budget())]
+        found.sort(key=lambda item: (item[0].rank(), -item[0].n_vertices, item[0].key()))
+        self.nodes, self._partitions, self.fibers = map(tuple, zip(*found))
         self._index = {g: i for i, g in enumerate(self.nodes)}
         self.bottom_index = self._partitions.index(tuple(range(len(letters))))
         self._up: list[int] | None = None

@@ -33,6 +33,8 @@ class ExplicitWreath:
     """
 
     def __init__(self, base: FiniteGroup, degree: int, element_budget: int | None = None):
+        if degree < 1:
+            raise ValidationError(f"wreath degree must be >= 1, got {degree}")
         budget = element_budget or DEFAULT_GROUP_ELEMENT_BUDGET
         order = base.order**degree * factorial(degree)
         check("wreath product size", order, budget)
@@ -306,6 +308,8 @@ def monte_carlo_expectation(
     """Seeded sampling estimate of E_w[chi]; advisory only, exactness in
     this package never depends on sampling.  Complex character values are
     averaged through their real part."""
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     if isinstance(group, ExplicitWreath):
         order = group.order

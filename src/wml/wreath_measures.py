@@ -61,7 +61,9 @@ class WordContext:
     """Everything computed about one word: compressed cyclic word, quotient
     poset, bases, relative expectations, L-term data, iterated values and
     the contexts of the word rewritten in a quotient's basis.  A caller
-    holds one to share that work across calls and drops it to free it."""
+    holds one to share that work across calls and drops it to free it.
+    Streamed sums rewrite w off a partition's block tables before drawing
+    the next partition, which invalidates them."""
 
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
@@ -74,7 +76,6 @@ class WordContext:
         self._poset: QuotientPoset | None = None
         self._bases: dict = {}
         self._erel: dict = {}
-        self._fibers: dict = {}
         self._alg: dict = {}
         self._values: dict = {}
         self._inner: dict = {}
@@ -109,15 +110,9 @@ class WordContext:
         return self._erel[key]
 
     def bouquet_fibers(self, i: int):
-        """(vertex fibers, edge fibers) of the morphism node -> bouquet."""
-        if i not in self._fibers:
-            g = self.nodes[i]
-            vf = (g.n_vertices,)
-            ef = tuple(
-                f for f in (g.edges_with_label(l) for l in range(self.rank)) if f
-            )
-            self._fibers[i] = (vf, ef)
-        return self._fibers[i]
+        """(vertex fibers, edge fibers) of the morphism node -> bouquet, as
+        the partition stream yielded them with node i (``poset.fibers``)."""
+        return self.poset.fibers[i]
 
     def link_fibers(self, i: int, j: int):
         eta = self.poset.morphism_between(i, j)
@@ -175,8 +170,8 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, rest, budget, max_bloc
     letters, rank = ctx.word.letters, ctx.rank
     rewrite = bool(rest) or phi.kind != "trivial"
     coefficients = {None: _ONE}  # None: the word is not rewritten
-    for p in fold_closed_partitions(letters, rank, eval_budget(), max_blocks):
-        fibers, rewritten = read_partition(letters, rank, p, rewrite)
+    for p, fibers, tables in fold_closed_partitions(letters, rank, eval_budget(), max_blocks):
+        rewritten = read_partition(letters, rank, p, tables) if rewrite else None
         c = coefficients.get(rewritten)
         if c is None:
             if rest:
@@ -324,16 +319,13 @@ def witness_report(
     algebraic: dict = {}  # rewritten word -> is <w> <= H algebraic
     entries = []
     partial = False
-    for p in fold_closed_partitions(letters, rank, eval_budget()):
-        if max(p) + 1 == len(p):
+    for p, ((v,), e), tables in fold_closed_partitions(letters, rank, eval_budget()):
+        if v == len(p):
             continue  # the w-cycle itself
-        if phi.kind == "trivial":
-            # H's rank 1 - V + E off its fibers: above the bound, nothing to rewrite
-            (v,), e = read_partition(letters, rank, p, False)[0]
-            if 1 - v + sum(e) > whitehead_bound:
-                partial = True
-                continue
-        _, rewritten = read_partition(letters, rank, p)
+        if phi.kind == "trivial" and 1 - v + sum(e) > whitehead_bound:
+            partial = True  # H's rank 1 - V + E off its fibers: nothing to rewrite
+            continue
+        rewritten = read_partition(letters, rank, p, tables)
         h_rank = rewritten.rank
         value = values.get(rewritten)
         if value is None:

@@ -195,6 +195,27 @@ def test_validation_exit_code(capsys):
     capsys.readouterr()
 
 
+ORACLE_S3 = ("oracle", "[a,b]", "--group", "S3", "--char", "std")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a zero is an explicit value, not a missing one
+    (("tree", "[a,b]", "--levels", "0"), "at least one wreath level"),
+    ((*ORACLE_S3, "--n", "0"), "wreath degree must be >= 1, got 0"),
+    ((*ORACLE_S3, "--samples", "0"), "at least one sample, got 0"),
+    # the oracle checks its own inputs
+    ((*ORACLE_S3, "--n", "-1"), "wreath degree must be >= 1, got -1"),
+    ((*ORACLE_S3, "--n-list", "2,-1"), "wreath degree must be >= 1, got -1"),
+    ((*ORACLE_S3, "--n-list", "2,0"), "wreath degree must be >= 1, got 0"),
+    ((*ORACLE_S3, "--samples", "-5"), "at least one sample, got -5"),
+], ids=["tree-levels-0", "oracle-n-0", "oracle-samples-0", "oracle-n-negative",
+        "oracle-n-list-negative", "oracle-n-list-0", "oracle-samples-negative"])
+def test_out_of_range_counts_are_validation_errors(capsys, argv, message):
+    assert run(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_budget_exit_code(capsys):
     assert run(["oracle", "[a,b]", "--group", "S3", "--char", "std", "--n", "4"]) == 3
     capsys.readouterr()

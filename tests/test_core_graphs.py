@@ -364,7 +364,8 @@ def test_enumeration_renumbers_once_per_node(text, nodes):
 
 def test_enumeration_checks_the_partition_against_the_vertex_count():
     # aab with positions 0 and 1 together forces 1 and 2 together as well
-    with mock.patch("wml.core_graphs.fold_closed_partitions", return_value=[(0, 0, 1)]):
+    item = ((0, 0, 1), ((2,), (2, 1)), None)  # partition, fibers, tables
+    with mock.patch("wml.core_graphs.fold_closed_partitions", return_value=[item]):
         with pytest.raises(InvariantError, match="1 vertices has 2 blocks"):
             enumerate_quotients(parse_word("aab"))
 
@@ -445,7 +446,7 @@ def test_enumeration_matches_restart_fold_reference(w):
 def test_refinement_order_matches_merge_dag_reference(w):
     # the generator yields each partition once, and refinement is the
     # order the merge DAG closes to
-    partitions = list(fold_closed_partitions(w.letters, w.rank, 10**7))
+    partitions = [p for p, _, _ in fold_closed_partitions(w.letters, w.rank, 10**7)]
     assert len(set(partitions)) == len(partitions)
     poset = enumerate_quotients(w)
     assert len(poset) == len(partitions)
@@ -463,17 +464,35 @@ def test_refinement_order_matches_merge_dag_reference(w):
 @settings(max_examples=30, deadline=None)
 @given(cyclic_words(max_length=10))
 def test_partition_reader_matches_the_core_graph(w):
-    # one-level sums read each quotient off its partition instead of
-    # building its core graph, basis and rewritten word
+    # one-level sums read each quotient off its partition, fibers and block
+    # tables instead of building its core graph, basis and rewritten word
     ctx = WordContext(w)
     poset = ctx.poset
     letters, rank = ctx.word.letters, ctx.rank
-    for i, (node, p) in enumerate(zip(poset.nodes, poset._partitions)):
-        fibers, rewritten = read_partition(letters, rank, p)
-        assert fibers == ctx.bouquet_fibers(i), (w, p)
+    index = {p: i for i, p in enumerate(poset._partitions)}
+    for p, fibers, tables in fold_closed_partitions(letters, rank, 10**7):
+        i = index.pop(p)
+        node = poset.nodes[i]
+        edges = (node.edges_with_label(l) for l in range(rank))
+        assert fibers == ((node.n_vertices,), tuple(e for e in edges if e)), (w, p)
+        assert poset.fibers[i] == fibers, (w, p)
+        rewritten = read_partition(letters, rank, p, tables)
         expected = rewrite_in_subgroup(ctx.word, spanning_tree_basis(node))
         assert rewritten == expected and rewritten.rank == expected.rank, (w, p)
-        assert read_partition(letters, rank, p, rewrite=False) == (fibers, None)
+    assert not index
+
+
+@pytest.mark.parametrize("text", ["[a,b]^2", "x^-3(xy^6)^2", "abcabcABC"])
+def test_listed_partitions_and_fibers_are_snapshots(text):
+    # only the tables are live: listing the stream keeps every partition
+    # and its fibers, and leaves the tables as empty as they started
+    w = parse_word(text)
+    lazy = [(p, fibers) for p, fibers, _ in fold_closed_partitions(w.letters, w.rank, 10**7)]
+    listed = list(fold_closed_partitions(w.letters, w.rank, 10**7))
+    assert [(p, fibers) for p, fibers, _ in listed] == lazy
+    tables = listed[0][2]
+    assert all(t is tables for *_, t in listed)
+    assert all(x == -1 for table in tables for x in table)
 
 
 def states_charged(letters, rank, max_blocks=None):
@@ -492,11 +511,12 @@ def states_charged(letters, rank, max_blocks=None):
 @pytest.mark.parametrize("text", ["[a,b]^2", "x^-3(xy^6)^2", "abcabcABC"])
 def test_capped_generation_is_the_uncapped_one_filtered(text):
     w = parse_word(text)
-    full = list(fold_closed_partitions(w.letters, w.rank, 10**7))
+    full = [(p, fibers) for p, fibers, _ in fold_closed_partitions(w.letters, w.rank, 10**7)]
     whole = states_charged(w.letters, w.rank)
-    for k in (1, 2, 4, max(max(p) for p in full)):
-        capped = list(fold_closed_partitions(w.letters, w.rank, 10**7, max_blocks=k))
-        assert capped == [p for p in full if max(p) < k]
+    for k in (1, 2, 4, max(max(p) for p, _ in full)):
+        items = fold_closed_partitions(w.letters, w.rank, 10**7, max_blocks=k)
+        capped = [(p, fibers) for p, fibers, _ in items]
+        assert capped == [(p, fibers) for p, fibers in full if max(p) < k]
         assert states_charged(w.letters, w.rank, k) < whole
 
 

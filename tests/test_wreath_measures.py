@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 import wml.wreath_measures as wreath_measures
 from wml.budget import BudgetError, ValidationError
 from wml.characters import CharacterSpec, builtin_group, symmetric_std_character
-from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word, read_partition
+from wml.core_graphs import (
+    bouquet,
+    fold_closed_partitions,
+    graph_of_subgroup,
+    graph_of_word,
+    read_partition,
+)
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
@@ -451,8 +457,10 @@ class TestContextOwnership:
 
     def test_the_bouquet_rewrites_to_the_context_itself(self):
         ctx = WordContext(parse_word("[a,b][a,c]"))
-        bouquet_partition = (0,) * len(ctx.word.letters)
-        _, rewritten = read_partition(ctx.word.letters, ctx.rank, bouquet_partition)
+        letters = ctx.word.letters
+        for p, _, tables in fold_closed_partitions(letters, ctx.rank, 10**7, max_blocks=1):
+            assert p == (0,) * len(letters)  # the one-block partition: the bouquet
+            rewritten = read_partition(letters, ctx.rank, p, tables)
         assert ctx.context_of(rewritten) is ctx
         iterated_value_at(ctx, TRIV, (2, 2))
         assert ctx._inner and ctx.word.letters not in ctx._inner
