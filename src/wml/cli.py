@@ -146,6 +146,16 @@ def _parse_action(text: str) -> PermAction:
     raise ValidationError(f"unknown action kind {kind!r}")
 
 
+def _degrees(args) -> list[int] | None:
+    """The comma-separated degrees of ``--n-list``, or None without it."""
+    if args.n_list is None:
+        return None
+    try:
+        return [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise ValidationError(f"malformed --n-list {args.n_list!r}: need comma-separated integers")
+
+
 def _emit(data, args) -> None:
     if args.format == "json":
         print(json.dumps(data, indent=2))
@@ -215,7 +225,7 @@ def cmd_expect(args) -> dict:
 def cmd_expect_iterated(args) -> dict:
     w = parse_word(args.word, args.rank)
     spec = _char_spec(args)
-    degrees = [int(x) for x in args.n_list.split(",")] if args.n_list else None
+    degrees = _degrees(args)
     levels = len(degrees) if degrees else args.levels
     if levels is None:
         raise ValidationError("need --n-list or --levels")
@@ -229,7 +239,7 @@ def cmd_expect_iterated(args) -> dict:
 
 def cmd_tree(args) -> dict:
     w = parse_word(args.word, args.rank)
-    degrees = [int(x) for x in args.n_list.split(",")] if args.n_list else None
+    degrees = _degrees(args)
     levels = len(degrees) if degrees else (2 if args.levels is None else args.levels)
     rep = tree_fix_expectation(w, levels, args.budget)
     out = {
@@ -257,10 +267,7 @@ def cmd_oracle(args) -> dict:
         raise ValidationError("--group is required")
     group, chars = parse_group_spec(args.group)
     cf = _select_chars(args.char, group, chars)[0]
-    degrees = (
-        [int(x) for x in args.n_list.split(",")] if args.n_list
-        else [2 if args.n is None else args.n]
-    )
+    degrees = _degrees(args) or [2 if args.n is None else args.n]
     wreath, chi_vals = iterated_ind_character(group, cf, degrees, None)
     out = {
         "word": w.display(),

@@ -297,7 +297,7 @@ def _wreath_word_counts(w: Word, K: ExplicitWreath, budget: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SampleEstimate:
     mean: float
-    stderr: float
+    stderr: float | None  # None: one sample has no standard error
     samples: int
     seed: int
 
@@ -339,15 +339,18 @@ def monte_carlo_expectation(
         total_sq += v * v
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    stderr = (var / samples) ** 0.5 if samples > 1 else float("inf")
+    stderr = (var / samples) ** 0.5 if samples > 1 else None
     return SampleEstimate(mean, stderr, samples, seed)
 
 
-def _burnside(action: PermAction, fixed_weight, budget: int | None) -> int:
-    """Burnside's lemma: the orbit count is the average over the group of
-    ``fixed_weight(fix(g))``, the number of points fixed by g."""
+def _burnside(action: PermAction, t: int, fixed_weight, budget: int | None) -> int:
+    """Burnside's lemma: the orbit count on t-tuples is the average over
+    the group of ``fixed_weight(fix(g), t)``, where fix(g) is the number of
+    points fixed by g."""
+    if t < 0:
+        raise ValidationError(f"tuple length must be >= 0, got {t}")
     check("orbit enumeration", action.order * action.degree, eval_budget(budget))
-    total = sum(fixed_weight(sum(g[x] == x for x in range(action.degree)))
+    total = sum(fixed_weight(sum(g[x] == x for x in range(action.degree)), t)
                 for g in action.elements)
     orbits, rest = divmod(total, action.order)
     if rest:
@@ -358,10 +361,10 @@ def _burnside(action: PermAction, fixed_weight, budget: int | None) -> int:
 def orbit_count(action: PermAction, t: int, budget: int | None = None) -> int:
     """Number of orbits of the diagonal action on X^t: g fixes fix(g)^t
     tuples."""
-    return _burnside(action, lambda f: f**t, budget)
+    return _burnside(action, t, pow, budget)
 
 
 def injective_orbit_count(action: PermAction, t: int, budget: int | None = None) -> int:
     """Orbits of the diagonal action restricted to injective t-tuples: g
     fixes the (fix(g))_t tuples of distinct fixed points."""
-    return _burnside(action, lambda f: perm(f, t), budget)
+    return _burnside(action, t, perm, budget)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf, isqrt
 
 from .budget import (
@@ -36,7 +35,6 @@ from .core_graphs import (
     check_word_length,
     enumerate_quotients,
     fold_closed_partitions,
-    is_algebraic_cyclic_base,
     partition_graphs,
     read_partition,
     spanning_tree_basis,
@@ -59,9 +57,10 @@ def _phi_key(phi: CharacterSpec):
 
 class WordContext:
     """Everything computed about one word: compressed cyclic word, quotient
-    poset, bases, relative expectations, L-term data, iterated values and
-    the contexts of the word rewritten in a quotient's basis.  A caller
-    holds one to share that work across calls and drops it to free it.
+    poset, bases, relative expectations, the fiber pairs of chain links,
+    iterated values and the contexts of the word rewritten in a quotient's
+    basis.  A caller holds one to share that work across calls and drops
+    it to free it.
     Streamed sums rewrite w off a partition's block tables before drawing
     the next partition, which invalidates them."""
 
@@ -76,7 +75,6 @@ class WordContext:
         self._poset: QuotientPoset | None = None
         self._bases: dict = {}
         self._erel: dict = {}
-        self._alg: dict = {}
         self._values: dict = {}
         self._inner: dict = {}
 
@@ -118,12 +116,6 @@ class WordContext:
         eta = self.poset.morphism_between(i, j)
         return eta.vertex_fibers(), eta.edge_fibers()
 
-    def is_algebraic(self, i: int, whitehead_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> bool:
-        # the bound only decides whether the answer is computed, never what it is
-        if i not in self._alg:
-            self._alg[i] = is_algebraic_cyclic_base(self.word, self.nodes[i], whitehead_bound)
-        return self._alg[i]
-
     def context_of(self, rewritten: Word) -> "WordContext":
         """The context of the word rewritten in a quotient's basis: this
         context itself when that is the word (at the bouquet), which is
@@ -133,18 +125,6 @@ class WordContext:
         if rewritten.letters not in self._inner:
             self._inner[rewritten.letters] = WordContext(rewritten)
         return self._inner[rewritten.letters]
-
-    def algebraic_core(self, i: int) -> int:
-        """The AFD core of node i: the unique maximal algebraic node <= i."""
-        candidates = [
-            a
-            for a in range(len(self.nodes))
-            if self.poset.leq(a, i) and self.is_algebraic(a)
-        ]
-        maximal = self.poset.maximal(candidates)
-        if len(maximal) != 1:
-            raise InvariantError(f"AFD core of node {i} must be unique, found {len(maximal)}")
-        return maximal[0]
 
 
 def _as_spec(phi) -> CharacterSpec:
@@ -384,15 +364,20 @@ class IteratedSpec:
 
 @dataclass(frozen=True)
 class ChainTerm:
+    """One chain H_1 <= ... <= H_m of the quotient poset: its coefficient
+    E_{w->H_1}[phi], its node indices, and per level the (vertex fibers,
+    edge fibers) pair of that level's link, H_i -> H_{i+1} and last
+    H_m -> bouquet, which is all its L^B term depends on."""
+
     coefficient: Cyclotomic
     nodes: tuple[int, ...]
-    links: tuple[tuple[tuple, tuple], ...]  # per level: tuple of (vf, ef) pieces
+    links: tuple[tuple[tuple, tuple], ...]
 
 
 @dataclass
 class IteratedExpectation:
     """E_w[Ind_{n_1..n_m} phi] as a sum over poset chains of products of
-    per-level L-terms (kept factored, no global common denominator).
+    one L^B term per level (kept factored, no global common denominator).
 
     The chain representation is a rational-function identity, valid
     pointwise once every degree is >= |w|; ``value_at`` is exact for all
@@ -405,7 +390,6 @@ class IteratedExpectation:
     phi: CharacterSpec
     levels: int
     terms: tuple[ChainTerm, ...]
-    route: str  # "B" or "alg"
 
     @property
     def word(self) -> Word:
@@ -427,16 +411,12 @@ class IteratedExpectation:
             prod = term.coefficient
             if prod.is_zero():
                 continue
-            dead = False
-            for level, pieces in enumerate(term.links):
-                lv = Fraction(0)
-                for vf, ef in pieces:
-                    lv += L_value_at(vf, ef, degrees[level])
+            for (vf, ef), n in zip(term.links, degrees):
+                lv = L_value_at(vf, ef, n)
                 if lv == 0:
-                    dead = True
                     break
                 prod = prod * lv
-            if not dead:
+            else:
                 total = total + prod
         return total
 
@@ -451,39 +431,38 @@ class IteratedExpectation:
         by_form: dict = {}
         for links, c in by_links.items():
             prod = PoleRational((1,))
-            for pieces in links:
-                prod = prod * _sum_rational(pieces)
+            for fibers in links:
+                prod = prod * L_rational(*fibers)
             form = (prod.num, prod.den)
             by_form[form] = by_form.get(form, _ZERO) + c
         return _sum_forms((PoleRational(*form), c) for form, c in by_form.items())
 
     def to_json(self):
+        """The chains with non-zero coefficient, each link's L^B term
+        reduced once per call.  ``"route": "B"`` names the chain sum in
+        the output format."""
         reduced: dict = {}  # the same links recur across chains
 
-        def link_json(pieces):
-            if pieces not in reduced:
-                reduced[pieces] = _sum_rational(pieces).reduced().to_json()
-            return reduced[pieces]
+        def link_json(fibers):
+            if fibers not in reduced:
+                reduced[fibers] = L_rational(*fibers).reduced().to_json()
+            return reduced[fibers]
 
         return {
             "word": self.word.display(),
             "phi": self.phi.describe(),
             "levels": self.levels,
-            "route": self.route,
+            "route": "B",
             "chains": [
                 {
                     "nodes": list(t.nodes),
                     "coefficient": t.coefficient.to_json(),
-                    "value_terms": [link_json(pieces) for pieces in t.links],
+                    "value_terms": [link_json(fibers) for fibers in t.links],
                 }
                 for t in self.terms
                 if not t.coefficient.is_zero()
             ],
         }
-
-
-def _sum_rational(pieces) -> PoleRational:
-    return sum((L_rational(vf, ef) for vf, ef in pieces), PoleRational())
 
 
 def _sum_forms(pairs) -> RationalFunctionN:
@@ -533,73 +512,22 @@ def iterated_value_at(
 
 
 def iterated_expectation(
-    w: Word | WordContext, spec: IteratedSpec, budget=None, route: str = "B"
+    w: Word | WordContext, spec: IteratedSpec, budget=None
 ) -> IteratedExpectation:
-    """E_w[Ind_{n_1,...,n_m} phi] as an exact sum over chains.
-
-    route "B": chains of B-surjective morphisms through the whole quotient
-    poset, one plain L^B factor per level.
-    route "alg": chains through algebraic nodes only, with the algebraic
-    left derivation per link (every L^alg expands as the sum of L^B over
-    the free-then-surjective decompositions; the free part is recognized
-    as "the link source is the AFD core of the intermediate node").
-    The two routes agree; "B" is the default computation path.
-    """
+    """E_w[Ind_{n_1,...,n_m} phi] as an exact sum over the chains
+    H_1 <= ... <= H_m of B-surjective morphisms through the whole quotient
+    poset: E_{w->H_1}[phi] times one L^B term per level, H_i -> H_{i+1}
+    and last H_m -> bouquet."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    phi = spec.phi
-    m = spec.levels
     terms = []
-    if route == "B":
-        for chain in ctx.poset.chains(m):
-            coeff = ctx.e_rel(chain[0], phi, budget)
-            if coeff.is_zero():
-                continue
-            links = []
-            for a, b in zip(chain, chain[1:]):
-                links.append((ctx.link_fibers(a, b),))
-            links.append((ctx.bouquet_fibers(chain[-1]),))
-            terms.append(ChainTerm(coeff, chain, tuple(links)))
-    elif route == "alg":
-        alg_nodes = [i for i in range(len(ctx.nodes)) if ctx.is_algebraic(i)]
-        cores = {i: ctx.algebraic_core(i) for i in range(len(ctx.nodes))}
-        top_core = cores[_bouquet_core_target(ctx)]
-
-        def alg_link_pieces(a: int, b: int | None):
-            """L^alg from algebraic node a to algebraic node b (None: the
-            ambient bouquet): sum of L^B over middles whose core is a."""
-            pieces = []
-            for mid in range(len(ctx.nodes)):
-                if cores[mid] != a:
-                    continue
-                if b is None:
-                    if ctx.poset.leq(a, mid):
-                        pieces.append(ctx.bouquet_fibers(mid))
-                elif ctx.poset.leq(a, mid) and ctx.poset.leq(mid, b):
-                    pieces.append(ctx.link_fibers(mid, b))
-            return tuple(pieces)
-
-        allowed = [i for i in alg_nodes if ctx.poset.leq(i, top_core)]
-        for chain in ctx.poset.chains(m, allowed):
-            coeff = ctx.e_rel(chain[0], phi, budget)
-            if coeff.is_zero():
-                continue
-            links = []
-            for a, b in zip(chain, chain[1:]):
-                links.append(alg_link_pieces(a, b))
-            links.append(alg_link_pieces(chain[-1], None))
-            terms.append(ChainTerm(coeff, chain, tuple(links)))
-    else:
-        raise ValidationError(f"unknown route {route!r}")
-    return IteratedExpectation(ctx, phi, m, tuple(terms), route)
-
-
-def _bouquet_core_target(ctx: WordContext) -> int:
-    """Node whose graph is maximal in the poset (the fold-everything
-    quotient); the ambient free-invariance reduction bottoms out there."""
-    maximal = ctx.poset.maximal(range(len(ctx.nodes)))
-    if len(maximal) != 1:
-        raise InvariantError(f"quotient poset must have a top, found {len(maximal)} maximal nodes")
-    return maximal[0]
+    for chain in ctx.poset.chains(spec.levels):
+        coeff = ctx.e_rel(chain[0], spec.phi, budget)
+        if coeff.is_zero():
+            continue
+        links = [ctx.link_fibers(a, b) for a, b in zip(chain, chain[1:])]
+        links.append(ctx.bouquet_fibers(chain[-1]))
+        terms.append(ChainTerm(coeff, chain, tuple(links)))
+    return IteratedExpectation(ctx, spec.phi, spec.levels, tuple(terms))
 
 
 # -- spherically symmetric trees -----------------------------------------------
@@ -609,50 +537,44 @@ def _bouquet_core_target(ctx: WordContext) -> int:
 class TreeFixReport:
     """E_w of the leaf-permutation character of the symmetric-tree
     automorphisms, and its decomposition into the standard-character terms
-    per level."""
+    per level.  ``total`` is the one chain expansion, over all levels;
+    values at concrete degrees stream the quotients."""
 
     word: Word
     levels: int
     total: IteratedExpectation
-    level_terms: tuple[tuple[IteratedExpectation, IteratedExpectation | None], ...]
-    # per level i: (T(n_i..n_m), T(n_{i+1}..n_m) or None when empty)
 
     def total_at(self, degrees) -> Cyclotomic:
         return self.total.value_at(degrees)
 
     def term_at(self, i: int, degrees) -> Cyclotomic:
         """E_w[Ind_{n_{i+1}..n_m} std_{n_i}] at concrete degrees
-        (degrees = (n_i, ..., n_m))."""
-        big, small = self.level_terms[i]
-        v = big.value_at(degrees)
-        if small is None:
-            return v - _ONE
-        return v - small.value_at(degrees[1:])
+        (degrees = (n_i, ..., n_m)): T(n_i..n_m) - T(n_{i+1}..n_m), with
+        T of no degrees equal to 1."""
+        degrees = tuple(degrees)
+        if not 0 <= i < self.levels or len(degrees) != self.levels - i:
+            raise ValidationError("one degree per level from level i on required")
+        ctx, trivial = self.total.context, self.total.phi
+        inner = iterated_value_at(ctx, trivial, degrees[1:])
+        return iterated_value_at(ctx, trivial, degrees) - inner
 
     def difference_single_variable(self) -> RationalFunctionN:
         """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n."""
-        one_level, _ = self.level_terms[-1]
-        return self.total.single_variable() - one_level.single_variable()
+        one_level = ind_expectation_symbolic(self.total.context, self.total.phi)
+        return self.total.single_variable() - one_level
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:
     """The permutation character of Aut(tree) acting on the leaves equals
     1 + sum over levels of the induced standard characters; each term is
-    a difference of two trivial-base iterated expectations, built once per
-    number of levels."""
+    a difference of two trivial-base iterated expectations.  One chain
+    expansion, for all ``levels``, is built; the other level counts are
+    only evaluated, off the streamed quotients."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     if levels < 1:
         raise ValidationError("need at least one wreath level")
-    trivial = CharacterSpec.trivial()
-    by_levels = [
-        iterated_expectation(ctx, IteratedSpec(m, trivial), budget)
-        for m in range(1, levels + 1)
-    ]
-    level_terms = tuple(
-        (by_levels[m - 1], by_levels[m - 2] if m > 1 else None)
-        for m in range(levels, 0, -1)
-    )
-    return TreeFixReport(ctx.word, levels, by_levels[-1], level_terms)
+    total = iterated_expectation(ctx, IteratedSpec(levels, CharacterSpec.trivial()), budget)
+    return TreeFixReport(ctx.word, levels, total)
 
 
 def tree_dimension_identity(levels: int) -> bool:

@@ -180,6 +180,9 @@ def test_orbits_command(capsys):
     assert data["orbits"] == 3 and data["injective_orbits"] == 2
     code, data = run_json(capsys, "orbits", "--action", "natural:3", "--t", "2")
     assert data["orbits"] == 2
+    code, data = run_json(capsys, "orbits", "--action", "natural:3", "--t", "0", "--injective")
+    assert code == 0
+    assert data["orbits"] == data["injective_orbits"] == 1  # the one empty tuple
 
 
 def test_whitehead_command(capsys):
@@ -208,12 +211,32 @@ ORACLE_S3 = ("oracle", "[a,b]", "--group", "S3", "--char", "std")
     ((*ORACLE_S3, "--n-list", "2,-1"), "wreath degree must be >= 1, got -1"),
     ((*ORACLE_S3, "--n-list", "2,0"), "wreath degree must be >= 1, got 0"),
     ((*ORACLE_S3, "--samples", "-5"), "at least one sample, got -5"),
+    (("orbits", "--action", "natural:3", "--t", "-1"), "tuple length must be >= 0, got -1"),
+    # one parser reads --n-list for every command
+    (("expect-iterated", "aa", "--n-list", "2,x"), "malformed --n-list '2,x'"),
+    (("tree", "[a,b]", "--n-list", "2,,3"), "malformed --n-list '2,,3'"),
+    ((*ORACLE_S3, "--n-list", "2,x"), "malformed --n-list '2,x'"),
+    (("tree", "[a,b]", "--n-list", ""), "malformed --n-list ''"),
 ], ids=["tree-levels-0", "oracle-n-0", "oracle-samples-0", "oracle-n-negative",
-        "oracle-n-list-negative", "oracle-n-list-0", "oracle-samples-negative"])
+        "oracle-n-list-negative", "oracle-n-list-0", "oracle-samples-negative",
+        "orbits-t-negative", "expect-iterated-n-list-letter", "tree-n-list-empty-item",
+        "oracle-n-list-letter", "tree-n-list-empty"])
 def test_out_of_range_counts_are_validation_errors(capsys, argv, message):
     assert run(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def test_one_sample_prints_json_with_no_stderr(capsys):
+    assert run([*ORACLE_S3, "--samples", "1"]) == 0
+    out, _ = capsys.readouterr()
+
+    def not_json(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    data = json.loads(out, parse_constant=not_json)
+    assert data["monte_carlo"]["samples"] == 1
+    assert data["monte_carlo"]["stderr"] is None
 
 
 def test_budget_exit_code(capsys):

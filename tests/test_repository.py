@@ -69,13 +69,18 @@ def test_every_import_is_used():
     assert SOURCES and not found, found
 
 
+def _names_read(reference: str) -> set:
+    """The names a test reference imports or reads as attributes."""
+    tree = ast.parse((ROOT / "tests" / reference).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_the_whitehead_reference_prices_moves_by_rewriting():
     # the tests compare the library's descent and walks, which read each
     # move's length off the Whitehead graph, against this reference
-    tree = ast.parse((ROOT / "tests" / "whitehead_reference.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = _names_read("whitehead_reference.py")
     library = {"_descend_key", "_level_walk", "_level_set_key", "_cut_sizes",
                "_whitehead_graph", "_screened_moves"}
     assert not names & library, names & library
@@ -84,21 +89,24 @@ def test_the_whitehead_reference_prices_moves_by_rewriting():
 def test_the_fold_reference_closes_under_merges():
     # the tests compare the library's partition generator and refinement
     # order against this reference's merge DAG
-    tree = ast.parse((ROOT / "tests" / "fold_reference.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = _names_read("fold_reference.py")
     library = {"QuotientPoset", "enumerate_quotients", "fold_closed_partitions"}
     assert not names & library, names & library
 
 
 def test_the_witness_reference_reads_the_stored_poset():
     # the tests compare the streamed witness report against this reference
-    tree = ast.parse((ROOT / "tests" / "witness_reference.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = _names_read("witness_reference.py")
     library = {"fold_closed_partitions", "read_partition", "witness_report"}
+    assert not names & library, names & library
+
+
+def test_the_alg_route_reference_builds_its_own_chains():
+    # the tests compare the library's chain sum against this reference's
+    # algebraic chains
+    names = _names_read("alg_route_reference.py")
+    library = {"iterated_expectation", "IteratedExpectation", "ChainTerm",
+               "single_variable", "value_at_closed_form", "_sum_forms"}
     assert not names & library, names & library
 
 

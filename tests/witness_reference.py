@@ -12,7 +12,7 @@ the library's partition stream nor its partition reader.
 from math import inf
 
 from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, InvariantError
-from wml.core_graphs import rewrite_in_subgroup
+from wml.core_graphs import is_algebraic_cyclic_base, rewrite_in_subgroup
 from wml.cyclotomic import Cyclotomic
 from wml.words import is_primitive
 from wml.wreath_measures import WitnessEntry, WitnessReport, WordContext
@@ -42,7 +42,7 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
             if value.is_zero():
                 continue
         if node.rank() <= whitehead_bound:
-            algebraic = ctx.is_algebraic(i, whitehead_bound)
+            algebraic = is_algebraic_cyclic_base(ctx.word, node, whitehead_bound)
         else:
             algebraic = None
             partial = True
