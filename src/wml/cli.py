@@ -203,7 +203,8 @@ def cmd_expect(args) -> dict:
     w = parse_word(args.word, args.rank)
     spec = _char_spec(args)
     out = {"word": w.display(), "phi": spec.describe()}
-    ctx = WordContext(w)
+    # the identity word has no quotients; the expectations take it as a Word
+    ctx = w if w.is_identity() else WordContext(w)
     if args.symbolic or args.n is None:
         f = ind_expectation_symbolic(ctx, spec, args.budget)
         out["symbolic"] = f.to_json()

@@ -649,7 +649,8 @@ class QuotientPoset:
     partition refines J's: the morphism of core graphs commutes with the
     maps from the w-cycle.  The order is one bitset up-set per node, built
     on the first order query and charged against the evaluation budget
-    before it is allocated.
+    before it is allocated; ``above`` reads a node's up-set, and ``leq``
+    one bit of it.
     """
 
     def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
@@ -714,6 +715,11 @@ class QuotientPoset:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._order()[i] >> j & 1)
+
+    def above(self, i: int) -> list[int]:
+        """The nodes j with i <= j, i itself included, in index order: the
+        set bits of i's up-set."""
+        return list(_bits(self._order()[i]))
 
     def comparable_pairs(self):
         return [(i, j) for i, up in enumerate(self._order()) for j in _bits(up)]

@@ -5,7 +5,9 @@ These carry the symbolic side of every expectation formula: falling
 factorials, their ratios, and sums of such ratios scaled by character
 values.  Every pole of such a sum is a small integer j (a factor n - j
 of some falling factorial), so sums are accumulated unreduced over a
-pole-exponent denominator (``PoleRational``) and reduced once.
+pole-exponent denominator (``PoleRational``) and reduced once, by
+cancelling those known poles.  ``RationalFunctionN.of`` reduces general
+ratios by a Euclidean gcd.
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ class PoleRational:
     ``num`` holds coefficients, low degree first, each an int, a Fraction
     or a Cyclotomic; ``den`` holds the exponents den[j] >= 0.  Sums bring
     both sides to the elementwise maximum of the exponents, so adding
-    needs no gcd; ``reduced`` runs the one gcd of the whole sum.
+    needs no gcd, and since every root of the denominator is a known
+    integer, ``reduced`` cancels them one by one with no gcd either.
     """
 
     __slots__ = ("num", "den")
@@ -314,5 +317,32 @@ class PoleRational:
         return PoleRational(num, den)
 
     def reduced(self) -> RationalFunctionN:
-        den = _times_poles((1,), self.den)
-        return RationalFunctionN.of(Poly(self.num), Poly(den))
+        """The reduced form, by cancelling each pole j directly: while
+        (n - j) divides the denominator and num(j) = 0, num is divided
+        synthetically by (n - j).  The result needs no ``RationalFunctionN.of``:
+        its denominator prod_j (n - j)^e_j is monic, and num is non-zero at
+        each of its roots, so num and den are coprime."""
+        num = Poly(self.num).coeffs
+        if not num:
+            return RationalFunctionN(Poly(), Poly((1,)))
+        den = list(self.den)
+        for j, e in enumerate(den):
+            while e:
+                quotient, remainder = _divide_by_root(num, j)
+                if not remainder.is_zero():
+                    break
+                num, e = quotient, e - 1
+            den[j] = e
+        return RationalFunctionN(Poly(num), Poly(_times_poles((1,), den)))
+
+
+def _divide_by_root(coeffs, j: int):
+    """(quotient, remainder) of the polynomial ``coeffs``, low degree
+    first, divided by (n - j) by Horner's scheme; the remainder is its
+    value at j."""
+    acc = coeffs[-1]
+    quotient = []
+    for c in reversed(coeffs[:-1]):
+        quotient.append(acc)
+        acc = c + acc * j
+    return tuple(reversed(quotient)), acc

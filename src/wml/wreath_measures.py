@@ -67,7 +67,7 @@ class WordContext:
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
         if not cyc.letters:
-            raise ValidationError("identity word: handled by the callers")
+            raise ValidationError("w reduces to the identity")
         check_word_length(cyc)
         self.original = w
         self.word = cyc.to_word().compress()
@@ -163,34 +163,42 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, rest, budget, max_bloc
             yield fibers, c
 
 
+def _one_level_sum(ctx: WordContext, phi: CharacterSpec, budget) -> PoleRational:
+    """The sum over the quotients H of the w-cycle of E_{w->H}[phi] times
+    L^B_H(n), unreduced, streamed off the fold-closed partitions without
+    storing the poset.  L^B_H depends only on H's fibers over the bouquet,
+    so the coefficients are summed per fiber signature and each
+    signature's L-term is added once."""
+    by_fibers: dict = {}
+    for fibers, c in _quotient_terms(ctx, phi, (), budget):
+        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + c
+    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
+
+
 def ind_expectation_symbolic(
     w: Word | WordContext, phi, budget=None
 ) -> RationalFunctionN:
     """E_w[Ind_n phi] as an exact rational function of n (valid for
     n >= |w|; evaluate small n with ind_expectation_at).
 
-    The sum over the quotients H of the w-cycle of E_{w->H}[phi] times
-    L^B_H(n), streamed off the fold-closed partitions without storing the
-    poset.  L^B_H depends only on H's fibers over the bouquet, so the
-    coefficients are summed per fiber signature, each signature's L-term
-    is added once, and the sum is reduced once.  It equals the one-level
-    iterated expectation's ``single_variable``."""
+    The one-level sum over the quotients, reduced once; n dim(phi) for
+    the identity word.  It equals the one-level iterated expectation's
+    ``single_variable``."""
+    phi = _as_spec(phi)
+    if isinstance(w, Word) and w.is_identity():
+        return PoleRational((0, phi.dim())).reduced()
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    by_fibers: dict = {}
-    for fibers, c in _quotient_terms(ctx, _as_spec(phi), (), budget):
-        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + c
-    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
+    return _one_level_sum(ctx, phi, budget).reduced()
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
     """E_w[Ind_n phi] at a concrete n >= 1, exact for every n: the one-level
     iterated value, which evaluates each quotient's L-term by its
-    direct-count semantics."""
-    ctx = w if isinstance(w, WordContext) else WordContext(w)
+    direct-count semantics (n dim(phi) for the identity word)."""
     phi = _as_spec(phi)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return iterated_value_at(ctx, phi, (n,), budget)
+    return iterated_value_at(w, phi, (n,), budget)
 
 
 def chi_expectation_symbolic(w, phi, budget=None) -> RationalFunctionN:
@@ -421,10 +429,13 @@ class IteratedExpectation:
         return total
 
     def single_variable(self) -> RationalFunctionN:
-        """Collapse all n_i to the same n, as a reduced rational function.
+        """Collapse all n_i to the same n, as a reduced rational function."""
+        return self._pole_sum().reduced()
 
-        Chains with equal links share one coefficient sum, and links with
-        equal products another, so each distinct product is built once."""
+    def _pole_sum(self) -> PoleRational:
+        """The chain sum with all n_i equal, unreduced.  Chains with equal
+        links share one coefficient sum, and links with equal products
+        another, so each distinct product is built once."""
         by_links: dict = {}
         for term in self.terms:
             by_links[term.links] = by_links.get(term.links, _ZERO) + term.coefficient
@@ -465,10 +476,10 @@ class IteratedExpectation:
         }
 
 
-def _sum_forms(pairs) -> RationalFunctionN:
+def _sum_forms(pairs) -> PoleRational:
     """The sum of form * coefficient over (form, coefficient) pairs,
-    reduced once."""
-    return sum((form * c for form, c in pairs), PoleRational()).reduced()
+    unreduced."""
+    return sum((form * c for form, c in pairs), PoleRational())
 
 
 def iterated_value_at(
@@ -517,16 +528,25 @@ def iterated_expectation(
     """E_w[Ind_{n_1,...,n_m} phi] as an exact sum over the chains
     H_1 <= ... <= H_m of B-surjective morphisms through the whole quotient
     poset: E_{w->H_1}[phi] times one L^B term per level, H_i -> H_{i+1}
-    and last H_m -> bouquet."""
+    and last H_m -> bouquet.
+
+    Only the chains with a non-zero coefficient are built: the nodes are
+    taken in index order, and a node H_1 with E_{w->H_1}[phi] != 0 is
+    extended through its up-set alone.  The terms come in the
+    lexicographic order of their node tuples."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
+    poset = ctx.poset
     terms = []
-    for chain in ctx.poset.chains(spec.levels):
-        coeff = ctx.e_rel(chain[0], spec.phi, budget)
+    for first in range(len(poset)):
+        coeff = ctx.e_rel(first, spec.phi, budget)
         if coeff.is_zero():
             continue
-        links = [ctx.link_fibers(a, b) for a, b in zip(chain, chain[1:])]
-        links.append(ctx.bouquet_fibers(chain[-1]))
-        terms.append(ChainTerm(coeff, chain, tuple(links)))
+        up = poset.above(first) if spec.levels > 1 else ()  # one level reads no order
+        for rest in poset.chains(spec.levels - 1, up):
+            chain = (first,) + rest
+            links = [ctx.link_fibers(a, b) for a, b in zip(chain, chain[1:])]
+            links.append(ctx.bouquet_fibers(chain[-1]))
+            terms.append(ChainTerm(coeff, chain, tuple(links)))
     return IteratedExpectation(ctx, spec.phi, spec.levels, tuple(terms))
 
 
@@ -559,9 +579,11 @@ class TreeFixReport:
         return iterated_value_at(ctx, trivial, degrees) - inner
 
     def difference_single_variable(self) -> RationalFunctionN:
-        """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n."""
-        one_level = ind_expectation_symbolic(self.total.context, self.total.phi)
-        return self.total.single_variable() - one_level
+        """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n: the
+        one-level pole sum subtracted from the chain pole sum, reduced
+        once."""
+        one_level = _one_level_sum(self.total.context, self.total.phi, None)
+        return (self.total._pole_sum() + one_level * -1).reduced()
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:

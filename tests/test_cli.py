@@ -92,6 +92,26 @@ def test_expect_at_n_reports_chi(capsys):
     assert code == 0 and data["chi_value"] == data["value"]
 
 
+def test_expect_identity_word_is_n_dim_phi(capsys):
+    code, data = run_json(capsys, "expect", "aA", "--symbolic", "--chi", "--n", "3")
+    assert code == 0
+    assert data["symbolic"] == {"conductor": 1, "num": [["0"], ["1"]], "den": [["1"]]}
+    assert data["leading"] == {"exponent": 1, "coefficient": "1"}
+    assert data["chi_symbolic"] == {"conductor": 1, "num": [["-1"], ["1"]], "den": [["1"]]}
+    assert (data["value"], data["chi_value"]) == ("3", "2")
+    code, data = run_json(capsys, "expect", "[a,a]", "--group", "S3", "--char", "std", "--n", "4")
+    assert code == 0 and data["value"] == "8"
+    code, data = run_json(capsys, "oracle", "[a,a]", "--group", "S3", "--char", "std", "--n", "4")
+    assert code == 0 and data["value"] == "8"
+
+
+@pytest.mark.parametrize("command", [("expect-iterated", "--levels", "2"), ("tree",)])
+def test_chains_of_the_identity_word_are_validation_errors(capsys, command):
+    assert run([command[0], "aA", *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "w reduces to the identity" in err
+
+
 def _forbid_the_poset(monkeypatch, command):
     import wml.wreath_measures
 

@@ -28,7 +28,13 @@ from wml.core_graphs import (
     spanning_tree_basis,
 )
 from wml.words import Word, parse_word, parse_words, reduce_letters
-from wml.wreath_measures import WordContext, ind_expectation_symbolic, witness_report
+from wml.wreath_measures import (
+    IteratedSpec,
+    WordContext,
+    ind_expectation_symbolic,
+    iterated_expectation,
+    witness_report,
+)
 from word_strategies import cyclic_words
 
 
@@ -390,6 +396,13 @@ def test_order_is_built_only_for_order_queries():
     assert ctx.poset._up is not None
 
 
+def test_one_level_chains_read_no_order():
+    ctx = WordContext(parse_word("aabbcc"))
+    it = iterated_expectation(ctx, IteratedSpec(1, CharacterSpec.trivial()))
+    assert [t.nodes for t in it.terms] == [(i,) for i in range(len(ctx.poset))]
+    assert ctx.poset._up is None
+
+
 def test_order_budget_names_the_stage(monkeypatch):
     # the generation's states fit the budget, the order's words do not
     w = parse_word("[[a,b],c]")
@@ -414,6 +427,13 @@ def test_bitset_order_is_morphism_existence(text):
         for j, g in enumerate(p.nodes):
             assert p.leq(i, j) == (morphism(h, g) is not None), (i, j)
     assert p.maximal(range(len(p))) == [p.top_index()]
+
+
+@pytest.mark.parametrize("text", ["aa", "aabb", "[a,b]", "abab^-1", "aabbcc", "[a,b][a,c]"])
+def test_above_is_the_up_set_in_index_order(text):
+    p = enumerate_quotients(parse_word(text))
+    for i in range(len(p)):
+        assert p.above(i) == [j for j in range(len(p)) if p.leq(i, j)], i
 
 
 def test_index_of_uses_node_keys():

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wml.characters import builtin_group
 from wml.cyclotomic import Cyclotomic, euler_phi
 from wml.mobius import L_rational
 from wml.rational import PoleRational, Poly, RationalFunctionN
@@ -139,3 +140,59 @@ def _reference_sum(ts) -> RationalFunctionN:
 def test_pole_rational_sums_and_products_match_reduced_arithmetic(s, t):
     assert _pole_sum(s).reduced() == _reference_sum(s)
     assert (_pole_sum(s) * _pole_sum(t)).reduced() == _reference_sum(s) * _reference_sum(t)
+
+
+def _character_values(*groups):
+    return sorted({v for g in groups for c in builtin_group(g)[1] for v in c.values}, key=repr)
+
+
+def _linear_factors(exponents) -> Poly:
+    """prod_j (n - j)^exponents[j]."""
+    p = Poly((1,))
+    for j, e in enumerate(exponents):
+        for _ in range(e):
+            p = p * Poly((-j, 1))
+    return p
+
+
+@st.composite
+def pole_rationals(draw):
+    """(groups, form): a numerator with coefficients in the character values
+    of C3, of Q8 or of both, times (n - j)^z_j for some of the poles j of
+    its denominator, so that it vanishes there to several orders.  An empty
+    core gives the zero numerator."""
+    groups = draw(st.sampled_from([("C3",), ("Q8",), ("C3", "Q8")]))
+    values = _character_values(*groups)
+    coefficient = st.builds(lambda v, q: v * q, st.sampled_from(values),
+                            st.fractions(-3, 3, max_denominator=3))
+    den = draw(st.lists(st.integers(0, 3), max_size=4))
+    core = Poly(draw(st.lists(coefficient, max_size=3)))
+    zeros = draw(st.lists(st.integers(0, 3), max_size=len(den)))
+    return groups, PoleRational((core * _linear_factors(zeros)).coeffs, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pole_rationals())
+@example((("C3",), PoleRational((), (1, 2))))
+@example((("C3",), PoleRational(_linear_factors((0, 3, 0, 2)).coeffs, (1, 3, 0, 3))))
+def test_pole_cancellation_equals_the_euclidean_reduction(case):
+    groups, f = case
+    reference = RationalFunctionN.of(Poly(f.num), _linear_factors(f.den))
+    reduced = f.reduced()
+    assert reduced == reference
+    if len(groups) == 1:
+        # the values of one group share its conductor: the same JSON, byte
+        # for byte (mixed conductors may print a different, equal, field)
+        assert reduced.to_json() == reference.to_json()
+
+
+def test_pole_cancellation_runs_no_gcd(monkeypatch):
+    def forbidden(self, other):
+        raise AssertionError("PoleRational.reduced ran a Euclidean gcd")
+
+    monkeypatch.setattr(Poly, "gcd", forbidden)
+    z = Cyclotomic.root_of_unity(3)
+    f = PoleRational((_linear_factors((2, 1)) * z).coeffs, (3, 1, 1))
+    assert f.reduced().den == _linear_factors((1, 0, 1))
+    assert PoleRational((0, 1), (1,)).reduced() == RationalFunctionN(Poly((1,)), Poly((1,)))
+    assert PoleRational((), (2,)).reduced().is_zero()

@@ -68,6 +68,12 @@ def single_variable_reference(it):
     return total
 
 
+def chains_reference(ctx, phi, levels):
+    """The node tuples of the chains with a non-zero coefficient, as the
+    whole chain list filtered afterwards."""
+    return [c for c in ctx.poset.chains(levels) if not ctx.e_rel(c[0], phi).is_zero()]
+
+
 def one_over(poly_den):
     return RationalFunctionN.of(Poly((1,)), poly_den)
 
@@ -105,6 +111,14 @@ class TestSymbolic:
         assert f == one_over(Poly((-1, 1)))  # 1/(n-1), Frobenius
         assert leading_term(f) is not None
         assert chi_expectation_symbolic(parse_word("a"), TRIV).is_zero()
+
+    def test_identity_word_is_n_dim_phi(self):
+        w = parse_word("aA")
+        for phi, d in ((TRIV, 1), (CharacterSpec.finite(char("S3", "std")), 2)):
+            assert ind_expectation_symbolic(w, phi) == RationalFunctionN.of(Poly((0, d)))
+            assert ind_expectation_at(w, phi, 3) == 3 * d
+        assert chi_expectation_symbolic(w, TRIV) == RationalFunctionN.of(Poly((-1, 1)))
+        assert chi_expectation_at(w, TRIV, 3) == 2
 
     def test_denominator_degree_bounded_by_word_length(self):
         for text in ["[a,b]", "aabb", "abab", "a^4"]:
@@ -282,6 +296,18 @@ class TestIterated:
                 it = iterated_expectation(ctx, IteratedSpec(m, phi))
                 assert it.single_variable() == single_variable_reference(it)
 
+    @pytest.mark.parametrize(
+        "text", ["aa", "aab", "aabb", "[a,b]", "abab^-1", "a^2b^2a^-1b", "aabbcc"]
+    )
+    def test_chains_grow_only_from_non_zero_coefficients(self, text):
+        ctx = WordContext(parse_word(text))
+        phis = (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("C2", "chi1")),
+                CharacterSpec.finite(char("C3", "chi1")), CharacterSpec.finite(char("S3", "std")))
+        for phi in phis:
+            for m in (1, 2, 3):
+                it = iterated_expectation(ctx, IteratedSpec(m, phi))
+                assert [t.nodes for t in it.terms] == chains_reference(ctx, phi, m)
+
     def test_routes_agree(self):
         # the algebraic route of the test reference against the library's
         for text in ("aa", "ab", "aabb", "[a,b]"):
@@ -422,6 +448,16 @@ class TestTree:
         monkeypatch.setattr(wreath_measures, "iterated_expectation", counted)
         tree_fix_expectation(parse_word("[a,b]"), 3).difference_single_variable()
         assert built == [3]
+
+    @pytest.mark.parametrize("text", ["aa", "[a,b]", "abab^-1", "aabbcc"])
+    def test_difference_equals_the_difference_of_reduced_sums(self, text):
+        ctx = WordContext(parse_word(text))
+        for levels in (1, 2, 3):
+            rep = tree_fix_expectation(ctx, levels)
+            reference = rep.total.single_variable() - ind_expectation_symbolic(ctx, TRIV)
+            diff = rep.difference_single_variable()
+            assert diff == reference
+            assert diff.to_json() == reference.to_json()
 
     def test_at_least_one_level(self):
         with pytest.raises(ValidationError):
