@@ -18,7 +18,7 @@ import numpy as np
 from .budget import BudgetError, ValidationError, eval_budget
 from .core_graphs import SubgroupBasis, rewrite_in_subgroup
 from .cyclotomic import Cyclotomic, powers_sum_is_zero
-from .words import Word
+from .words import Word, some_generator_occurs_once
 
 _uid_counter = itertools.count()
 
@@ -569,10 +569,7 @@ def expectation_word(
         if any(nu % order for nu in v.net_exponents()):
             return Cyclotomic.zero()
         return Cyclotomic.one()
-    occurrences = [0] * k
-    for x in v.letters:
-        occurrences[abs(x) - 1] += 1
-    if 1 in occurrences:
+    if some_generator_occurs_once(v.letters):
         return phi.mean()
     counts = _word_counts(group, k, v.letters, eval_budget(budget))
     by_class = [0] * len(group.classes)

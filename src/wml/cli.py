@@ -147,13 +147,17 @@ def _parse_action(text: str) -> PermAction:
 
 
 def _degrees(args) -> list[int] | None:
-    """The comma-separated degrees of ``--n-list``, or None without it."""
+    """The comma-separated degrees of ``--n-list``, or None without it.
+    ``--levels``, on the commands that have it, must count them."""
     if args.n_list is None:
         return None
     try:
-        return [int(x) for x in args.n_list.split(",")]
+        degrees = [int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise ValidationError(f"malformed --n-list {args.n_list!r}: need comma-separated integers")
+    if getattr(args, "levels", None) not in (None, len(degrees)):
+        raise ValidationError(f"--levels {args.levels} disagrees with the {len(degrees)} degrees of --n-list")
+    return degrees
 
 
 def _emit(data, args) -> None:

@@ -291,7 +291,12 @@ class PoleRational:
         num = _times_poles((1,), (max(-e, 0) for e in exponents))
         return PoleRational(num, (max(e, 0) for e in exponents))
 
+    def is_zero(self) -> bool:
+        return not self.num
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            other = PoleRational((other,))
         if not isinstance(other, PoleRational):
             return NotImplemented
         pairs = list(zip_longest(self.den, other.den, fillvalue=0))

@@ -596,23 +596,28 @@ def _level_set_key(
     return tuple(sorted(found))
 
 
+def some_generator_occurs_once(letters) -> bool:
+    """True iff some generator x occurs exactly once.  Then the word is
+    A x B, and x -> A^-1 x B^-1 sends it to x: it is primitive."""
+    return 1 in Counter(abs(x) for x in letters).values()
+
+
 def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
     """O(|w|) answer for a non-empty cyclically reduced word, or None when
     neither certificate applies (always in rank 1, where w lies in no
     proper free factor even when primitive).
 
-    True: some generator x occurs exactly once.  If w = A x B, then
-    x -> A^-1 x B^-1 sends w to x, so w is primitive and lies in a proper
-    free factor.  False: the Whitehead graph (vertices the letters +-g, an
-    edge x - y^-1 for each cyclically adjacent pair x y) is connected and
-    has no cut vertex; by Whitehead's cut-vertex lemma w then lies in no
-    proper free factor, so it is not primitive either.  A missing
-    generator leaves its two vertices isolated, so it gets no False.
+    True: some generator occurs exactly once, so w is primitive and lies
+    in a proper free factor.  False: the Whitehead graph (vertices the
+    letters +-g, an edge x - y^-1 for each cyclically adjacent pair x y) is
+    connected and has no cut vertex; by Whitehead's cut-vertex lemma w
+    then lies in no proper free factor, so it is not primitive either.  A
+    missing generator leaves its two vertices isolated, so it gets no
+    False.
     """
     if rank < 2:
         return None
-    counts = Counter(abs(x) for x in cyc)
-    if 1 in counts.values():
+    if some_generator_occurs_once(cyc):
         return True
 
     adj = _whitehead_graph(rank, cyc)

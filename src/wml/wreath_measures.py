@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import inf, isqrt
 
 from .budget import (
@@ -43,7 +44,8 @@ from .core_graphs import (
 from .cyclotomic import Cyclotomic
 from .mobius import L_rational, L_value_at, L_general, LetterDistribution, PermAction
 from .rational import PoleRational, RationalFunctionN
-from .words import Word, cyclic_reduce, is_primitive, lies_in_proper_free_factor
+from .words import (Word, cyclic_reduce, is_primitive, lies_in_proper_free_factor,
+                    some_generator_occurs_once)
 
 _ZERO = Cyclotomic.zero()
 _ONE = Cyclotomic.one()
@@ -58,9 +60,8 @@ def _phi_key(phi: CharacterSpec):
 class WordContext:
     """Everything computed about one word: compressed cyclic word, quotient
     poset, bases, relative expectations, the fiber pairs of chain links,
-    iterated values and the contexts of the word rewritten in a quotient's
-    basis.  A caller holds one to share that work across calls and drops
-    it to free it.
+    iterated values and sums, and the contexts of the word rewritten in a
+    quotient's basis.  A caller holds one to share that work and drops it to free it.
     Streamed sums rewrite w off a partition's block tables before drawing
     the next partition, which invalidates them."""
 
@@ -76,14 +77,15 @@ class WordContext:
         self._bases: dict = {}
         self._erel: dict = {}
         self._values: dict = {}
+        self._sums: dict = {}
         self._inner: dict = {}
 
     @property
     def poset(self) -> QuotientPoset:
-        """The stored quotient poset, built on first access.  Chains of
-        iterated expectations and general actions read it; one-level sums,
-        values at concrete degrees and witness reports stream the
-        partitions instead."""
+        """The stored quotient poset, built on first access.  Only the
+        chains of ``iterated_expectation`` and the general actions read it;
+        every symbolic sum, value at concrete degrees, tree report and
+        witness report streams the partitions instead."""
         if self._poset is None:
             self._poset = enumerate_quotients(self.word)
         return self._poset
@@ -138,41 +140,49 @@ def _as_spec(phi) -> CharacterSpec:
 # -- the induction-convolution sum -------------------------------------------
 
 
-def _quotient_terms(ctx: WordContext, phi: CharacterSpec, rest, budget, max_blocks=None):
+def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blocks=None):
     """(bouquet fibers, coefficient) of each quotient H of the w-cycle with
     at most ``max_blocks`` vertices whose coefficient is non-zero, streamed
     off the fold-closed partitions with no stored poset.
 
-    The coefficient is E_{w->H}[phi] when ``rest`` is empty, and otherwise
-    the iterated value at degrees ``rest`` of w rewritten in H's basis.
-    Both depend only on the rewritten word, so each is computed once per
-    call; the trivial character at one level needs no rewriting."""
+    The coefficient depends only on w rewritten in H's basis, so it is
+    computed once per rewritten word and call: E_{w->H}[phi] at one level
+    (``inner`` None), and otherwise ``inner`` of the rewritten word's
+    context.  A rewritten word in which some generator occurs once is
+    primitive, hence Haar at every level: its coefficient is E_{w->H}[phi]
+    too, with no context built.  The trivial character at one level needs
+    no rewriting."""
     letters, rank = ctx.word.letters, ctx.rank
-    rewrite = bool(rest) or phi.kind != "trivial"
+    rewrite = inner is not None or phi.kind != "trivial"
     coefficients = {None: _ONE}  # None: the word is not rewritten
     for p, fibers, tables in fold_closed_partitions(letters, rank, eval_budget(), max_blocks):
         rewritten = read_partition(letters, rank, p, tables) if rewrite else None
         c = coefficients.get(rewritten)
         if c is None:
-            if rest:
-                c = iterated_value_at(ctx.context_of(rewritten), phi, rest, budget)
-            else:
+            if inner is None or some_generator_occurs_once(rewritten.letters):
                 c = expectation_rewritten(phi, rewritten, budget)
+            else:
+                c = inner(ctx.context_of(rewritten))
             coefficients[rewritten] = c
         if not c.is_zero():
             yield fibers, c
 
 
-def _one_level_sum(ctx: WordContext, phi: CharacterSpec, budget) -> PoleRational:
-    """The sum over the quotients H of the w-cycle of E_{w->H}[phi] times
-    L^B_H(n), unreduced, streamed off the fold-closed partitions without
-    storing the poset.  L^B_H depends only on H's fibers over the bouquet,
-    so the coefficients are summed per fiber signature and each
-    signature's L-term is added once."""
-    by_fibers: dict = {}
-    for fibers, c in _quotient_terms(ctx, phi, (), budget):
-        by_fibers[fibers] = by_fibers.get(fibers, _ZERO) + c
-    return _sum_forms((L_rational(*fibers), c) for fibers, c in by_fibers.items())
+def _level_sum(ctx: WordContext, phi: CharacterSpec, levels: int, budget=None) -> PoleRational:
+    """E_w[Ind_{n,...,n} phi] over ``levels`` levels, unreduced, kept on
+    the context: the sum over the quotients H of the (levels - 1)-level
+    sum of w rewritten in H's basis (E_{w->H}[phi] at one level) times
+    L^B_H(n), which depends only on H's fibers over the bouquet; so each
+    fiber signature's coefficient sum is multiplied by its L-term once."""
+    key = (_phi_key(phi), levels)
+    if key not in ctx._sums:
+        inner = partial(_level_sum, phi=phi, levels=levels - 1, budget=budget) if levels > 1 else None
+        zero = _ZERO if inner is None else PoleRational()  # sums and constants mix above one level
+        by_fibers: dict = {}
+        for fibers, c in _quotient_terms(ctx, phi, inner, budget):
+            by_fibers[fibers] = by_fibers.get(fibers, zero) + c
+        ctx._sums[key] = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
+    return ctx._sums[key]
 
 
 def ind_expectation_symbolic(
@@ -182,13 +192,12 @@ def ind_expectation_symbolic(
     n >= |w|; evaluate small n with ind_expectation_at).
 
     The one-level sum over the quotients, reduced once; n dim(phi) for
-    the identity word.  It equals the one-level iterated expectation's
-    ``single_variable``."""
+    the identity word."""
     phi = _as_spec(phi)
     if isinstance(w, Word) and w.is_identity():
         return PoleRational((0, phi.dim())).reduced()
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    return _one_level_sum(ctx, phi, budget).reduced()
+    return _level_sum(ctx, phi, 1, budget).reduced()
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
@@ -388,10 +397,11 @@ class IteratedExpectation:
     one L^B term per level (kept factored, no global common denominator).
 
     The chain representation is a rational-function identity, valid
-    pointwise once every degree is >= |w|; ``value_at`` is exact for all
-    degrees because it re-derives the value by peeling one wreath level at
-    a time (each level's L-terms then target the ambient bouquet, where
-    the direct-count semantics is exact for every n).
+    pointwise once every degree is >= |w|, read only by
+    ``value_at_closed_form`` and ``to_json``.  ``value_at`` and
+    ``single_variable`` peel one wreath level at a time instead, so
+    ``value_at`` is exact for all degrees (each level's L-terms then
+    target the ambient bouquet, where the direct-count semantics is exact).
     """
 
     context: WordContext
@@ -430,23 +440,7 @@ class IteratedExpectation:
 
     def single_variable(self) -> RationalFunctionN:
         """Collapse all n_i to the same n, as a reduced rational function."""
-        return self._pole_sum().reduced()
-
-    def _pole_sum(self) -> PoleRational:
-        """The chain sum with all n_i equal, unreduced.  Chains with equal
-        links share one coefficient sum, and links with equal products
-        another, so each distinct product is built once."""
-        by_links: dict = {}
-        for term in self.terms:
-            by_links[term.links] = by_links.get(term.links, _ZERO) + term.coefficient
-        by_form: dict = {}
-        for links, c in by_links.items():
-            prod = PoleRational((1,))
-            for fibers in links:
-                prod = prod * L_rational(*fibers)
-            form = (prod.num, prod.den)
-            by_form[form] = by_form.get(form, _ZERO) + c
-        return _sum_forms((PoleRational(*form), c) for form, c in by_form.items())
+        return _level_sum(self.context, self.phi, self.levels).reduced()
 
     def to_json(self):
         """The chains with non-zero coefficient, each link's L^B term
@@ -474,12 +468,6 @@ class IteratedExpectation:
                 if not t.coefficient.is_zero()
             ],
         }
-
-
-def _sum_forms(pairs) -> PoleRational:
-    """The sum of form * coefficient over (form, coefficient) pairs,
-    unreduced."""
-    return sum((form * c for form, c in pairs), PoleRational())
 
 
 def iterated_value_at(
@@ -515,8 +503,9 @@ def iterated_value_at(
         # w rewritten at the bouquet, the top quotient, is w itself
         total = expectation_rewritten(phi, ctx.word, budget)
     else:
-        n_last = degrees[-1]
-        for (vf, ef), c in _quotient_terms(ctx, phi, degrees[:-1], budget, n_last):
+        *rest, n_last = degrees
+        inner = partial(iterated_value_at, phi=phi, degrees=rest, budget=budget) if rest else None
+        for (vf, ef), c in _quotient_terms(ctx, phi, inner, budget, n_last):
             total = total + c * L_value_at(vf, ef, n_last)
     ctx._values[key] = total
     return total
@@ -557,15 +546,17 @@ def iterated_expectation(
 class TreeFixReport:
     """E_w of the leaf-permutation character of the symmetric-tree
     automorphisms, and its decomposition into the standard-character terms
-    per level.  ``total`` is the one chain expansion, over all levels;
-    values at concrete degrees stream the quotients."""
+    per level.  Holding the word's context, it streams the quotients for
+    each value and reads no chain or stored poset."""
 
-    word: Word
+    context: WordContext
     levels: int
-    total: IteratedExpectation
 
     def total_at(self, degrees) -> Cyclotomic:
-        return self.total.value_at(degrees)
+        degrees = tuple(degrees)
+        if len(degrees) != self.levels:
+            raise ValidationError("one degree per level required")
+        return iterated_value_at(self.context, CharacterSpec.trivial(), degrees)
 
     def term_at(self, i: int, degrees) -> Cyclotomic:
         """E_w[Ind_{n_{i+1}..n_m} std_{n_i}] at concrete degrees
@@ -574,29 +565,27 @@ class TreeFixReport:
         degrees = tuple(degrees)
         if not 0 <= i < self.levels or len(degrees) != self.levels - i:
             raise ValidationError("one degree per level from level i on required")
-        ctx, trivial = self.total.context, self.total.phi
-        inner = iterated_value_at(ctx, trivial, degrees[1:])
-        return iterated_value_at(ctx, trivial, degrees) - inner
+        inner = iterated_value_at(self.context, CharacterSpec.trivial(), degrees[1:])
+        return iterated_value_at(self.context, CharacterSpec.trivial(), degrees) - inner
 
     def difference_single_variable(self) -> RationalFunctionN:
         """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n: the
-        one-level pole sum subtracted from the chain pole sum, reduced
-        once."""
-        one_level = _one_level_sum(self.total.context, self.total.phi, None)
-        return (self.total._pole_sum() + one_level * -1).reduced()
+        streamed one-level sum subtracted from the streamed ``levels``-level
+        sum, reduced once."""
+        total = _level_sum(self.context, CharacterSpec.trivial(), self.levels)
+        return (total + _level_sum(self.context, CharacterSpec.trivial(), 1) * -1).reduced()
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:
     """The permutation character of Aut(tree) acting on the leaves equals
     1 + sum over levels of the induced standard characters; each term is
-    a difference of two trivial-base iterated expectations.  One chain
-    expansion, for all ``levels``, is built; the other level counts are
-    only evaluated, off the streamed quotients."""
+    a difference of two trivial-base iterated expectations.  Nothing is
+    computed here: the report streams the quotients when it is read, and
+    builds no chain and no stored poset."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     if levels < 1:
         raise ValidationError("need at least one wreath level")
-    total = iterated_expectation(ctx, IteratedSpec(levels, CharacterSpec.trivial()), budget)
-    return TreeFixReport(ctx.word, levels, total)
+    return TreeFixReport(ctx, levels)
 
 
 def tree_dimension_identity(levels: int) -> bool:

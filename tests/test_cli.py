@@ -128,6 +128,14 @@ def test_expect_leaves_the_poset_unbuilt(capsys, monkeypatch):
     assert code == 0 and "value" in data and "chi_symbolic" in data
 
 
+@pytest.mark.parametrize("degrees", [("--levels", "3"), ("--n-list", "2,3")],
+                         ids=["levels", "n-list"])
+def test_tree_leaves_the_poset_unbuilt(capsys, monkeypatch, degrees):
+    _forbid_the_poset(monkeypatch, "tree")
+    code, data = run_json(capsys, "tree", "[a,b][a,c]", *degrees)
+    assert code == 0 and data["difference_leading"]["exponent"] == -4  # 2 (1 - pi), pi = 3
+
+
 def test_rank_leaves_the_poset_unbuilt(capsys, monkeypatch):
     _forbid_the_poset(monkeypatch, "rank")
     code, data = run_json(capsys, "rank", "[a,b][a,c]")
@@ -179,6 +187,15 @@ def test_tree_command(capsys):
     assert code == 0
     assert data["dimension_identity"] is True
     assert data["difference_leading"]["exponent"] == -2
+
+
+@pytest.mark.parametrize("command", ["tree", "expect-iterated"])
+def test_levels_must_match_the_n_list(capsys, command):
+    assert run([command, "aabb", "--n-list", "2,3", "--levels", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--levels 5 disagrees with the 2 degrees of --n-list" in err
+    code, data = run_json(capsys, command, "aabb", "--n-list", "2,3", "--levels", "2")
+    assert code == 0 and data["levels"] == 2 and data["degrees"] == [2, 3]
 
 
 def test_oracle_monte_carlo_seeded(capsys):

@@ -20,7 +20,7 @@ from wml.core_graphs import (
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
-from wml.rational import Poly, RationalFunctionN
+from wml.rational import PoleRational, Poly, RationalFunctionN
 from wml.words import Word, parse_word, parse_words
 from wml.wreath_measures import (
     IteratedSpec,
@@ -66,6 +66,18 @@ def single_variable_reference(it):
             prod = prod * L_rational(vf, ef).reduced()
         total = total + prod * term.coefficient
     return total
+
+
+def pole_sum_reference(it):
+    """The same chain sum, term by term in pole form, reduced once: the
+    reference for chain lists too long to reduce term by term."""
+    total = PoleRational()
+    for term in it.terms:
+        prod = PoleRational((term.coefficient,))
+        for fibers in term.links:
+            prod = prod * L_rational(*fibers)
+        total = total + prod
+    return total.reduced()
 
 
 def chains_reference(ctx, phi, levels):
@@ -404,6 +416,50 @@ class TestStreamedSums:
                 assert iterated_value_at(ctx, phi, degrees) == it.value_at_closed_form(degrees)
 
 
+class TestStreamedLevelSums:
+    """The single-variable sums at every level count stream the partitions
+    level by level; the chain sum over the stored poset, term by term, is
+    their reference."""
+
+    PHIS = (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("C3", "chi1")),
+            CharacterSpec.finite(char("S3", "std")))
+
+    @settings(max_examples=10, deadline=None)
+    @given(cyclic_words(max_length=6, min_length=3))
+    @example(parse_word("aab"))
+    @example(parse_word("abab^-1"))
+    def test_level_sums_equal_the_chain_reference(self, w):
+        ctx = WordContext(w)
+        references = {}
+        for phi in self.PHIS:
+            for m in (1, 2, 3):
+                it = iterated_expectation(ctx, IteratedSpec(m, phi))
+                references[phi.describe(), m] = reference = single_variable_reference(it)
+                streamed = it.single_variable()
+                assert streamed == reference, (phi.describe(), m)
+                assert streamed.to_json() == reference.to_json(), (phi.describe(), m)
+        for m in (1, 2, 3):
+            reference = references[TRIV.describe(), m] - references[TRIV.describe(), 1]
+            diff = tree_fix_expectation(w, m).difference_single_variable()
+            assert diff == reference and diff.to_json() == reference.to_json(), m
+
+    @pytest.mark.parametrize("text", ["aab", "aabb", "abab^-1", "[a,b]^2", "a^2b^2a^-1b"])
+    def test_the_singleton_rule_changes_no_result(self, text, monkeypatch):
+        def results():
+            ctx = WordContext(parse_word(text))
+            out = []
+            for phi in self.PHIS:
+                for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2)):
+                    out.append(iterated_value_at(ctx, phi, degrees))
+                for m in (1, 2, 3):
+                    out.append(wreath_measures._level_sum(ctx, phi, m).reduced())
+            return out
+
+        with_rule = results()
+        monkeypatch.setattr(wreath_measures, "some_generator_occurs_once", lambda letters: False)
+        assert results() == with_rule
+
+
 class TestStreamedWitnesses:
     """The witness report streams the fold-closed partitions; the loop over
     the stored poset is its reference."""
@@ -437,24 +493,14 @@ class TestTree:
         lt = leading_term(diff)
         assert lt.exponent == -2  # 2 (1 - pi) with pi = 2
 
-    def test_each_level_count_is_built_once(self, monkeypatch):
-        built = []
-        real = wreath_measures.iterated_expectation
-
-        def counted(w, spec, *args, **kwargs):
-            built.append(spec.levels)
-            return real(w, spec, *args, **kwargs)
-
-        monkeypatch.setattr(wreath_measures, "iterated_expectation", counted)
-        tree_fix_expectation(parse_word("[a,b]"), 3).difference_single_variable()
-        assert built == [3]
-
     @pytest.mark.parametrize("text", ["aa", "[a,b]", "abab^-1", "aabbcc"])
     def test_difference_equals_the_difference_of_reduced_sums(self, text):
         ctx = WordContext(parse_word(text))
+        one_level = pole_sum_reference(iterated_expectation(ctx, IteratedSpec(1, TRIV)))
         for levels in (1, 2, 3):
             rep = tree_fix_expectation(ctx, levels)
-            reference = rep.total.single_variable() - ind_expectation_symbolic(ctx, TRIV)
+            total = pole_sum_reference(iterated_expectation(ctx, IteratedSpec(levels, TRIV)))
+            reference = total - one_level
             diff = rep.difference_single_variable()
             assert diff == reference
             assert diff.to_json() == reference.to_json()
