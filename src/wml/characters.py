@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
 from .budget import BudgetError, ValidationError, eval_budget
 from .core_graphs import SubgroupBasis, rewrite_in_subgroup
 from .cyclotomic import Cyclotomic, powers_sum_is_zero
@@ -40,7 +38,6 @@ class FiniteGroup:
         "exponent",
         "name",
         "uid",
-        "_np_mult",
     )
 
     def __init__(self, mult, name: str = "G"):
@@ -107,12 +104,6 @@ class FiniteGroup:
         self.exponent = exponent
         self.name = name
         self.uid = next(_uid_counter)
-        self._np_mult = None
-
-    def np_mult(self) -> np.ndarray:
-        if self._np_mult is None:
-            self._np_mult = np.array(self.mult, dtype=np.int32)
-        return self._np_mult
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -517,35 +508,77 @@ def symmetric_std_character(n: int) -> ClassFunction:
 
 # -- word-measure expectations ----------------------------------------------
 
-_CHUNK = 1 << 20
+def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> list[int]:
+    """Counts of w(g_1..g_k) over all tuples in G^k, one per element.
 
-
-def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> np.ndarray:
-    """Counts of w(g_1..g_k) over all tuples in G^k, as a |G|-vector.
-
-    Enumerates the tuple space in chunks, pushing each chunk through the
-    multiplication table with fancy indexing.
+    Letter elimination: a generator is open from its first letter to its
+    last.  A state is the running product with the values of the open
+    generators; a generator's first letter branches over G, and after its
+    last letter it is summed out.  Where no generator is open the word
+    splits into factors on disjoint generators, each counted from the
+    identity, whose distributions are convolved; a generator that does
+    not occur multiplies every count by |G|.  Each step's states and each
+    convolution's products are charged to ``budget`` before they are
+    built.
     """
-    order = group.order
-    total = order**var_count
-    if total > budget:
-        raise BudgetError("word-measure enumeration", total, budget)
-    mult = group.np_mult()
-    inv = np.array(group.inverse, dtype=np.int32)
-    counts = np.zeros(order, dtype=np.int64)
-    strides = [order**i for i in range(var_count)]
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        cur = np.zeros(stop - start, dtype=np.int32)
-        for x in letters:
-            g = abs(x) - 1
-            idx = (flat // strides[g]) % order
-            idx = idx.astype(np.int32)
-            if x < 0:
-                idx = inv[idx]
-            cur = mult[cur, idx]
-        counts += np.bincount(cur, minlength=order)
+    order, mult, inverse = group.order, group.mult, group.inverse
+    first, last = {}, {}
+    for i, x in enumerate(letters):
+        first.setdefault(abs(x), i)
+        last[abs(x)] = i
+    spent = 0
+
+    def charge(work: int, done: int) -> None:
+        nonlocal spent
+        spent += work
+        if spent > budget:
+            raise BudgetError(
+                f"word-measure enumeration ({done} of {len(letters)} letters counted)",
+                spent, budget,
+            )
+
+    total = {0: 1}
+    states = {(0,): 1}  # (running product, values of the open generators) -> count
+    opened = []  # the open generators, in the order of their values in a state
+    for i, x in enumerate(letters):
+        g = abs(x)
+        new = {}
+        if first[g] == i:
+            charge(len(states) * order, i)
+            keep = last[g] != i
+            for key, c in states.items():
+                row, rest = mult[key[0]], key[1:]
+                for h in range(order):
+                    k = (row[h if x > 0 else inverse[h]],) + rest + ((h,) if keep else ())
+                    new[k] = new.get(k, 0) + c
+            if keep:
+                opened.append(g)
+        else:
+            charge(len(states), i)
+            slot = opened.index(g) + 1
+            drop = last[g] == i
+            for key, c in states.items():
+                h = key[slot] if x > 0 else inverse[key[slot]]
+                k = (mult[key[0]][h],) + key[1:]
+                if drop:
+                    k = k[:slot] + k[slot + 1:]
+                new[k] = new.get(k, 0) + c
+            if drop:
+                opened.remove(g)
+        states = new
+        if not opened:  # a factor ends: convolve its distribution into the total
+            charge(len(total) * len(states), i + 1)
+            product = {}
+            for a, ca in total.items():
+                row = mult[a]
+                for (b,), cb in states.items():
+                    e = row[b]
+                    product[e] = product.get(e, 0) + ca * cb
+            total, states = product, {(0,): 1}
+    scale = order ** (var_count - len(first))
+    counts = [0] * order
+    for e, c in total.items():
+        counts[e] = c * scale
     return counts
 
 
@@ -573,8 +606,7 @@ def expectation_word(
         return phi.mean()
     counts = _word_counts(group, k, v.letters, eval_budget(budget))
     by_class = [0] * len(group.classes)
-    for e in range(group.order):
-        c = int(counts[e])
+    for e, c in enumerate(counts):
         if c:
             by_class[group.class_of[e]] += c
     total = Cyclotomic.zero()

@@ -9,8 +9,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .budget import (
     DEFAULT_ACTION_ORDER_BUDGET,
     InvariantError,
@@ -389,6 +387,8 @@ def expectation_action(
 ) -> Fraction:
     """E over uniform alpha in Hom(J, Sigma) of the number of points fixed
     by every element of alpha(H); requires H <= J."""
+    import numpy as np
+
     if morphism(h, j) is None:
         raise ValidationError("expectation_action requires H <= J")
     jbasis = spanning_tree_basis(j)

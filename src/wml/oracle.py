@@ -3,7 +3,8 @@ evaluation, Monte Carlo sanity estimates, and orbit counting.
 
 Everything here is deliberately independent of the symbolic pipeline; the
 central cross-check of the package is exact agreement between these brute
-values and the convolution formulas.
+values and the convolution formulas.  The exhaustive counts run in numpy,
+imported where it is used, so that the symbolic side never loads it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, perm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .budget import (BudgetError, DEFAULT_GROUP_ELEMENT_BUDGET, InvariantError, ValidationError,
                      check, eval_budget)
@@ -22,6 +23,9 @@ from .characters import ClassFunction, FiniteGroup, classfunction_from_elements
 from .cyclotomic import Cyclotomic
 from .mobius import PermAction
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ExplicitWreath:
@@ -87,6 +91,8 @@ class ExplicitWreath:
     def components(self):
         """Numpy arrays V (order x degree base-indices) and P (order x
         degree permutation images), indexed by element id."""
+        import numpy as np
+
         if self._V is None:
             V = np.zeros((self.order, self.degree), dtype=np.int32)
             P = np.zeros((self.order, self.degree), dtype=np.int32)
@@ -99,6 +105,8 @@ class ExplicitWreath:
         return self._V, self._P
 
     def inverse_ids(self) -> np.ndarray:
+        import numpy as np
+
         if self._inv is None:
             self._inv = np.array(
                 [self.inverse_id(e) for e in range(self.order)], dtype=np.int64
@@ -107,6 +115,8 @@ class ExplicitWreath:
 
     def encode_components(self, V: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Vectorized encode of component arrays back to element ids."""
+        import numpy as np
+
         code = np.zeros(len(V), dtype=np.int64)
         for i in range(self.degree - 1, -1, -1):
             code = code * self.base.order + V[:, i]
@@ -204,13 +214,29 @@ _BRUTE_CHUNK = 1 << 18
 
 def word_element_counts(w: Word, group, budget: int | None = None) -> np.ndarray:
     """The pushforward distribution of w as integer counts over element
-    ids: counts[e] = #{tuples in K^r with w(tuple) = e}."""
-    if isinstance(group, ExplicitWreath):
-        return _wreath_word_counts(w, group, eval_budget(budget))
-    return _table_word_counts(w, group, eval_budget(budget))
+    ids: counts[e] = #{tuples in K^r with w(tuple) = e}, enumerated in
+    chunks of tuple indices."""
+    import numpy as np
+
+    order, r = group.order, w.rank
+    total = order**r
+    budget = eval_budget(budget)
+    if total > budget:
+        raise BudgetError("brute enumeration", total, budget)
+    evaluate = _evaluator(w, group)
+    counts = np.zeros(order, dtype=np.int64)
+    strides = [order**i for i in range(r)]
+    for start in range(0, total, _BRUTE_CHUNK):
+        stop = min(start + _BRUTE_CHUNK, total)
+        flat = np.arange(start, stop, dtype=np.int64)
+        values = evaluate(stop - start, lambda g: (flat // strides[g]) % order)
+        counts += np.bincount(values, minlength=order)
+    return counts
 
 
 def expectation_from_counts(counts: np.ndarray, order: int, r: int, chi) -> Cyclotomic:
+    import numpy as np
+
     values = chi
     if isinstance(chi, ClassFunction):
         values = [chi(e) for e in range(order)]
@@ -237,61 +263,53 @@ def brute_expectation(
     return expectation_from_counts(counts, group.order, w.rank, chi)
 
 
-def _table_word_counts(w: Word, group: FiniteGroup, budget: int) -> np.ndarray:
-    order, r = group.order, w.rank
-    total = order**r
-    if total > budget:
-        raise BudgetError("brute enumeration", total, budget)
-    mult = group.np_mult()
-    inv = np.array(group.inverse, dtype=np.int64)
-    counts = np.zeros(order, dtype=np.int64)
-    strides = [order**i for i in range(r)]
-    for start in range(0, total, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        cur = np.zeros(stop - start, dtype=np.int64)
-        for x in w.letters:
-            g = abs(x) - 1
-            idx = (flat // strides[g]) % order
-            if x < 0:
-                idx = inv[idx]
-            cur = mult[cur, idx]
-        counts += np.bincount(cur, minlength=order)
-    return counts
+def _table_values(w: Word, mult, inv, rows: int, draws) -> np.ndarray:
+    """w evaluated on rows of element ids (``draws(g)`` is generator g's
+    column) through the multiplication table ``mult``."""
+    import numpy as np
+
+    cur = np.zeros(rows, dtype=np.int64)
+    for x in w.letters:
+        ids = draws(abs(x) - 1)
+        if x < 0:
+            ids = inv[ids]
+        cur = mult[cur, ids]
+    return cur
 
 
-def _wreath_word_counts(w: Word, K: ExplicitWreath, budget: int) -> np.ndarray:
-    """Counts of w(k_1..k_r) over K^r, evaluated on component arrays so no
-    |K|^2 multiplication table is ever materialized."""
-    order, r, deg = K.order, w.rank, K.degree
-    total = order**r
-    if total > budget:
-        raise BudgetError("brute enumeration", total, budget)
+def _wreath_values(w: Word, K: ExplicitWreath, GM, rows: int, draws) -> np.ndarray:
+    """w evaluated on rows of wreath element ids (``draws(g)`` is generator
+    g's column) on the component arrays and the base group's table ``GM``,
+    so no |K|^2 multiplication table is ever materialized."""
+    import numpy as np
+
     V, P = K.components()
-    GM = K.base.np_mult()
     inv_ids = K.inverse_ids()
-    counts = np.zeros(order, dtype=np.int64)
-    strides = [order**i for i in range(r)]
     ident = K.identity_id
-    for start in range(0, total, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        m = stop - start
-        cur_v = np.tile(V[ident], (m, 1))
-        cur_p = np.tile(P[ident], (m, 1))
-        for x in w.letters:
-            g = abs(x) - 1
-            ids = (flat // strides[g]) % order
-            if x < 0:
-                ids = inv_ids[ids]
-            gv = V[ids]
-            gp = P[ids]
-            # (v1,s1)(v2,s2) = (v1 . (s1.v2), s2 o s1)
-            new_v = GM[cur_v, np.take_along_axis(gv, cur_p, axis=1)]
-            new_p = np.take_along_axis(gp, cur_p, axis=1)
-            cur_v, cur_p = new_v, new_p
-        counts += np.bincount(K.encode_components(cur_v, cur_p), minlength=order)
-    return counts
+    cur_v = np.tile(V[ident], (rows, 1))
+    cur_p = np.tile(P[ident], (rows, 1))
+    for x in w.letters:
+        ids = draws(abs(x) - 1)
+        if x < 0:
+            ids = inv_ids[ids]
+        gv = V[ids]
+        gp = P[ids]
+        # (v1,s1)(v2,s2) = (v1 . (s1.v2), s2 o s1)
+        cur_v = GM[cur_v, np.take_along_axis(gv, cur_p, axis=1)]
+        cur_p = np.take_along_axis(gp, cur_p, axis=1)
+    return K.encode_components(cur_v, cur_p)
+
+
+def _evaluator(w: Word, group):
+    """``evaluate(rows, draws)``: w on rows of element ids of ``group``, an
+    ExplicitWreath or a FiniteGroup, where ``draws(g)`` is generator g's
+    column."""
+    import numpy as np
+
+    if isinstance(group, ExplicitWreath):
+        return partial(_wreath_values, w, group, np.array(group.base.mult, dtype=np.int32))
+    return partial(_table_values, w, np.array(group.mult, dtype=np.int32),
+                   np.array(group.inverse, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -307,36 +325,32 @@ def monte_carlo_expectation(
 ) -> SampleEstimate:
     """Seeded sampling estimate of E_w[chi]; advisory only, exactness in
     this package never depends on sampling.  Complex character values are
-    averaged through their real part."""
+    averaged through their real part.
+
+    The tuples are drawn sample by sample, one element per generator, and
+    evaluated in chunks on the arrays of the exhaustive counts; the values
+    are added in the order drawn."""
+    import numpy as np
+
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
-    if isinstance(group, ExplicitWreath):
-        order = group.order
-        mult = group.mult_id
-        inverse = group.inverse_id
-        ident = group.identity_id
-    else:
-        order = group.order
-        mult = lambda a, b: group.mult[a][b]
-        inverse = lambda a: group.inverse[a]
-        ident = 0
+    order, r = group.order, w.rank
+    evaluate = _evaluator(w, group)
     if isinstance(chi, ClassFunction):
         values = [chi(e) for e in range(order)]
     else:
         values = list(chi)
-    float_values = [complex(v.to_complex()).real for v in values]
+    float_values = np.array([complex(v.to_complex()).real for v in values])
     total = 0.0
     total_sq = 0.0
-    for _ in range(samples):
-        tup = [rng.randrange(order) for _ in range(w.rank)]
-        cur = ident
-        for x in w.letters:
-            e = tup[abs(x) - 1]
-            cur = mult(cur, e if x > 0 else inverse(e))
-        v = float_values[cur]
-        total += v
-        total_sq += v * v
+    for start in range(0, samples, _BRUTE_CHUNK):
+        rows = min(_BRUTE_CHUNK, samples - start)
+        draws = np.array([rng.randrange(order) for _ in range(rows * r)],
+                         dtype=np.int64).reshape(rows, r)
+        for v in float_values[evaluate(rows, lambda g: draws[:, g])].tolist():
+            total += v
+            total_sq += v * v
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     stderr = (var / samples) ** 0.5 if samples > 1 else None

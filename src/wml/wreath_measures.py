@@ -155,7 +155,7 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blo
     letters, rank = ctx.word.letters, ctx.rank
     rewrite = inner is not None or phi.kind != "trivial"
     coefficients = {None: _ONE}  # None: the word is not rewritten
-    for p, fibers, tables in fold_closed_partitions(letters, rank, eval_budget(), max_blocks):
+    for p, fibers, tables in fold_closed_partitions(letters, rank, eval_budget(budget), max_blocks):
         rewritten = read_partition(letters, rank, p, tables) if rewrite else None
         c = coefficients.get(rewritten)
         if c is None:
@@ -316,7 +316,7 @@ def witness_report(
     algebraic: dict = {}  # rewritten word -> is <w> <= H algebraic
     entries = []
     partial = False
-    for p, ((v,), e), tables in fold_closed_partitions(letters, rank, eval_budget()):
+    for p, ((v,), e), tables in fold_closed_partitions(letters, rank, eval_budget(budget)):
         if v == len(p):
             continue  # the w-cycle itself
         if phi.kind == "trivial" and 1 - v + sum(e) > whitehead_bound:
@@ -551,12 +551,13 @@ class TreeFixReport:
 
     context: WordContext
     levels: int
+    budget: int | None = None
 
     def total_at(self, degrees) -> Cyclotomic:
         degrees = tuple(degrees)
         if len(degrees) != self.levels:
             raise ValidationError("one degree per level required")
-        return iterated_value_at(self.context, CharacterSpec.trivial(), degrees)
+        return iterated_value_at(self.context, CharacterSpec.trivial(), degrees, self.budget)
 
     def term_at(self, i: int, degrees) -> Cyclotomic:
         """E_w[Ind_{n_{i+1}..n_m} std_{n_i}] at concrete degrees
@@ -565,15 +566,17 @@ class TreeFixReport:
         degrees = tuple(degrees)
         if not 0 <= i < self.levels or len(degrees) != self.levels - i:
             raise ValidationError("one degree per level from level i on required")
-        inner = iterated_value_at(self.context, CharacterSpec.trivial(), degrees[1:])
-        return iterated_value_at(self.context, CharacterSpec.trivial(), degrees) - inner
+        trivial = CharacterSpec.trivial()
+        inner = iterated_value_at(self.context, trivial, degrees[1:], self.budget)
+        return iterated_value_at(self.context, trivial, degrees, self.budget) - inner
 
     def difference_single_variable(self) -> RationalFunctionN:
         """(E_w[tree fix] - E_w[#fix(S_{n_m})]) with every n_i = n: the
         streamed one-level sum subtracted from the streamed ``levels``-level
         sum, reduced once."""
-        total = _level_sum(self.context, CharacterSpec.trivial(), self.levels)
-        return (total + _level_sum(self.context, CharacterSpec.trivial(), 1) * -1).reduced()
+        trivial = CharacterSpec.trivial()
+        total = _level_sum(self.context, trivial, self.levels, self.budget)
+        return (total + _level_sum(self.context, trivial, 1, self.budget) * -1).reduced()
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:
@@ -585,7 +588,7 @@ def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> Tre
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     if levels < 1:
         raise ValidationError("need at least one wreath level")
-    return TreeFixReport(ctx, levels)
+    return TreeFixReport(ctx, levels, budget)
 
 
 def tree_dimension_identity(levels: int) -> bool:

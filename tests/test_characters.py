@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wml.characters as characters
@@ -23,6 +23,7 @@ from wml.characters import (
 from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word, spanning_tree_basis
 from wml.cli import parse_group_spec
 from wml.cyclotomic import Cyclotomic
+from wml.oracle import word_element_counts
 from wml.words import Word, parse_word, parse_words, reduce_letters
 
 F1 = spanning_tree_basis(bouquet(1))
@@ -272,7 +273,7 @@ def test_json_linear_character_with_a_non_root_value_raises(tmp_path):
 
 
 def _counted(phi, v):
-    """E[phi(v)] by counting over all of G^k."""
+    """E[phi(v)] from the per-element counts of ``_word_counts``."""
     group = phi.group
     counts = _word_counts(group, v.rank, v.letters, 10**6)
     total = Cyclotomic.zero()
@@ -316,3 +317,34 @@ def test_singleton_rule_uses_the_mean_of_a_non_character():
                                   is_irreducible=True)
     w = parse_word("aab")
     assert expectation_word(minus_trivial, w) == -1 == _counted(minus_trivial, w)
+
+
+@st.composite
+def groups_and_words(draw):
+    """A builtin group and a word of rank 1-4 with 1-10 letters, in which
+    some generators may not occur."""
+    g, _ = builtin_group(draw(st.sampled_from(["C2", "C3", "C4", "C5", "S3", "S4", "D8", "Q8"])))
+    rank = draw(st.integers(1, 4))
+    assume(g.order**rank <= 10**5)  # the brute count stays small
+    alphabet = [x for l in range(1, rank + 1) for x in (l, -l)]
+    letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=10))
+    return g, Word(rank, reduce_letters(letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_and_words())
+@example((builtin_group("S3")[0], Word(3, (1, 1, 2, 2))))  # c does not occur
+@example((builtin_group("Q8")[0], Word(2, (1, 2, -1, -2, 1, 2))))  # no factor splits
+@example((builtin_group("S4")[0], Word(3, (1, 1, -2, 3, 2, 3))))  # a factor, then b..b with c inside
+def test_letter_elimination_equals_the_tuple_count(case):
+    g, v = case
+    counts = _word_counts(g, v.rank, v.letters, 10**7)
+    assert counts == [int(c) for c in word_element_counts(v, g)]
+
+
+def test_elimination_budget_names_the_stage_and_its_progress():
+    g, _ = builtin_group("S4")
+    v = parse_word("[a,b][a,c]")
+    with pytest.raises(BudgetError, match=r"word-measure enumeration \(2 of 8 letters counted\)") as exc:
+        _word_counts(g, v.rank, v.letters, 600)
+    assert exc.value.needed > exc.value.budget == 600

@@ -281,6 +281,55 @@ def test_budget_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["expect", "[a,b][a,c]", "--symbolic"],
+    ["tree", "[a,b][a,c]"],
+    ["rank", "[a,b][a,c]"],
+], ids=["expect", "tree", "rank"])
+def test_budget_reaches_the_quotient_enumeration(capsys, argv):
+    assert run([*argv, "--budget", "50"]) == 3
+    assert "quotient enumeration" in capsys.readouterr().err
+
+
+def test_symbolic_commands_never_import_numpy():
+    # numpy serves the oracle only; the symbolic side counts words in pure Python
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = (
+        "import contextlib, io, json, sys\n"
+        "import wml, wml.cli\n"
+        "queries = []\n"
+        "for group, char in (('S3', 'std'), ('Q8', 'dim2')):\n"
+        "    spec = ['--group', group, '--char', char]\n"
+        "    queries += [['expect', 'aabb', '--symbolic', *spec],\n"
+        "                ['expect-iterated', 'aabb', '--levels', '2', *spec],\n"
+        "                ['witnesses', 'aabb', *spec]]\n"
+        "queries.append(['tree', 'aabb', '--levels', '2'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [wml.cli.run(q) for q in queries]\n"
+        "    before = 'numpy' in sys.modules\n"
+        "    codes.append(wml.cli.run(['oracle', 'aabb', '--group', 'S3', '--char', 'std']))\n"
+        "print(json.dumps([codes, before, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 8, False, True]
+
+
+def test_surface_word_on_s5_answers(capsys):
+    # 120^4 tuples: beyond a tuple count's budget, not the elimination's
+    code, data = run_json(capsys, "expect", "[a,b][c,d]", "--group", "S5", "--char", "std",
+                          "--symbolic")
+    assert code == 0
+    assert data["symbolic"]["num"] == [["1/64"]]
+    assert data["symbolic"]["den"] == [["0"], ["0"], ["0"], ["1"]]
+    # the S4 analogue at n = 1 against the oracle's 24^4 tuples
+    spec = ["--group", "S4", "--char", "std", "--n", "1"]
+    code, data = run_json(capsys, "expect", "[a,b][c,d]", *spec)
+    _, oracle = run_json(capsys, "oracle", "[a,b][c,d]", *spec)
+    assert code == 0 and data["value"] == oracle["value"] == "1/27"
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("WML_BUDGET", "10")
     assert run(["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]) == 3

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbit_reference
+import wml.oracle as oracle
 from wml.budget import BudgetError
 from wml.characters import builtin_group, classfunction_from_elements, inner_product
 from wml.cyclotomic import Cyclotomic
@@ -145,6 +146,52 @@ def test_monte_carlo_zero_variance_and_seeds():
     assert a == b
     c = monte_carlo_expectation(parse_word("[a,b]"), W, chi, 500, seed=10)
     assert a != c
+
+
+def _monte_carlo_reference(w, group, chi, samples, seed):
+    """The sampling loop, one tuple at a time on explicit products:
+    (mean, stderr) with the values added in the order drawn."""
+    rng = random.Random(seed)
+    if isinstance(group, ExplicitWreath):
+        mult, inverse, ident = group.mult_id, group.inverse_id, group.identity_id
+    else:
+        mult, inverse, ident = (lambda a, b: group.mult[a][b]), group.inverse.__getitem__, 0
+    values = [chi(e) for e in range(group.order)] if callable(chi) else list(chi)
+    float_values = [complex(v.to_complex()).real for v in values]
+    total = total_sq = 0.0
+    for _ in range(samples):
+        tup = [rng.randrange(group.order) for _ in range(w.rank)]
+        cur = ident
+        for x in w.letters:
+            e = tup[abs(x) - 1]
+            cur = mult(cur, e if x > 0 else inverse(e))
+        total += float_values[cur]
+        total_sq += float_values[cur] * float_values[cur]
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    return mean, ((var / samples) ** 0.5 if samples > 1 else None)
+
+
+@pytest.mark.parametrize("group, char, degrees, word, samples", [
+    ("C2", 1, [3], "[a,b]", 3000),
+    ("S3", 2, [2], "aabb", 1000),
+    ("C3", 1, [2, 2], "[a,b]", 500),
+    ("Q8", 4, None, "abab^-1", 1000),
+    ("C5", 1, [2], "aabb", 2000),  # irrational values: the order of the sum shows
+    ("C5", 2, None, "aabbb", 3000),
+    ("S4", 3, None, "[a,b]c", 1),
+])
+def test_monte_carlo_equals_the_sampling_loop(monkeypatch, group, char, degrees, word, samples):
+    # byte-identical mean and stderr, also across chunk boundaries
+    monkeypatch.setattr(oracle, "_BRUTE_CHUNK", 97)
+    base, chars = builtin_group(group)
+    if degrees is None:
+        target, chi = base, chars[char]
+    else:
+        target, chi = iterated_ind_character(base, chars[char], degrees)
+    w = parse_word(word)
+    est = monte_carlo_expectation(w, target, chi, samples, seed=13)
+    assert (est.mean, est.stderr) == _monte_carlo_reference(w, target, chi, samples, seed=13)
 
 
 def test_monte_carlo_stderr_scaling():
