@@ -511,21 +511,20 @@ def symmetric_std_character(n: int) -> ClassFunction:
 def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> list[int]:
     """Counts of w(g_1..g_k) over all tuples in G^k, one per element.
 
-    Letter elimination: a generator is open from its first letter to its
-    last.  A state is the running product with the values of the open
-    generators; a generator's first letter branches over G, and after its
-    last letter it is summed out.  Where no generator is open the word
-    splits into factors on disjoint generators, each counted from the
-    identity, whose distributions are convolved; a generator that does
-    not occur multiplies every count by |G|.  Each step's states and each
-    convolution's products are charged to ``budget`` before they are
-    built.
+    A generator is open from its first letter to its last.  The word is
+    cut where no generator is open; the pieces use disjoint generators, so
+    each is counted from the identity and their distributions are
+    convolved, and a generator that does not occur multiplies every count
+    by |G|.  A piece is counted by a table of its values
+    (``_count_by_table``) when the table has no more entries than letter
+    elimination (``_count_by_elimination``) has states at most and fits
+    the budget left, and by elimination otherwise.  The states, table
+    entries and convolution products of the whole count are charged to
+    ``budget`` before they are built; a table is charged once, however
+    many letters rewrite it.
     """
-    order, mult, inverse = group.order, group.mult, group.inverse
-    first, last = {}, {}
-    for i, x in enumerate(letters):
-        first.setdefault(abs(x), i)
-        last[abs(x)] = i
+    order, mult = group.order, group.mult
+    last = {abs(x): i for i, x in enumerate(letters)}
     spent = 0
 
     def charge(work: int, done: int) -> None:
@@ -538,6 +537,63 @@ def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> li
             )
 
     total = {0: 1}
+    start = end = 0
+    for i, x in enumerate(letters):
+        end = max(end, last[abs(x)])
+        if end > i:
+            continue
+        piece = letters[start:i + 1]
+        entries = order ** len({abs(y) for y in piece})
+        tabulate = order <= 256 and entries <= min(_elimination_bound(order, piece), budget - spent)
+        count = _count_by_table if tabulate else _count_by_elimination
+        counts = count(group, piece, lambda work, done: charge(work, start + done))
+        if total != {0: 1}:  # convolve the piece's distribution into the total
+            charge(len(total) * len(counts), i + 1)
+            product = {}
+            for a, ca in total.items():
+                row = mult[a]
+                for b, cb in counts.items():
+                    e = row[b]
+                    product[e] = product.get(e, 0) + ca * cb
+            counts = product
+        total, start = counts, i + 1
+    scale = order ** (var_count - len(last))
+    out = [0] * order
+    for e, c in total.items():
+        out[e] = c * scale
+    return out
+
+
+def _elimination_bound(order: int, letters) -> int:
+    """An upper bound on the states letter elimination builds on
+    ``letters``: after each letter, no more than |G|^s for the s
+    generators seen so far, and no more than |G|^(o+1) for a running
+    product with o open values."""
+    last = {abs(x): i for i, x in enumerate(letters)}
+    seen, opened, bound = set(), 0, 0
+    for i, x in enumerate(letters):
+        g = abs(x)
+        if g not in seen:
+            seen.add(g)
+            opened += 1
+        if last[g] == i:
+            opened -= 1
+        bound += order ** min(len(seen), opened + 1)
+    return bound
+
+
+def _count_by_elimination(group: FiniteGroup, letters, charge) -> dict[int, int]:
+    """Counts of the word's values over all tuples of the generators that
+    occur, by letter elimination: a state is the running product with the
+    values of the open generators; a generator's first letter branches
+    over G, and after its last letter it is summed out.  Each step's
+    states are passed to ``charge(work, letters done)`` before they are
+    built."""
+    order, mult, inverse = group.order, group.mult, group.inverse
+    first, last = {}, {}
+    for i, x in enumerate(letters):
+        first.setdefault(abs(x), i)
+        last[abs(x)] = i
     states = {(0,): 1}  # (running product, values of the open generators) -> count
     opened = []  # the open generators, in the order of their values in a state
     for i, x in enumerate(letters):
@@ -566,19 +622,54 @@ def _word_counts(group: FiniteGroup, var_count: int, letters, budget: int) -> li
             if drop:
                 opened.remove(g)
         states = new
-        if not opened:  # a factor ends: convolve its distribution into the total
-            charge(len(total) * len(states), i + 1)
-            product = {}
-            for a, ca in total.items():
-                row = mult[a]
-                for (b,), cb in states.items():
-                    e = row[b]
-                    product[e] = product.get(e, 0) + ca * cb
-            total, states = product, {(0,): 1}
-    scale = order ** (var_count - len(first))
-    counts = [0] * order
-    for e, c in total.items():
-        counts[e] = c * scale
+    return {key[0]: c for key, c in states.items()}
+
+
+def _count_by_table(group: FiniteGroup, letters, charge) -> dict[int, int]:
+    """Counts of the word's values over all tuples of the generators that
+    occur, from the table of those values: a byte string indexed by the
+    tuple in mixed radix |G|, the first generator to occur as the lowest
+    digit.  Each letter right-multiplies every entry by its generator's
+    value, the entry's digit for that generator, with ``bytes.translate``:
+    one call per run of entries that share the digit or per stride through
+    them, whichever is fewer, so the work runs at C speed.  Needs
+    |G| <= 256; the table is passed to ``charge(work, letters done)``
+    before it is built."""
+    order, mult, inverse = group.order, group.mult, group.inverse
+    digits = {}
+    for x in letters:
+        digits.setdefault(abs(x), len(digits))
+    charge(order ** len(digits), 0)
+    pad = bytes(256 - order)
+    right = [bytes(row[h] for row in mult) + pad for h in range(order)]  # p -> p h
+    right_inverse = [right[inverse[h]] for h in range(order)]  # p -> p h^-1
+    table = b"\0"  # the empty tuple's value: the identity
+    seen = set()
+    for x in letters:
+        g = abs(x)
+        maps = right if x > 0 else right_inverse
+        stride = order ** digits[g]
+        if g not in seen:  # a new most significant digit
+            seen.add(g)
+            table = b"".join(table.translate(t) for t in maps)
+        elif len(table) <= order * stride * stride:  # fewer runs than strides
+            table = b"".join(
+                table[r:r + stride].translate(maps[r // stride % order])
+                for r in range(0, len(table), stride)
+            )
+        else:
+            step, out = order * stride, bytearray(len(table))
+            for h, t in enumerate(maps):
+                for r in range(h * stride, (h + 1) * stride):
+                    out[r::step] = table[r::step].translate(t)
+            table = out
+    # conjugating every generator by one element permutes the tuples, so
+    # the counts are constant on conjugacy classes: one count per class
+    counts = {}
+    for cls in group.classes:
+        n = table.count(cls[0])
+        if n:
+            counts.update(dict.fromkeys(cls, n))
     return counts
 
 

@@ -272,10 +272,10 @@ def test_json_linear_character_with_a_non_root_value_raises(tmp_path):
         parse_group_spec(str(path))
 
 
-def _counted(phi, v):
+def _counted(phi, v, budget=10**6):
     """E[phi(v)] from the per-element counts of ``_word_counts``."""
     group = phi.group
-    counts = _word_counts(group, v.rank, v.letters, 10**6)
+    counts = _word_counts(group, v.rank, v.letters, budget)
     total = Cyclotomic.zero()
     for e in range(group.order):
         total = total + phi(e) * int(counts[e])
@@ -331,20 +331,43 @@ def groups_and_words(draw):
     return g, Word(rank, reduce_letters(letters))
 
 
+def _piece_counts(count, g, v):
+    """One counter's per-element list for the whole word, unused generators
+    included, with no budget in the way."""
+    counts = [0] * g.order
+    for e, c in count(g, v.letters, lambda work, done: None).items():
+        counts[e] = c * g.order ** (v.rank - len(set(map(abs, v.letters))))
+    return counts
+
+
 @settings(max_examples=200, deadline=None)
 @given(groups_and_words())
 @example((builtin_group("S3")[0], Word(3, (1, 1, 2, 2))))  # c does not occur
 @example((builtin_group("Q8")[0], Word(2, (1, 2, -1, -2, 1, 2))))  # no factor splits
 @example((builtin_group("S4")[0], Word(3, (1, 1, -2, 3, 2, 3))))  # a factor, then b..b with c inside
-def test_letter_elimination_equals_the_tuple_count(case):
+@example((builtin_group("S4")[0], Word(4, (1, 2, -1, 3, -2, 4, -3, -4))))  # a chain: eliminated
+def test_word_counts_equal_the_tuple_count(case):
     g, v = case
-    counts = _word_counts(g, v.rank, v.letters, 10**7)
-    assert counts == [int(c) for c in word_element_counts(v, g)]
+    brute = [int(c) for c in word_element_counts(v, g)]
+    assert _word_counts(g, v.rank, v.letters, 10**7) == brute
+    # each counter alone, on the word taken as one piece
+    assert _piece_counts(characters._count_by_elimination, g, v) == brute
+    assert _piece_counts(characters._count_by_table, g, v) == brute
 
 
 def test_elimination_budget_names_the_stage_and_its_progress():
     g, _ = builtin_group("S4")
-    v = parse_word("[a,b][a,c]")
+    v = parse_word("[a,b][a,c]")  # its table of 24^3 entries exceeds the budget
     with pytest.raises(BudgetError, match=r"word-measure enumeration \(2 of 8 letters counted\)") as exc:
         _word_counts(g, v.rank, v.letters, 600)
     assert exc.value.needed > exc.value.budget == 600
+
+
+def test_interleaved_word_is_charged_its_table_once():
+    # a, b and c stay open together: 120^3 table entries, rewritten by
+    # each of the 12 letters but charged once, within the default budget
+    g, chars = builtin_group("S5")
+    std = next(c for c in chars if c.name == "std")
+    v = parse_word("(abc)^4")
+    assert _word_counts(g, 3, v.letters, 120**3) == [int(c) for c in word_element_counts(v, g)]
+    assert expectation_word(std, v) == _counted(std, v, budget=120**3)

@@ -285,7 +285,8 @@ def test_budget_exit_code(capsys):
     ["expect", "[a,b][a,c]", "--symbolic"],
     ["tree", "[a,b][a,c]"],
     ["rank", "[a,b][a,c]"],
-], ids=["expect", "tree", "rank"])
+    ["witnesses", "[a,b][a,c]"],
+], ids=["expect", "tree", "rank", "witnesses"])
 def test_budget_reaches_the_quotient_enumeration(capsys, argv):
     assert run([*argv, "--budget", "50"]) == 3
     assert "quotient enumeration" in capsys.readouterr().err
