@@ -49,8 +49,8 @@ for text in ["[a,b]", "aabb", "aa"]:
 print()
 print("== The poset behind the commutator ==")
 ctx = WordContext(parse_word("[a,b]"))
-print(f"quotients of the commutator cycle: {len(ctx.nodes)}")
-for i, node in enumerate(ctx.nodes):
+print(f"quotients of the commutator cycle: {len(ctx.poset.nodes)}")
+for i, node in enumerate(ctx.poset.nodes):
     e = ctx.e_rel(i, CharacterSpec.finite(std))
     print(f"  rank {node.rank()}  V={node.n_vertices}  E_rel[std] = {e}   {node}")
 

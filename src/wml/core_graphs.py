@@ -648,21 +648,22 @@ class QuotientPoset:
     bouquet as the generator yields them.  H <= J exactly when H's
     partition refines J's: the morphism of core graphs commutes with the
     maps from the w-cycle.  The order is one bitset up-set per node, built
-    on the first order query and charged against the evaluation budget
-    before it is allocated; ``above`` reads a node's up-set, and ``leq``
-    one bit of it.
+    on the first order query and charged, like the enumeration, against
+    the budget given at construction before it is allocated; ``above``
+    reads a node's up-set, and ``leq`` one bit of it.
     """
 
-    def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND):
+    def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND, budget=None):
         cyc, _ = cyclic_reduce(word)
         if not cyc.letters:
             raise ValidationError("quotient poset is undefined for the identity word")
         check_word_length(cyc, bound)
         self.word = cyc.to_word()
         letters = cyc.letters
+        self._budget = eval_budget(budget)
         graph_of = partition_graphs(letters, cyc.rank, cyc.names)
         found = [(graph_of(p), p, fibers)
-                 for p, fibers, _ in fold_closed_partitions(letters, cyc.rank, eval_budget())]
+                 for p, fibers, _ in fold_closed_partitions(letters, cyc.rank, self._budget)]
         found.sort(key=lambda item: (item[0].rank(), -item[0].n_vertices, item[0].key()))
         self.nodes, self._partitions, self.fibers = map(tuple, zip(*found))
         self._index = {g: i for i, g in enumerate(self.nodes)}
@@ -677,7 +678,7 @@ class QuotientPoset:
         merged pairs (f, i), of the nodes that put f and i in one block."""
         if self._up is None:
             size = len(self.nodes)
-            check(f"quotient order ({size} nodes)", size * -(-size // 64), eval_budget())
+            check(f"quotient order ({size} nodes)", size * -(-size // 64), self._budget)
             # cells[i][b]: the nodes that put position i in block b (b <= i)
             cells = [[bytearray((size + 7) // 8) for _ in range(i + 1)]
                      for i in range(len(self.word.letters))]
@@ -757,14 +758,15 @@ class QuotientPoset:
         return self._index.get(bouquet(self.word.rank, self.word.names))
 
 
-def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> QuotientPoset:
+def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND, budget=None) -> QuotientPoset:
     """The poset Q_B(w) of quotients of the w-cycle.
 
     Generated as the fold-closed partitions of the positions of w, each
     once, without iterating all set partitions; the order is refinement
-    of partitions, built on the first order query.
+    of partitions, built on the first order query; both are charged
+    against ``budget``.
     """
-    return QuotientPoset(w, bound)
+    return QuotientPoset(w, bound, budget)
 
 
 def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]]:

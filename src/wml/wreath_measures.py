@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from math import inf, isqrt
+from math import inf
 
 from .budget import (
     DEFAULT_WHITEHEAD_RANK_BOUND,
@@ -58,10 +58,11 @@ def _phi_key(phi: CharacterSpec):
 
 
 class WordContext:
-    """Everything computed about one word: compressed cyclic word, quotient
-    poset, bases, relative expectations, the fiber pairs of chain links,
-    iterated values and sums, and the contexts of the word rewritten in a
-    quotient's basis.  A caller holds one to share that work and drops it to free it.
+    """Everything computed about one word: compressed cyclic word, the
+    stored quotient poset of ``iterated_expectation``'s chains with their
+    bases, relative expectations and link fibers, iterated values and
+    sums, and the contexts of the word rewritten in a quotient's basis.
+    A caller holds one to share that work and drops it to free it.
     Streamed sums rewrite w off a partition's block tables before drawing
     the next partition, which invalidates them."""
 
@@ -82,25 +83,17 @@ class WordContext:
 
     @property
     def poset(self) -> QuotientPoset:
-        """The stored quotient poset, built on first access.  Only the
-        chains of ``iterated_expectation`` and the general actions read it;
-        every symbolic sum, value at concrete degrees, tree report and
-        witness report streams the partitions instead."""
+        """The stored quotient poset.  Only the chains of
+        ``iterated_expectation`` read it, which builds it under the
+        caller's budget; on a first access here it is built under the
+        default one.  Every other sum streams the partitions instead."""
         if self._poset is None:
             self._poset = enumerate_quotients(self.word)
         return self._poset
 
-    @property
-    def nodes(self):
-        return self.poset.nodes
-
-    @property
-    def bottom(self) -> int:
-        return self.poset.bottom_index
-
     def basis(self, i: int):
         if i not in self._bases:
-            self._bases[i] = spanning_tree_basis(self.nodes[i])
+            self._bases[i] = spanning_tree_basis(self.poset.nodes[i])
         return self._bases[i]
 
     def e_rel(self, i: int, phi: CharacterSpec, budget=None) -> Cyclotomic:
@@ -108,11 +101,6 @@ class WordContext:
         if key not in self._erel:
             self._erel[key] = expectation_rel(phi, self.word, self.basis(i), budget)
         return self._erel[key]
-
-    def bouquet_fibers(self, i: int):
-        """(vertex fibers, edge fibers) of the morphism node -> bouquet, as
-        the partition stream yielded them with node i (``poset.fibers``)."""
-        return self.poset.fibers[i]
 
     def link_fibers(self, i: int, j: int):
         eta = self.poset.morphism_between(i, j)
@@ -141,7 +129,7 @@ def _as_spec(phi) -> CharacterSpec:
 
 
 def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blocks=None):
-    """(bouquet fibers, coefficient) of each quotient H of the w-cycle with
+    """(partition, bouquet fibers, coefficient) of each quotient H of the w-cycle with
     at most ``max_blocks`` vertices whose coefficient is non-zero, streamed
     off the fold-closed partitions with no stored poset.
 
@@ -165,7 +153,7 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blo
                 c = inner(ctx.context_of(rewritten))
             coefficients[rewritten] = c
         if not c.is_zero():
-            yield fibers, c
+            yield p, fibers, c
 
 
 def _level_sum(ctx: WordContext, phi: CharacterSpec, levels: int, budget=None) -> PoleRational:
@@ -179,7 +167,7 @@ def _level_sum(ctx: WordContext, phi: CharacterSpec, levels: int, budget=None) -
         inner = partial(_level_sum, phi=phi, levels=levels - 1, budget=budget) if levels > 1 else None
         zero = _ZERO if inner is None else PoleRational()  # sums and constants mix above one level
         by_fibers: dict = {}
-        for fibers, c in _quotient_terms(ctx, phi, inner, budget):
+        for _, fibers, c in _quotient_terms(ctx, phi, inner, budget):
             by_fibers[fibers] = by_fibers.get(fibers, zero) + c
         ctx._sums[key] = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
     return ctx._sums[key]
@@ -505,7 +493,7 @@ def iterated_value_at(
     else:
         *rest, n_last = degrees
         inner = partial(iterated_value_at, phi=phi, degrees=rest, budget=budget) if rest else None
-        for (vf, ef), c in _quotient_terms(ctx, phi, inner, budget, n_last):
+        for _, (vf, ef), c in _quotient_terms(ctx, phi, inner, budget, n_last):
             total = total + c * L_value_at(vf, ef, n_last)
     ctx._values[key] = total
     return total
@@ -522,8 +510,11 @@ def iterated_expectation(
     Only the chains with a non-zero coefficient are built: the nodes are
     taken in index order, and a node H_1 with E_{w->H_1}[phi] != 0 is
     extended through its up-set alone.  The terms come in the
-    lexicographic order of their node tuples."""
+    lexicographic order of their node tuples.  The stored poset is built
+    here, under the caller's budget."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
+    if ctx._poset is None:
+        ctx._poset = enumerate_quotients(ctx.word, budget=budget)
     poset = ctx.poset
     terms = []
     for first in range(len(poset)):
@@ -534,7 +525,7 @@ def iterated_expectation(
         for rest in poset.chains(spec.levels - 1, up):
             chain = (first,) + rest
             links = [ctx.link_fibers(a, b) for a, b in zip(chain, chain[1:])]
-            links.append(ctx.bouquet_fibers(chain[-1]))
+            links.append(poset.fibers[chain[-1]])
             terms.append(ChainTerm(coeff, chain, tuple(links)))
     return IteratedExpectation(ctx, spec.phi, spec.levels, tuple(terms))
 
@@ -654,14 +645,13 @@ class PGroupBoundRow:
 
 def p_group_bound_check(w: Word, group, chars, budget=None):
     """For a finite p-group: every non-trivial irreducible phi has
-    pi_phi(w) >= pi_{C_p}(w)."""
-    order = group.order
-    p = None
-    for q in range(2, order + 1):
-        if order % q == 0:
-            p = q
-            break
-    if p is None or any(order % q == 0 for q in range(2, order) if q != p and _is_prime(q)):
+    pi_phi(w) >= pi_{C_p}(w).  p is the smallest divisor >= 2 of the
+    order, which is a p-group's order exactly when dividing p out leaves 1."""
+    p = next((q for q in range(2, group.order + 1) if group.order % q == 0), None)
+    rest = group.order
+    while p and rest % p == 0:
+        rest //= p
+    if p is None or rest != 1:
         raise ValidationError(f"{group.name} is not a p-group")
     ctx = WordContext(w)
     pi_c = witness_report(ctx, CharacterSpec.circle(p), budget).pi
@@ -672,10 +662,6 @@ def p_group_bound_check(w: Word, group, chars, budget=None):
         pp = witness_report(ctx, CharacterSpec.finite(cf), budget).pi
         rows.append(PGroupBoundRow(cf.name, pp, pi_c, pp >= pi_c))
     return pi_c, rows
-
-
-def _is_prime(q: int) -> bool:
-    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 @dataclass
@@ -692,18 +678,19 @@ def general_action_expectation(
 ) -> Cyclotomic:
     """E_w[Ind_X phi] for an arbitrary permutation action (and optional
     letter distribution), via the convolution sum with directly counted
-    L-terms."""
+    L-terms.  The quotients are streamed off the fold-closed partitions
+    with at most |X| blocks, since a quotient with more vertices than X
+    has no injective placement; each is folded into its core graph for
+    ``L_general`` and no poset is stored."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     phi = _as_spec(phi)
     dists = dists or LetterDistribution.uniform(action, ctx.rank)
+    graph_of = partition_graphs(ctx.word.letters, ctx.rank, ctx.word.names)
     total = _ZERO
-    for i in range(len(ctx.nodes)):
-        coeff = ctx.e_rel(i, phi, budget)
-        if coeff.is_zero():
-            continue
-        lv = L_general(ctx.nodes[i], action, dists, budget)
+    for p, _, c in _quotient_terms(ctx, phi, None, budget, action.degree):
+        lv = L_general(graph_of(p), action, dists, budget)
         if lv:
-            total = total + coeff * lv
+            total = total + c * lv
     return total
 
 
@@ -712,7 +699,11 @@ def action_decay_bound_check(
 ) -> GeneralActionReport:
     """Orbit-counting decay bound: for a non-power w, the exact
     |E_w[Ind_X phi]| is at most dim(phi)/sqrt(|X|) times the total number
-    of injective orbit classes over the non-cyclic quotients."""
+    of injective orbit classes over the non-cyclic quotients.
+
+    One pass over the fold-closed partitions counts the quotients above
+    the w-cycle by vertex count, checking each one's rank 1 - V + E off
+    its fibers, and the orbits are counted once per vertex count."""
     from .oracle import injective_orbit_count
 
     cyc, _ = cyclic_reduce(w)
@@ -722,15 +713,15 @@ def action_decay_bound_check(
     spec = _as_spec(phi)
     value = general_action_expectation(ctx, spec, action, budget=budget)
     X = action.degree
-    inj_total = 0
-    for i in range(len(ctx.nodes)):
-        node = ctx.nodes[i]
-        if i == ctx.bottom:
-            continue
-        if node.rank() < 2:
+    by_vertices: dict = {}  # V -> the quotients above the w-cycle with V vertices
+    for p, ((v,), e), _ in fold_closed_partitions(ctx.word.letters, ctx.rank, eval_budget(budget)):
+        if v == len(p):
+            continue  # the w-cycle itself
+        if 1 - v + sum(e) < 2:
             raise InvariantError("non-power words have only non-cyclic proper quotients")
-        if node.n_vertices <= X:
-            inj_total += injective_orbit_count(action, node.n_vertices, budget)
+        by_vertices[v] = by_vertices.get(v, 0) + 1
+    inj_total = sum(k * injective_orbit_count(action, v, budget)
+                    for v, k in by_vertices.items() if v <= X)
     dim = float(spec.dim().to_fraction())
     abs_value = abs(value.to_complex())
     bound = dim * inj_total / math.sqrt(X)

@@ -50,7 +50,7 @@ class AlgRoute:
             """L^alg from algebraic a to algebraic b (None: the bouquet)."""
             middles = [m for m in everything if core[m] == a and poset.leq(a, m)]
             if b is None:
-                return tuple(ctx.bouquet_fibers(m) for m in middles)
+                return tuple(poset.fibers[m] for m in middles)
             return tuple(ctx.link_fibers(m, b) for m in middles if poset.leq(m, b))
 
         allowed = [i for i in algebraic if poset.leq(i, core[top])]

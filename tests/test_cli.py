@@ -115,7 +115,7 @@ def test_chains_of_the_identity_word_are_validation_errors(capsys, command):
 def _forbid_the_poset(monkeypatch, command):
     import wml.wreath_measures
 
-    def unbuilt(w):
+    def unbuilt(*args, **kwargs):
         raise AssertionError(f"{command} built the quotient poset")
 
     monkeypatch.setattr(wml.wreath_measures, "enumerate_quotients", unbuilt)
@@ -286,7 +286,8 @@ def test_budget_exit_code(capsys):
     ["tree", "[a,b][a,c]"],
     ["rank", "[a,b][a,c]"],
     ["witnesses", "[a,b][a,c]"],
-], ids=["expect", "tree", "rank", "witnesses"])
+    ["expect-iterated", "[a,b][a,c]", "--levels", "2"],
+], ids=["expect", "tree", "rank", "witnesses", "expect-iterated"])
 def test_budget_reaches_the_quotient_enumeration(capsys, argv):
     assert run([*argv, "--budget", "50"]) == 3
     assert "quotient enumeration" in capsys.readouterr().err

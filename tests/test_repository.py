@@ -101,6 +101,23 @@ def test_the_witness_reference_reads_the_stored_poset():
     assert not names & library, names & library
 
 
+def test_the_general_action_reference_reads_the_stored_poset():
+    # the tests compare the streamed general-action sums against this reference
+    names = _names_read("general_action_reference.py")
+    library = {"fold_closed_partitions", "read_partition", "partition_graphs",
+               "_quotient_terms", "general_action_expectation"}
+    assert not names & library, names & library
+
+
+def test_only_the_chains_read_the_stored_poset():
+    # every other sum streams the partitions; a new reader of the stored
+    # poset brings its memory back
+    tree = ast.parse((ROOT / "src" / "wml" / "wreath_measures.py").read_text())
+    readers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr in ("poset", "_poset")}
+    assert readers == {"WordContext", "iterated_expectation"}, readers
+
+
 def test_the_alg_route_reference_builds_its_own_chains():
     # the tests compare the library's chain sum against this reference's
     # algebraic chains

@@ -18,10 +18,10 @@ from wml.core_graphs import (
     read_partition,
 )
 from wml.cyclotomic import Cyclotomic
-from wml.mobius import L_rational, PermAction
+from wml.mobius import L_rational, LetterDistribution, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
 from wml.rational import PoleRational, Poly, RationalFunctionN
-from wml.words import Word, parse_word, parse_words
+from wml.words import Word, cyclic_reduce, parse_word, parse_words
 from wml.wreath_measures import (
     IteratedSpec,
     WordContext,
@@ -42,6 +42,7 @@ from wml.wreath_measures import (
     witness_report,
 )
 from alg_route_reference import AlgRoute
+from general_action_reference import general_action_reference, injective_orbit_total_reference
 from witness_reference import witness_report_reference
 from word_strategies import cyclic_words
 
@@ -375,7 +376,7 @@ class TestIterated:
         # [a,b][a,c] has rank-5 quotients; the free-factor certificates
         # settle each of them, so the algebraic route meets no bound
         ctx = WordContext(parse_word("[a,b][a,c]"))
-        assert max(node.rank() for node in ctx.nodes) == 5
+        assert max(node.rank() for node in ctx.poset.nodes) == 5
         b = iterated_expectation(ctx, IteratedSpec(1, TRIV))
         alg = AlgRoute(ctx, TRIV, 1)
         assert alg.single_variable() == b.single_variable()
@@ -593,9 +594,10 @@ class TestProfilesAndBounds:
         assert all(r.ok for r in rows)
 
     def test_p_group_rejects_non_p_groups(self):
-        G, chars = builtin_group("S3")
-        with pytest.raises(ValidationError):
-            p_group_bound_check(parse_word("aa"), G, chars)
+        for gname in ("C1", "S3", "C6"):
+            G, chars = builtin_group(gname)
+            with pytest.raises(ValidationError):
+                p_group_bound_check(parse_word("aa"), G, chars)
 
 
 class TestGeneralActions:
@@ -619,6 +621,36 @@ class TestGeneralActions:
         for n in (2, 3, 4, 5):
             act = PermAction.symmetric(n)
             assert general_action_expectation(w, std, act) == ind_expectation_at(w, std, n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(cyclic_words(max_length=6))
+    @example(parse_word("[a,b]"))
+    def test_streamed_sums_equal_the_stored_poset_loops(self, w):
+        std = CharacterSpec.finite(char("S3", "std"))
+        ctx = WordContext(w)
+        for act in (PermAction.symmetric(3), PermAction.symmetric(4),
+                    PermAction.symmetric_on_subsets(4, 2)):
+            for dists in (None, LetterDistribution.m_torsion_uniform(act, 2, w.rank)):
+                for phi in (TRIV, CharacterSpec.circle(2), std):
+                    reference = general_action_reference(ctx, phi, act, dists)
+                    assert general_action_expectation(w, phi, act, dists) == reference
+            if not cyclic_reduce(w)[0].is_proper_power():
+                rep = action_decay_bound_check(w, std, act)
+                assert rep.value == general_action_reference(ctx, std, act)
+                assert rep.inj_orbit_total == injective_orbit_total_reference(ctx, act)
+
+    def test_general_actions_leave_the_poset_unbuilt(self, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a general-action sum built the quotient poset")
+
+        monkeypatch.setattr(wreath_measures, "enumerate_quotients", unbuilt)
+        std = char("S3", "std")
+        w = parse_word("[[a,b],[a,c]]")  # 221,008 quotients: the stored poset ran out of 1 GiB
+        value = general_action_expectation(w, std, PermAction.symmetric(4))
+        assert value == Fraction(311, 576) == ind_expectation_at(w, std, 4)
+        act = PermAction.symmetric_on_subsets(4, 2)
+        assert action_decay_bound_check(parse_word("[a,b]"), char("C2", "chi1"), act).ok
+        assert torsion_letter_expectation(parse_word("abc"), 2, TRIV, 3) == Fraction(33, 32)
 
     def test_torsion_letters_against_exhaustive_enumeration(self):
         for n in (3, 4):

@@ -24,10 +24,9 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
     ctx = WordContext(w)
     entries = []
     partial = False
-    for i in range(len(ctx.nodes)):
-        if i == ctx.bottom:
+    for i, node in enumerate(ctx.poset.nodes):
+        if i == ctx.poset.bottom_index:
             continue
-        node = ctx.nodes[i]
         if phi.kind == "trivial":
             # witness iff w is non-primitive in H
             if node.rank() > whitehead_bound:
