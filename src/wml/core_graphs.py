@@ -489,17 +489,15 @@ def _bits(x: int):
 def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | None = None):
     """Every partition of the positions of the cyclic word ``letters``
     whose quotient of the w-cycle is folded, each exactly once, as
-    ``(partition, fibers, tables)``.  The partition is a restricted-growth
-    tuple: position 0 is in block 0, and a position that opens a block
-    numbers it one past the last.  ``fibers`` is ``((V,), (E_l, ...))``,
-    the block count and the non-zero edge count of each label: the fibers
-    over the bouquet.  ``tables`` is ``(heads, tails)``, the quotient's
-    edges: ``heads[b*rank + l]`` (``tails``) is the block the l-edge
-    leaving (entering) b enters (leaves), or -1.  The tables are the
-    generator's own, valid only until the next item is drawn; partition
-    and fibers are snapshots.  With ``max_blocks`` no block is opened past
-    that many, so exactly the partitions with at most ``max_blocks``
-    blocks come out, in the same order, from fewer states.
+    ``(partition, fibers, word)``, all three snapshots.  The partition is
+    a restricted-growth tuple: position 0 is in block 0, and a position
+    that opens a block numbers it one past the last.  ``fibers`` is
+    ``((V,), (E_l, ...))``, the block count and the non-zero edge count of
+    each label: the fibers over the bouquet.  ``word`` is the letter tuple
+    of w rewritten in the quotient's first-crossing basis, of rank
+    1 - V + E.  With ``max_blocks`` no block is opened past that many, so
+    exactly the partitions with at most ``max_blocks`` blocks come out, in
+    the same order, from fewer states.
 
     A quotient of the w-cycle is fixed by the partition it induces on the
     positions of w, and the partitions that arise are exactly those whose
@@ -510,43 +508,66 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
     edge on the other side, or opens a block.  The edge from the last
     position back to position 0 is checked at the end.  Each assignment is
     one state charged against ``budget``.
+
+    The first-crossing basis is read off the same walk.  The edges that
+    open a block form a spanning tree; every other edge is the next
+    generator the first time w crosses it, oriented along that crossing,
+    and a later crossing repeats its letter, inverted against that
+    orientation.  So the generators first occur as +1, +2, ... in order,
+    and the word needs no free reduction: a cancelling pair would be a
+    closed tree walk between two crossings of one edge, which in a folded
+    graph means a letter followed by its inverse in w.
     """
     n = len(letters)
     cap = n if max_blocks is None else min(n, max_blocks)
-    heads, tails = tables = [-1] * (n * rank), [-1] * (n * rank)
-    steps = [(heads, tails, x - 1) if x > 0 else (tails, heads, -x - 1) for x in letters]
+    heads, tails = [-1] * (n * rank), [-1] * (n * rank)
+    # the signed generator of the edge in each slot of heads (tails), 0 on the tree
+    head_gens, tail_gens = [0] * (n * rank), [0] * (n * rank)
+    steps = [(heads, tails, head_gens, tail_gens, x - 1) if x > 0
+             else (tails, heads, tail_gens, head_gens, -x - 1) for x in letters]
     rgs = [0] * n
     counts = [0] * rank  # the edges of each label
-    states = found = 0
+    word = []  # w rewritten up to the current position
+    states = found = gens = 0
 
     def extend(i, blocks):
-        nonlocal states, found
-        near, far, l = steps[i - 1]
+        nonlocal states, found, gens
+        near, far, near_gens, far_gens, l = steps[i - 1]
         b = rgs[i - 1]
-        c = near[b * rank + l]
+        k = b * rank + l
+        c = near[k]
         forced = c >= 0  # the edge is already there, and so is its far end
         if i == n:  # the edge back to position 0
-            if c == 0 or not forced and far[l] < 0:
+            choices = (0,) if c == 0 or not forced and far[l] < 0 else ()
+        else:
+            choices = (c,) if forced else [c for c in range(min(blocks + 1, cap))
+                                           if far[c * rank + l] < 0]
+        for c in choices:
+            if forced:
+                x = near_gens[k]
+            else:
+                x = 0 if c == blocks else gens + 1  # an edge opening a block is a tree edge
+                near[k], far[c * rank + l] = c, b
+                near_gens[k], far_gens[c * rank + l] = x, -x
+                counts[l] += 1
+                gens += x > 0
+            if x:
+                word.append(x)
+            if i == n:
                 found += 1
-                near[b * rank + l], far[l] = 0, b
-                counts[l] += not forced
-                yield tuple(rgs), ((blocks,), tuple(e for e in counts if e)), tables
-                if not forced:
-                    near[b * rank + l] = far[l] = -1
-                    counts[l] -= 1
-            return
-        free = range(min(blocks + 1, cap))
-        for c in (c,) if forced else [c for c in free if far[c * rank + l] < 0]:
-            states += 1
-            if states > budget:
-                raise BudgetError(f"quotient enumeration ({found} nodes reached)", states, budget)
-            rgs[i] = near[b * rank + l] = c
-            far[c * rank + l] = b
-            counts[l] += not forced
-            yield from extend(i + 1, max(blocks, c + 1))
+                yield tuple(rgs), ((blocks,), tuple(e for e in counts if e)), tuple(word)
+            else:
+                states += 1
+                if states > budget:
+                    raise BudgetError(f"quotient enumeration ({found} nodes reached)", states, budget)
+                rgs[i] = c
+                yield from extend(i + 1, max(blocks, c + 1))
+            if x:
+                word.pop()
             if not forced:
-                near[b * rank + l] = far[c * rank + l] = -1
+                near[k] = far[c * rank + l] = -1
                 counts[l] -= 1
+                gens -= x > 0
 
     yield from extend(1, 1)
 
@@ -590,51 +611,6 @@ def check_word_length(cyc: CyclicWord, bound: int = DEFAULT_WORD_LENGTH_BOUND) -
         raise ValidationError(
             f"|w| = {len(cyc.letters)} exceeds quotient enumeration bound {bound}"
         )
-
-
-def read_partition(letters, rank: int, partition, tables) -> Word:
-    """w rewritten in the basis of the quotient of the w-cycle by one
-    fold-closed partition of the positions of ``letters``, read off the
-    partition and its block ``tables`` as ``fold_closed_partitions``
-    yields them (so before the generator's next item), with no core graph.
-
-    The basis is that of the BFS tree over the blocks from block 0, labels
-    in order and outgoing before incoming, with the non-tree edges
-    numbered in canonical edge order.  That is the tree
-    ``spanning_tree_basis`` takes on the canonical core graph, where the
-    BFS order is the numbering, so the word equals
-    ``rewrite_in_subgroup(w, spanning_tree_basis(node))``.
-    """
-    out, inn = tables
-    n = len(letters)
-    # an edge is named by the slot of its tail in ``out``
-    num = [-1] * n
-    num[0] = 0
-    queue = [0]
-    tree = set()
-    for v in queue:
-        for l in range(rank):
-            k = v * rank + l
-            for u, edge in ((out[k], k), (inn[k], inn[k] * rank + l)):
-                if u >= 0 and num[u] < 0:
-                    num[u] = len(queue)
-                    queue.append(u)
-                    tree.add(edge)
-    cotree = sorted(
-        (num[k // rank], num[d], k % rank, k)
-        for k, d in enumerate(out) if d >= 0 and k not in tree
-    )
-    letter = {k: j for j, (*_, k) in enumerate(cotree, 1)}
-    path = []
-    for i, x in enumerate(letters):
-        if x > 0:
-            j = letter.get(partition[i] * rank + x - 1)
-        else:
-            j = letter.get(partition[(i + 1) % n] * rank - x - 1)
-            j = j and -j
-        if j:
-            path.append(j)
-    return Word(len(cotree), reduce_letters(path))
 
 
 class QuotientPoset:

@@ -37,7 +37,6 @@ from .core_graphs import (
     enumerate_quotients,
     fold_closed_partitions,
     partition_graphs,
-    read_partition,
     spanning_tree_basis,
     trivial_graph,
 )
@@ -62,9 +61,7 @@ class WordContext:
     stored quotient poset of ``iterated_expectation``'s chains with their
     bases, relative expectations and link fibers, iterated values and
     sums, and the contexts of the word rewritten in a quotient's basis.
-    A caller holds one to share that work and drops it to free it.
-    Streamed sums rewrite w off a partition's block tables before drawing
-    the next partition, which invalidates them."""
+    A caller holds one to share that work and drops it to free it."""
 
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
@@ -107,11 +104,10 @@ class WordContext:
         return eta.vertex_fibers(), eta.edge_fibers()
 
     def context_of(self, rewritten: Word) -> "WordContext":
-        """The context of the word rewritten in a quotient's basis: this
-        context itself when that is the word (at the bouquet), which is
-        not stored, so a context never holds a reference to itself."""
-        if rewritten == self.word:
-            return self
+        """The context of the word rewritten in a quotient's basis.  The
+        sums take the bouquet's value from this context itself and ask
+        here only for the other quotients, whose rewritten words are
+        shorter than w, so a context never holds one of its own word."""
         if rewritten.letters not in self._inner:
             self._inner[rewritten.letters] = WordContext(rewritten)
         return self._inner[rewritten.letters]
@@ -134,24 +130,26 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blo
     off the fold-closed partitions with no stored poset.
 
     The coefficient depends only on w rewritten in H's basis, so it is
-    computed once per rewritten word and call: E_{w->H}[phi] at one level
-    (``inner`` None), and otherwise ``inner`` of the rewritten word's
-    context.  A rewritten word in which some generator occurs once is
-    primitive, hence Haar at every level: its coefficient is E_{w->H}[phi]
-    too, with no context built.  The trivial character at one level needs
-    no rewriting."""
-    letters, rank = ctx.word.letters, ctx.rank
-    rewrite = inner is not None or phi.kind != "trivial"
-    coefficients = {None: _ONE}  # None: the word is not rewritten
-    for p, fibers, tables in fold_closed_partitions(letters, rank, eval_budget(budget), max_blocks):
-        rewritten = read_partition(letters, rank, p, tables) if rewrite else None
-        c = coefficients.get(rewritten)
+    computed once per rewritten word (the stream's first-crossing letters)
+    and call: E_{w->H}[phi] at one level (``inner`` None), and otherwise
+    ``inner`` of the rewritten word's context, which at the bouquet (one
+    vertex) is ``ctx`` itself.  A rewritten word in which some generator
+    occurs once is primitive, hence Haar at every level: its coefficient
+    is E_{w->H}[phi] too, with no context built.  The trivial character at
+    one level needs no rewritten word."""
+    trivial = inner is None and phi.kind == "trivial"
+    coefficients: dict = {}  # rewritten letters -> coefficient
+    for p, fibers, word in fold_closed_partitions(ctx.word.letters, ctx.rank,
+                                                  eval_budget(budget), max_blocks):
+        c = _ONE if trivial else coefficients.get(word)
         if c is None:
-            if inner is None or some_generator_occurs_once(rewritten.letters):
+            (v,), e = fibers
+            rewritten = Word(1 - v + sum(e), word)
+            if inner is None or some_generator_occurs_once(word):
                 c = expectation_rewritten(phi, rewritten, budget)
             else:
-                c = inner(ctx.context_of(rewritten))
-            coefficients[rewritten] = c
+                c = inner(ctx if v == 1 else ctx.context_of(rewritten))
+            coefficients[word] = c
         if not c.is_zero():
             yield p, fibers, c
 
@@ -277,12 +275,12 @@ def witness_report(
     non-zero relative expectation (trivial phi: where w is non-primitive),
     the minimal witness rank, the critical set, and its total value.
 
-    One pass over the fold-closed partitions, with no stored poset: each
-    quotient above the w-cycle is read off its partition, whether it is a
-    witness and whether it is algebraic are decided on w rewritten in its
-    basis (once per rewritten word), and only a witness is folded into a
-    core graph.  Critical entries come in the poset's node order and
-    witnesses sorted by (rank, graph key).
+    One pass over the fold-closed partitions, with no stored poset: for
+    each quotient above the w-cycle, whether it is a witness and whether
+    it is algebraic are decided on w rewritten in its first-crossing
+    basis as the stream yields it (once per distinct rewritten word), and
+    only a witness is folded into a core graph.  Critical entries come in
+    the poset's node order and witnesses sorted by (rank, graph key).
 
     Every critical entry is a proper algebraic extension; this is checked
     whenever the rank is within the Whitehead bound.
@@ -300,32 +298,32 @@ def witness_report(
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     letters, rank = ctx.word.letters, ctx.rank
     graph_of = partition_graphs(letters, rank, ctx.word.names)
-    values: dict = {}  # rewritten word -> E_{w->H}[phi] (trivial phi: 1 iff non-primitive)
-    algebraic: dict = {}  # rewritten word -> is <w> <= H algebraic
+    values: dict = {}  # rewritten letters -> E_{w->H}[phi] (trivial phi: 1 iff non-primitive)
+    algebraic: dict = {}  # rewritten letters -> is <w> <= H algebraic
     entries = []
     partial = False
-    for p, ((v,), e), tables in fold_closed_partitions(letters, rank, eval_budget(budget)):
+    for p, ((v,), e), word in fold_closed_partitions(letters, rank, eval_budget(budget)):
         if v == len(p):
             continue  # the w-cycle itself
-        if phi.kind == "trivial" and 1 - v + sum(e) > whitehead_bound:
-            partial = True  # H's rank 1 - V + E off its fibers: nothing to rewrite
+        h_rank = 1 - v + sum(e)
+        if phi.kind == "trivial" and h_rank > whitehead_bound:
+            partial = True  # H's rank 1 - V + E off its fibers exceeds the bound
             continue
-        rewritten = read_partition(letters, rank, p, tables)
-        h_rank = rewritten.rank
-        value = values.get(rewritten)
+        value = values.get(word)
         if value is None:
+            rewritten = Word(h_rank, word)
             if phi.kind == "trivial":
                 value = _ZERO if is_primitive(rewritten, whitehead_bound) else _ONE
             else:
                 value = expectation_rewritten(phi, rewritten, budget)
-            values[rewritten] = value
+            values[word] = value
         if value.is_zero():
             continue
         if h_rank <= whitehead_bound:
-            alg = algebraic.get(rewritten)
+            alg = algebraic.get(word)
             if alg is None:
-                alg = h_rank <= 1 or not lies_in_proper_free_factor(rewritten, whitehead_bound)
-                algebraic[rewritten] = alg
+                alg = h_rank <= 1 or not lies_in_proper_free_factor(Word(h_rank, word), whitehead_bound)
+                algebraic[word] = alg
         else:
             alg = None
             partial = True

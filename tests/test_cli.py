@@ -148,6 +148,16 @@ def test_witnesses_leaves_the_poset_unbuilt(capsys, monkeypatch):
     assert code == 0 and data["pi"] == 3 and data["witnesses"]
 
 
+def test_witnesses_reach_the_double_commutator(capsys):
+    # 221,008 quotients rewrite w to 1,030 distinct first-crossing words;
+    # pi, the critical value and the witness count are those the BFS-basis
+    # rewriting gave
+    code, data = run_json(capsys, "witnesses", "[[a,b],[a,c]]", "--group", "S3", "--char", "std")
+    assert code == 0
+    assert data["pi"] == 2 and data["crit_value"] == {"conductor": 1, "coeffs": ["1/2"]}
+    assert len(data["witnesses"]) == 56
+
+
 def test_one_level_expect_fits_one_gibibyte():
     # 221,008 quotients: the stored poset took about 2 GB, the stream does not store it
     src = Path(__file__).resolve().parents[1] / "src"

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fold_reference import fold_reference, merge_children_reference, quotient_keys_reference
-from wml.budget import BudgetError, InvariantError, ValidationError
-from wml.characters import CharacterSpec
+from partition_reader_reference import block_tables, read_partition
+from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, InvariantError, ValidationError
+from wml.characters import CharacterSpec, builtin_group, expectation_rewritten
 from wml.core_graphs import (
     CoreGraph,
     NotInSubgroupError,
@@ -23,11 +24,11 @@ from wml.core_graphs import (
     graph_of_word,
     is_algebraic_cyclic_base,
     morphism,
-    read_partition,
+    partition_graphs,
     rewrite_in_subgroup,
     spanning_tree_basis,
 )
-from wml.words import Word, parse_word, parse_words, reduce_letters
+from wml.words import Word, is_primitive, parse_word, parse_words, reduce_letters
 from wml.wreath_measures import (
     IteratedSpec,
     WordContext,
@@ -370,7 +371,7 @@ def test_enumeration_renumbers_once_per_node(text, nodes):
 
 def test_enumeration_checks_the_partition_against_the_vertex_count():
     # aab with positions 0 and 1 together forces 1 and 2 together as well
-    item = ((0, 0, 1), ((2,), (2, 1)), None)  # partition, fibers, tables
+    item = ((0, 0, 1), ((2,), (2, 1)), (1, 2))  # partition, fibers, word
     with mock.patch("wml.core_graphs.fold_closed_partitions", return_value=[item]):
         with pytest.raises(InvariantError, match="1 vertices has 2 blocks"):
             enumerate_quotients(parse_word("aab"))
@@ -484,35 +485,99 @@ def test_refinement_order_matches_merge_dag_reference(w):
 @settings(max_examples=30, deadline=None)
 @given(cyclic_words(max_length=10))
 def test_partition_reader_matches_the_core_graph(w):
-    # one-level sums read each quotient off its partition, fibers and block
-    # tables instead of building its core graph, basis and rewritten word
+    # the sums read each quotient's fibers and rank off the stream instead
+    # of building its core graph
     ctx = WordContext(w)
     poset = ctx.poset
     letters, rank = ctx.word.letters, ctx.rank
     index = {p: i for i, p in enumerate(poset._partitions)}
-    for p, fibers, tables in fold_closed_partitions(letters, rank, 10**7):
+    for p, fibers, word in fold_closed_partitions(letters, rank, 10**7):
         i = index.pop(p)
         node = poset.nodes[i]
         edges = (node.edges_with_label(l) for l in range(rank))
         assert fibers == ((node.n_vertices,), tuple(e for e in edges if e)), (w, p)
         assert poset.fibers[i] == fibers, (w, p)
-        rewritten = read_partition(letters, rank, p, tables)
-        expected = rewrite_in_subgroup(ctx.word, spanning_tree_basis(node))
-        assert rewritten == expected and rewritten.rank == expected.rank, (w, p)
+        assert max(map(abs, word)) == node.rank(), (w, p)
     assert not index
+
+
+def _first_crossing_loops(letters, partition):
+    """Each generator's loop in the first-crossing basis, found off the
+    partition alone: the tree path to where w first crosses its edge, the
+    edge, and the tree path back.  The tree is made of the crossings that
+    open a block, and the generators are numbered by first crossing."""
+    n = len(letters)
+    crossings = [(partition[i], partition[(i + 1) % n], x) for i, x in enumerate(letters)]
+    paths = {0: ()}
+    tree = set()
+    for a, b, x in crossings[:-1]:
+        if b not in paths:
+            paths[b] = paths[a] + (x,)
+            tree.add((a, x) if x > 0 else (b, -x))  # an edge is named by its tail and label
+    loops, seen = [], set(tree)
+    for a, b, x in crossings:
+        edge = (a, x) if x > 0 else (b, -x)
+        if edge not in seen:
+            seen.add(edge)
+            loops.append(paths[a] + (x,) + tuple(-y for y in reversed(paths[b])))
+    return loops
+
+
+_FC_CHARACTERS = (
+    CharacterSpec.trivial(),
+    CharacterSpec.circle(2),
+    CharacterSpec.finite(next(c for c in builtin_group("S3")[1] if c.name == "std")),
+    CharacterSpec.finite(next(c for c in builtin_group("Q8")[1] if c.name == "dim2")),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclic_words(max_length=8))
+def test_first_crossing_words_match_the_partition_reader(w):
+    # the stream rewrites w in the first-crossing basis; the sums depend on
+    # the rewritten word only through its rank and Aut(F_k)-invariant
+    # values, which must equal those of the BFS-basis reference
+    letters, rank = w.letters, w.rank
+    graph_of = partition_graphs(letters, rank)
+    compared = set()
+    for p, ((v,), e), word in fold_closed_partitions(letters, rank, 10**7):
+        k = 1 - v + sum(e)
+        firsts = []
+        for x in word:
+            if abs(x) not in firsts:
+                assert x > 0, (w, p, word)
+                firsts.append(x)
+        assert firsts == list(range(1, k + 1)), (w, p, word)
+        loops = _first_crossing_loops(letters, p)
+        assert len(loops) == k, (w, p)
+        expanded = [y for x in word
+                    for y in (loops[x - 1] if x > 0 else [-z for z in reversed(loops[-x - 1])])]
+        assert reduce_letters(expanded) == letters, (w, p, word)
+        reference = read_partition(letters, rank, p, block_tables(letters, rank, p))
+        assert reference == rewrite_in_subgroup(w, spanning_tree_basis(graph_of(p))), (w, p)
+        assert reference.rank == k, (w, p)
+        if (word, reference.letters) in compared:
+            continue
+        compared.add((word, reference.letters))
+        rewritten = Word(k, word)
+        if k <= DEFAULT_WHITEHEAD_RANK_BOUND:
+            assert is_primitive(rewritten) == is_primitive(reference), (w, p, word)
+        for phi in _FC_CHARACTERS:
+            assert expectation_rewritten(phi, rewritten) == expectation_rewritten(phi, reference), (
+                w, p, word, phi.describe())
 
 
 @pytest.mark.parametrize("text", ["[a,b]^2", "x^-3(xy^6)^2", "abcabcABC"])
 def test_listed_partitions_and_fibers_are_snapshots(text):
-    # only the tables are live: listing the stream keeps every partition
-    # and its fibers, and leaves the tables as empty as they started
+    # every item is a snapshot and no live table escapes the generator:
+    # listing the stream keeps every partition, its fibers and its word
     w = parse_word(text)
-    lazy = [(p, fibers) for p, fibers, _ in fold_closed_partitions(w.letters, w.rank, 10**7)]
+    lazy = [(tuple(p), fibers, tuple(word))
+            for p, fibers, word in fold_closed_partitions(w.letters, w.rank, 10**7)]
     listed = list(fold_closed_partitions(w.letters, w.rank, 10**7))
-    assert [(p, fibers) for p, fibers, _ in listed] == lazy
-    tables = listed[0][2]
-    assert all(t is tables for *_, t in listed)
-    assert all(x == -1 for table in tables for x in table)
+    assert listed == lazy
+    assert all(type(x) is tuple for item in listed for x in item)
+    assert len({word for *_, word in listed}) > 1
 
 
 def states_charged(letters, rank, max_blocks=None):

@@ -101,6 +101,14 @@ def test_the_witness_reference_reads_the_stored_poset():
     assert not names & library, names & library
 
 
+def test_the_partition_reader_reference_reads_no_stream():
+    # the tests compare the stream's first-crossing words against this
+    # reference's BFS-basis words
+    names = _names_read("partition_reader_reference.py")
+    library = {"fold_closed_partitions", "_quotient_terms"}
+    assert not names & library, names & library
+
+
 def test_the_general_action_reference_reads_the_stored_poset():
     # the tests compare the streamed general-action sums against this reference
     names = _names_read("general_action_reference.py")

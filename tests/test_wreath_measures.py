@@ -15,7 +15,6 @@ from wml.core_graphs import (
     fold_closed_partitions,
     graph_of_subgroup,
     graph_of_word,
-    read_partition,
 )
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, LetterDistribution, PermAction
@@ -531,14 +530,20 @@ class TestContextOwnership:
         assert not live
 
     def test_the_bouquet_rewrites_to_the_context_itself(self):
-        ctx = WordContext(parse_word("[a,b][a,c]"))
-        letters = ctx.word.letters
-        for p, _, tables in fold_closed_partitions(letters, ctx.rank, 10**7, max_blocks=1):
-            assert p == (0,) * len(letters)  # the one-block partition: the bouquet
-            rewritten = read_partition(letters, ctx.rank, p, tables)
-        assert ctx.context_of(rewritten) is ctx
-        iterated_value_at(ctx, TRIV, (2, 2))
-        assert ctx._inner and ctx.word.letters not in ctx._inner
+        # the one-block quotient rewrites w relabelled into first-crossing
+        # form, which for BAba and [b,a][b,c] is not w; its inner value
+        # still comes from the context itself, and every other quotient
+        # rewrites w to a shorter word
+        for text in ("[a,b][a,c]", "BAba", "[b,a][b,c]"):
+            ctx = WordContext(parse_word(text))
+            letters = ctx.word.letters
+            (p, fibers, word), = fold_closed_partitions(letters, ctx.rank, 10**7, max_blocks=1)
+            assert p == (0,) * len(letters) and fibers[0] == (1,)
+            assert len(word) == len(letters) and (word == letters) == (text == "[a,b][a,c]")
+            wreath_measures._level_sum(ctx, TRIV, 2)
+            iterated_value_at(ctx, TRIV, (2, 2))
+            assert ctx._inner or text == "BAba"
+            assert all(len(inner) < len(letters) for inner in ctx._inner), (text, list(ctx._inner))
 
     def test_one_level_queries_leave_the_poset_unbuilt(self):
         ctx = WordContext(parse_word("[[a,b],c]"))
