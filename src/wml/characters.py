@@ -18,15 +18,12 @@ from .core_graphs import SubgroupBasis, rewrite_in_subgroup
 from .cyclotomic import Cyclotomic, powers_sum_is_zero
 from .words import Word, some_generator_occurs_once
 
-_uid_counter = itertools.count()
-
-
 class FiniteGroup:
     """A finite group as an explicit multiplication table.
 
-    Elements are 0..order-1 with 0 the identity.  Conjugacy classes and
-    the exponent are computed at construction; associativity is
-    spot-checked on random triples.
+    Elements are 0..order-1 with 0 the identity.  Every entry must be an
+    element; conjugacy classes and the exponent are computed at
+    construction; associativity is spot-checked on random triples.
     """
 
     __slots__ = (
@@ -37,7 +34,6 @@ class FiniteGroup:
         "class_of",
         "exponent",
         "name",
-        "uid",
     )
 
     def __init__(self, mult, name: str = "G"):
@@ -45,6 +41,11 @@ class FiniteGroup:
         mult = tuple(tuple(row) for row in mult)
         if any(len(row) != order for row in mult):
             raise ValidationError("multiplication table is not square")
+        for a, row in enumerate(mult):
+            for x in row:
+                if type(x) is not int or not 0 <= x < order:
+                    raise ValidationError(
+                        f"mult table entry {x!r} in row {a} is not an element 0..{order - 1}")
         # identity: relocate to index 0 if needed
         ident = None
         for e in range(order):
@@ -103,15 +104,6 @@ class FiniteGroup:
         self.class_of = tuple(class_of)
         self.exponent = exponent
         self.name = name
-        self.uid = next(_uid_counter)
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[x], -k)
-        y = 0
-        for _ in range(k):
-            y = self.mult[y][x]
-        return y
 
     def __repr__(self):
         return f"{self.name} (order {self.order})"
@@ -125,11 +117,17 @@ class FiniteGroup:
 
     @staticmethod
     def from_permutation_generators(gens, name="G", element_budget=None) -> "FiniteGroup":
-        """Closure of permutation generators (tuples over 0..n-1)."""
+        """Closure of permutation generators: one or more equal-length
+        tuples, each a permutation of 0..n-1."""
         from .budget import DEFAULT_GROUP_ELEMENT_BUDGET, check
 
         budget = element_budget or DEFAULT_GROUP_ELEMENT_BUDGET
+        if not gens:
+            raise ValidationError("no permutation generators")
         n = len(gens[0])
+        for k, g in enumerate(gens):
+            if len(g) != n or any(type(x) is not int for x in g) or set(g) != set(range(n)):
+                raise ValidationError(f"permutation generator {k} is not a permutation of 0..{n - 1}")
         ident = tuple(range(n))
         elements = {ident: 0}
         order_list = [ident]
@@ -146,7 +144,6 @@ class FiniteGroup:
                         order_list.append(q)
                         new.append(q)
             frontier = new
-        k = len(order_list)
         mult = [
             [elements[tuple(p[q[i]] for i in range(n))] for q in order_list]
             for p in order_list
@@ -319,7 +316,6 @@ _SYMMETRIC_TABLES = {
 
 def _symmetric_group(n: int):
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
     ident = tuple(range(n))
     # reorder so identity is first
     perms = [ident] + [p for p in perms if p != ident]

@@ -59,12 +59,19 @@ def parse_group_spec(text: str):
         raise ValidationError(f"not a builtin group and not a readable file: {text!r}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {text}: {exc}")
+    if not isinstance(data, dict):
+        raise ValidationError(f"group JSON in {text} must be an object")
     if "perm_generators" in data:
+        gens = data["perm_generators"]
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+            raise ValidationError("perm_generators must be a list of permutations")
         group = FiniteGroup.from_permutation_generators(
-            [tuple(g) for g in data["perm_generators"]], name=data.get("name", text)
+            [tuple(g) for g in gens], name=data.get("name", text)
         )
     elif "mult" in data:
         mult = data["mult"]
+        if not isinstance(mult, list) or not all(isinstance(r, list) for r in mult):
+            raise ValidationError("mult must be a list of rows")
         order = data.get("order", len(mult))
         if len(mult) != order or any(len(r) != order for r in mult):
             bad = next(
@@ -77,11 +84,17 @@ def parse_group_spec(text: str):
     from .characters import inner_product
 
     chars = []
-    for spec in data.get("characters", []):
+    for k, spec in enumerate(data.get("characters", [])):
+        where = f"characters[{k}]"
+        if not isinstance(spec, dict) or "conductor" not in spec or "values" not in spec:
+            raise ValidationError(f"{where} needs a 'conductor' and 'values'")
+        if not str(spec["conductor"]).isdigit() or int(spec["conductor"]) < 1:
+            raise ValidationError(f"{where}: conductor {spec['conductor']!r} is not a positive integer")
         conductor = int(spec["conductor"])
-        values = tuple(
-            Cyclotomic(conductor, [Fraction(c) for c in row]) for row in spec["values"]
-        )
+        try:
+            values = tuple(Cyclotomic(conductor, [Fraction(c) for c in row]) for row in spec["values"])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValidationError(f"{where}: values must be one list of rational coefficients per class")
         probe = ClassFunction(group, values, spec.get("name", "f"))
         chars.append(
             ClassFunction(

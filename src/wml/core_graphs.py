@@ -402,15 +402,11 @@ def morphism(h: CoreGraph, j: CoreGraph) -> GraphMorphism | None:
 class SubgroupBasis:
     """A spanning tree of a core graph plus the induced free basis.
 
-    ``basis_words`` are ambient-alphabet words, one per non-tree edge;
-    ``vertex_paths`` give the tree path from the root to each vertex, used
-    to translate arbitrary closed paths into the basis.
+    ``basis_words`` are ambient-alphabet words, one per non-tree edge.
     """
 
     graph: CoreGraph
-    tree_edges: frozenset[int]
     basis_words: tuple[Word, ...]
-    vertex_paths: tuple[tuple[int, ...], ...]
     basis_letter_of_edge: tuple[int, ...]  # edge index -> basis index + 1, or 0
 
     def rank(self) -> int:
@@ -445,9 +441,7 @@ def spanning_tree_basis(g: CoreGraph) -> SubgroupBasis:
         letters = paths[s] + (l + 1,) + tuple(-x for x in reversed(paths[d]))
         basis_letter[eidx] = len(basis_words) + 1
         basis_words.append(Word(g.rank_ambient, reduce_letters(letters), g.names))
-    basis = SubgroupBasis(
-        g, frozenset(tree), tuple(basis_words), tuple(paths), tuple(basis_letter)
-    )
+    basis = SubgroupBasis(g, tuple(basis_words), tuple(basis_letter))
     if basis.rank() != g.rank():
         raise InvariantError(f"basis of rank {basis.rank()} for a graph of rank {g.rank()}")
     return basis
@@ -605,8 +599,10 @@ def partition_graphs(letters, rank: int, names=()):
     return graph_of
 
 
-def check_word_length(cyc: CyclicWord, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> None:
-    """Refuse a cyclic word longer than the quotient enumeration bound."""
+def check_word_length(cyc: CyclicWord) -> None:
+    """Refuse a cyclic word longer than the quotient enumeration bound,
+    ``DEFAULT_WORD_LENGTH_BOUND``."""
+    bound = DEFAULT_WORD_LENGTH_BOUND
     if len(cyc.letters) > bound:
         raise ValidationError(
             f"|w| = {len(cyc.letters)} exceeds quotient enumeration bound {bound}"
@@ -629,11 +625,11 @@ class QuotientPoset:
     reads a node's up-set, and ``leq`` one bit of it.
     """
 
-    def __init__(self, word: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND, budget=None):
+    def __init__(self, word: Word, budget=None):
         cyc, _ = cyclic_reduce(word)
         if not cyc.letters:
             raise ValidationError("quotient poset is undefined for the identity word")
-        check_word_length(cyc, bound)
+        check_word_length(cyc)
         self.word = cyc.to_word()
         letters = cyc.letters
         self._budget = eval_budget(budget)
@@ -734,7 +730,7 @@ class QuotientPoset:
         return self._index.get(bouquet(self.word.rank, self.word.names))
 
 
-def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND, budget=None) -> QuotientPoset:
+def enumerate_quotients(w: Word, budget=None) -> QuotientPoset:
     """The poset Q_B(w) of quotients of the w-cycle.
 
     Generated as the fold-closed partitions of the positions of w, each
@@ -742,7 +738,7 @@ def enumerate_quotients(w: Word, bound: int = DEFAULT_WORD_LENGTH_BOUND, budget=
     of partitions, built on the first order query; both are charged
     against ``budget``.
     """
-    return QuotientPoset(w, bound, budget)
+    return QuotientPoset(w, budget)
 
 
 def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]]:
@@ -773,14 +769,14 @@ def is_algebraic_cyclic_base(
     return not lies_in_proper_free_factor(rewritten, rank_bound)
 
 
-def afd_cyclic(w: Word, j: CoreGraph, bound: int = DEFAULT_WORD_LENGTH_BOUND) -> CoreGraph:
+def afd_cyclic(w: Word, j: CoreGraph) -> CoreGraph:
     """The algebraic-free decomposition of <w> <= J: the unique L with
     <w> <=_alg L <=* J, computed as the maximal algebraic quotient of the
     w-cycle that maps into J."""
     cyc, _ = cyclic_reduce(w)
     if j.trace(cyc.letters) != 0:
         raise NotInSubgroupError("w does not lie in J")
-    poset = enumerate_quotients(cyc.to_word(), bound)
+    poset = enumerate_quotients(cyc.to_word())
     candidates = []
     for idx, node in enumerate(poset.nodes):
         if morphism(node, j) is None:

@@ -50,18 +50,14 @@ _ZERO = Cyclotomic.zero()
 _ONE = Cyclotomic.one()
 
 
-def _phi_key(phi: CharacterSpec):
-    if phi.kind == "finite":
-        return ("finite", phi.cf.group.uid, phi.cf.values)
-    return (phi.kind, phi.m)
-
-
 class WordContext:
     """Everything computed about one word: compressed cyclic word, the
     stored quotient poset of ``iterated_expectation``'s chains with their
-    bases, relative expectations and link fibers, iterated values and
-    sums, and the contexts of the word rewritten in a quotient's basis.
-    A caller holds one to share that work and drops it to free it."""
+    bases, relative expectations and link fibers, the sums of
+    ``_level_sum`` at the degrees asked (one memo for both readings), and
+    the contexts of the word rewritten in a quotient's basis.  Memos are
+    keyed by the ``CharacterSpec`` itself.  A caller holds one to share
+    that work and drops it to free it."""
 
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
@@ -74,7 +70,6 @@ class WordContext:
         self._poset: QuotientPoset | None = None
         self._bases: dict = {}
         self._erel: dict = {}
-        self._values: dict = {}
         self._sums: dict = {}
         self._inner: dict = {}
 
@@ -94,7 +89,7 @@ class WordContext:
         return self._bases[i]
 
     def e_rel(self, i: int, phi: CharacterSpec, budget=None) -> Cyclotomic:
-        key = (i, _phi_key(phi))
+        key = (i, phi)
         if key not in self._erel:
             self._erel[key] = expectation_rel(phi, self.word, self.basis(i), budget)
         return self._erel[key]
@@ -154,21 +149,39 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blo
             yield p, fibers, c
 
 
-def _level_sum(ctx: WordContext, phi: CharacterSpec, levels: int, budget=None) -> PoleRational:
-    """E_w[Ind_{n,...,n} phi] over ``levels`` levels, unreduced, kept on
-    the context: the sum over the quotients H of the (levels - 1)-level
-    sum of w rewritten in H's basis (E_{w->H}[phi] at one level) times
-    L^B_H(n), which depends only on H's fibers over the bouquet; so each
-    fiber signature's coefficient sum is multiplied by its L-term once."""
-    key = (_phi_key(phi), levels)
-    if key not in ctx._sums:
-        inner = partial(_level_sum, phi=phi, levels=levels - 1, budget=budget) if levels > 1 else None
-        zero = _ZERO if inner is None else PoleRational()  # sums and constants mix above one level
+def _level_sum(ctx: WordContext, phi: CharacterSpec, degrees: tuple, budget=None):
+    """E_w[Ind_{n_1,...,n_m} phi] at ``degrees`` = (n_1, ..., n_m), kept on
+    the context.  Peels the outermost level: the sum over the quotients H
+    of the w-cycle of the sum at (n_1, ..., n_{m-1}) of w rewritten in H's
+    basis (E_{w->H}[phi] at one level) times L_{H->bouquet}(n_m), which
+    depends only on H's fibers over the bouquet; so each fiber signature's
+    coefficient sum is multiplied by its L-term once.
+
+    An int n_m is exact at every value: its L-term is ``L_value_at``, which
+    is 0 on a quotient with more than n_m vertices, so at most n_m blocks
+    are streamed.  None is the variable n: its L-term is ``L_rational`` and
+    the sum an unreduced ``PoleRational``.  With no degrees the sum is
+    E[phi(w)], w rewritten at the bouquet, the top quotient, being w
+    itself."""
+    key = (phi, degrees)
+    if key in ctx._sums:
+        return ctx._sums[key]
+    if not degrees:
+        total = expectation_rewritten(phi, ctx.word, budget)
+    else:
+        rest, n = degrees[:-1], degrees[-1]
+        inner = partial(_level_sum, phi=phi, degrees=rest, budget=budget) if rest else None
+        # sums and constants mix in the coefficients of the variable above one level
+        zero = PoleRational() if n is None and rest else _ZERO
         by_fibers: dict = {}
-        for _, fibers, c in _quotient_terms(ctx, phi, inner, budget):
+        for _, fibers, c in _quotient_terms(ctx, phi, inner, budget, n):
             by_fibers[fibers] = by_fibers.get(fibers, zero) + c
-        ctx._sums[key] = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
-    return ctx._sums[key]
+        if n is None:
+            total = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
+        else:
+            total = sum((c * L_value_at(*f, n) for f, c in by_fibers.items()), _ZERO)
+    ctx._sums[key] = total
+    return total
 
 
 def ind_expectation_symbolic(
@@ -183,7 +196,7 @@ def ind_expectation_symbolic(
     if isinstance(w, Word) and w.is_identity():
         return PoleRational((0, phi.dim())).reduced()
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    return _level_sum(ctx, phi, 1, budget).reduced()
+    return _level_sum(ctx, phi, (None,), budget).reduced()
 
 
 def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclotomic:
@@ -351,18 +364,14 @@ def pi_phi(w: Word, phi, budget=None) -> float:
 
 @dataclass(frozen=True)
 class IteratedSpec:
-    """m levels of wreathing with base character phi; degrees, when given,
-    are the concrete n_1..n_m."""
+    """m levels of wreathing with base character phi."""
 
     levels: int
     phi: CharacterSpec
-    degrees: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValidationError("need at least one wreath level")
-        if self.degrees is not None and len(self.degrees) != self.levels:
-            raise ValidationError("one degree per level required")
 
 
 @dataclass(frozen=True)
@@ -426,7 +435,7 @@ class IteratedExpectation:
 
     def single_variable(self) -> RationalFunctionN:
         """Collapse all n_i to the same n, as a reduced rational function."""
-        return _level_sum(self.context, self.phi, self.levels).reduced()
+        return _level_sum(self.context, self.phi, (None,) * self.levels).reduced()
 
     def to_json(self):
         """The chains with non-zero coefficient, each link's L^B term
@@ -460,17 +469,9 @@ def iterated_value_at(
     w: Word | WordContext, phi: CharacterSpec, degrees, budget=None
 ) -> Cyclotomic:
     """E_w[Ind_{n_1,...,n_m} phi] at concrete degrees, exact for every
-    degree tuple.
-
-    Peels the outermost wreath level: E_w[Ind_{n_m} X] expands over the
-    quotients H of the w-cycle as E_{w->H}[X] L_{H->bouquet}(n_m), which
-    is exact at every n_m; the inner factor is the same quantity for the
-    word rewritten in H's basis, handled recursively on the context of that
-    word (``ctx.context_of``).  The quotients are streamed off the
-    fold-closed partitions with at most n_m blocks, since the L-term is 0
-    on a quotient with more than n_m vertices; no poset is stored.  The
-    values are kept on the context.
-    """
+    degree tuple: the level recursion ``_level_sum`` at the degrees, which
+    peels one wreath level at a time over the quotients streamed with at
+    most n_m blocks, stores no poset, and keeps its values on the context."""
     phi = _as_spec(phi)
     degrees = tuple(degrees)
     if any(n < 1 for n in degrees):
@@ -481,20 +482,7 @@ def iterated_value_at(
             d = d * n
         return d
     ctx = w if isinstance(w, WordContext) else WordContext(w)
-    key = (_phi_key(phi), degrees)
-    if key in ctx._values:
-        return ctx._values[key]
-    total = _ZERO
-    if not degrees:
-        # w rewritten at the bouquet, the top quotient, is w itself
-        total = expectation_rewritten(phi, ctx.word, budget)
-    else:
-        *rest, n_last = degrees
-        inner = partial(iterated_value_at, phi=phi, degrees=rest, budget=budget) if rest else None
-        for _, (vf, ef), c in _quotient_terms(ctx, phi, inner, budget, n_last):
-            total = total + c * L_value_at(vf, ef, n_last)
-    ctx._values[key] = total
-    return total
+    return _level_sum(ctx, phi, degrees, budget)
 
 
 def iterated_expectation(
@@ -564,8 +552,8 @@ class TreeFixReport:
         streamed one-level sum subtracted from the streamed ``levels``-level
         sum, reduced once."""
         trivial = CharacterSpec.trivial()
-        total = _level_sum(self.context, trivial, self.levels, self.budget)
-        return (total + _level_sum(self.context, trivial, 1, self.budget) * -1).reduced()
+        total = _level_sum(self.context, trivial, (None,) * self.levels, self.budget)
+        return (total + _level_sum(self.context, trivial, (None,), self.budget) * -1).reduced()
 
 
 def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> TreeFixReport:

@@ -370,13 +370,36 @@ def test_group_spec_builtin_and_json(tmp_path):
     assert all(c.is_irreducible for c in chars2)
 
 
-def test_group_spec_malformed_table(tmp_path):
-    bad = {"mult": [[0, 1], [1]]}
+C2_MULT = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"mult": [[0, 1], [1]]}, "row"),
+    ({"mult": [[0, 1], [1, 2]]}, "mult"),
+    ({"mult": [[0, 1], [1, -1]]}, "mult"),
+    ({"mult": [[0, 1], [1, "0"]]}, "mult"),
+    ({"mult": 4}, "mult"),
+    ({"perm_generators": []}, "generator"),
+    ({"perm_generators": [[1, 0], [1, 2, 0]]}, "generator"),
+    ({"perm_generators": [[0, 0]]}, "generator"),
+    ({"perm_generators": [[1, 0, 3]]}, "generator"),
+    ({"mult": C2_MULT, "characters": [{"conductor": "x", "values": [["1"], ["-1"]]}]},
+     "conductor"),
+    ({"mult": C2_MULT, "characters": [{"conductor": 1}]}, "values"),
+    ({"mult": C2_MULT, "characters": [{"conductor": 1, "values": [["1"], ["y"]]}]}, "values"),
+    ([C2_MULT], "object"),
+], ids=["ragged-rows", "entry-out-of-range", "negative-entry", "non-int-entry", "mult-not-rows",
+        "no-generators", "ragged-generators", "repeated-point", "point-out-of-range",
+        "bad-conductor", "no-values", "bad-coefficient", "not-an-object"])
+def test_group_spec_malformed_table(tmp_path, capsys, bad, field):
+    # a malformed group file is a validation error (exit 2), not a traceback
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError, match=field):
         parse_group_spec(str(path))
-    assert "row" in str(exc.value)
+    assert run(["expect", "aa", "--group", str(path), "--char", "i0", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_round_trip_witnesses_json(capsys):

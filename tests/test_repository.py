@@ -126,6 +126,24 @@ def test_only_the_chains_read_the_stored_poset():
     assert readers == {"WordContext", "iterated_expectation"}, readers
 
 
+def test_one_recursion_sums_the_levels():
+    # the single-variable function and the values at concrete degrees are
+    # two readings of one level recursion with one memo; a further caller
+    # of the quotient terms, or a second memo, forks it again
+    tree = ast.parse((ROOT / "src" / "wml" / "wreath_measures.py").read_text())
+    callers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_quotient_terms"}
+    assert callers == {"_level_sum", "general_action_expectation"}, callers
+    context = next(top for top in tree.body
+                   if isinstance(top, ast.ClassDef) and top.name == "WordContext")
+    init = next(node for node in context.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    bound = {node.attr for node in ast.walk(init)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert "_sums" in bound and "_values" not in bound, bound
+
+
 def test_the_alg_route_reference_builds_its_own_chains():
     # the tests compare the library's chain sum against this reference's
     # algebraic chains

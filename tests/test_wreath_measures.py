@@ -452,7 +452,7 @@ class TestStreamedLevelSums:
                 for degrees in ((2, 2), (3, 2), (2, 3), (2, 2, 2)):
                     out.append(iterated_value_at(ctx, phi, degrees))
                 for m in (1, 2, 3):
-                    out.append(wreath_measures._level_sum(ctx, phi, m).reduced())
+                    out.append(wreath_measures._level_sum(ctx, phi, (None,) * m).reduced())
             return out
 
         with_rule = results()
@@ -540,7 +540,7 @@ class TestContextOwnership:
             (p, fibers, word), = fold_closed_partitions(letters, ctx.rank, 10**7, max_blocks=1)
             assert p == (0,) * len(letters) and fibers[0] == (1,)
             assert len(word) == len(letters) and (word == letters) == (text == "[a,b][a,c]")
-            wreath_measures._level_sum(ctx, TRIV, 2)
+            wreath_measures._level_sum(ctx, TRIV, (None, None))
             iterated_value_at(ctx, TRIV, (2, 2))
             assert ctx._inner or text == "BAba"
             assert all(len(inner) < len(letters) for inner in ctx._inner), (text, list(ctx._inner))
