@@ -14,10 +14,13 @@ from wml import (
     WordContext,
     builtin_group,
     chi_expectation_symbolic,
+    enumerate_quotients,
+    expectation_rel,
     ind_expectation_at,
     ind_expectation_symbolic,
     leading_term,
     parse_word,
+    spanning_tree_basis,
     witness_report,
 )
 
@@ -48,10 +51,11 @@ for text in ["[a,b]", "aabb", "aa"]:
 
 print()
 print("== The poset behind the commutator ==")
-ctx = WordContext(parse_word("[a,b]"))
-print(f"quotients of the commutator cycle: {len(ctx.poset.nodes)}")
-for i, node in enumerate(ctx.poset.nodes):
-    e = ctx.e_rel(i, CharacterSpec.finite(std))
+w = parse_word("[a,b]")
+poset = enumerate_quotients(w)
+print(f"quotients of the commutator cycle: {len(poset.nodes)}")
+for node in poset.nodes:
+    e = expectation_rel(CharacterSpec.finite(std), w, spanning_tree_basis(node))
     print(f"  rank {node.rank()}  V={node.n_vertices}  E_rel[std] = {e}   {node}")
 
 print()

@@ -47,7 +47,7 @@ for n in (4, 5):
 
 print()
 print("== GL_2(F_2) on nonzero vectors ==")
-gl = PermAction.gl_on_nonzero_vectors(2, 2)
+gl = PermAction.gl_on_nonzero_vectors(2)
 print(f"  {gl}: transitive ({orbit_count(gl, 1)} orbit), "
       f"injective pair classes: {injective_orbit_count(gl, 2)}")
 

@@ -116,12 +116,11 @@ class FiniteGroup:
         }
 
     @staticmethod
-    def from_permutation_generators(gens, name="G", element_budget=None) -> "FiniteGroup":
+    def from_permutation_generators(gens, name="G") -> "FiniteGroup":
         """Closure of permutation generators: one or more equal-length
         tuples, each a permutation of 0..n-1."""
         from .budget import DEFAULT_GROUP_ELEMENT_BUDGET, check
 
-        budget = element_budget or DEFAULT_GROUP_ELEMENT_BUDGET
         if not gens:
             raise ValidationError("no permutation generators")
         n = len(gens[0])
@@ -139,7 +138,8 @@ class FiniteGroup:
                 for g in gens:
                     q = tuple(p[g[i]] for i in range(n))
                     if q not in elements:
-                        check("permutation closure", len(elements) + 1, budget)
+                        check("permutation closure", len(elements) + 1,
+                              DEFAULT_GROUP_ELEMENT_BUDGET)
                         elements[q] = len(order_list)
                         order_list.append(q)
                         new.append(q)

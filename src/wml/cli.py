@@ -91,6 +91,11 @@ def parse_group_spec(text: str):
         if not str(spec["conductor"]).isdigit() or int(spec["conductor"]) < 1:
             raise ValidationError(f"{where}: conductor {spec['conductor']!r} is not a positive integer")
         conductor = int(spec["conductor"])
+        # every value of G's characters lies in Q(zeta_e), e = exponent of G,
+        # and Q(zeta_e) = Q(zeta_2e) for odd e
+        if (2 * group.exponent) % conductor:
+            raise ValidationError(f"{where}: conductor {conductor} does not divide "
+                                  f"2 * {group.exponent}, twice the group's exponent")
         try:
             values = tuple(Cyclotomic(conductor, [Fraction(c) for c in row]) for row in spec["values"])
         except (TypeError, ValueError, ZeroDivisionError):
@@ -153,7 +158,7 @@ def _parse_action(text: str) -> PermAction:
             n, k = (int(x) for x in rest.split(","))
             return PermAction.symmetric_on_subsets(n, k)
         if kind == "glvec":
-            return PermAction.gl_on_nonzero_vectors(int(rest), 2)
+            return PermAction.gl_on_nonzero_vectors(int(rest))
     except ValueError:
         raise ValidationError(f"malformed action spec {text!r}")
     raise ValidationError(f"unknown action kind {kind!r}")
@@ -286,7 +291,7 @@ def cmd_oracle(args) -> dict:
     group, chars = parse_group_spec(args.group)
     cf = _select_chars(args.char, group, chars)[0]
     degrees = _degrees(args) or [2 if args.n is None else args.n]
-    wreath, chi_vals = iterated_ind_character(group, cf, degrees, None)
+    wreath, chi_vals = iterated_ind_character(group, cf, degrees)
     out = {
         "word": w.display(),
         "group": group.name,

@@ -201,8 +201,7 @@ def central_derivation(poset: QuotientPoset, ex: PosetFunction) -> PosetFunction
 class PermAction:
     """A permutation group acting on a finite set, by explicit closure."""
 
-    def __init__(self, degree: int, generators, name="action", order_budget=None):
-        budget = order_budget or DEFAULT_ACTION_ORDER_BUDGET
+    def __init__(self, degree: int, generators, name="action"):
         self.degree = degree
         self.name = name
         gens = [tuple(g) for g in generators]
@@ -219,7 +218,7 @@ class PermAction:
                 for g in gens:
                     q = tuple(g[p[i]] for i in range(degree))
                     if q not in elements:
-                        check("action closure", len(elements) + 1, budget)
+                        check("action closure", len(elements) + 1, DEFAULT_ACTION_ORDER_BUDGET)
                         elements[q] = len(order_list)
                         order_list.append(q)
                         new.append(q)
@@ -238,17 +237,17 @@ class PermAction:
     # builtin actions
 
     @staticmethod
-    def symmetric(n: int, order_budget=None) -> "PermAction":
+    def symmetric(n: int) -> "PermAction":
         if n == 1:
             return PermAction(1, [(0,)], "S1 on [1]")
         gens = [
             tuple([1, 0] + list(range(2, n))),
             tuple(list(range(1, n)) + [0]),
         ]
-        return PermAction(n, gens, f"S{n} on [{n}]", order_budget)
+        return PermAction(n, gens, f"S{n} on [{n}]")
 
     @staticmethod
-    def symmetric_on_subsets(n: int, k: int, order_budget=None) -> "PermAction":
+    def symmetric_on_subsets(n: int, k: int) -> "PermAction":
         subsets = sorted(itertools.combinations(range(n), k))
         pos = {s: i for i, s in enumerate(subsets)}
         base = [
@@ -260,16 +259,12 @@ class PermAction:
             gens.append(
                 tuple(pos[tuple(sorted(g[x] for x in s))] for s in subsets)
             )
-        return PermAction(
-            len(subsets), gens, f"S{n} on {k}-subsets", order_budget
-        )
+        return PermAction(len(subsets), gens, f"S{n} on {k}-subsets")
 
     @staticmethod
-    def gl_on_nonzero_vectors(n: int, q: int = 2, order_budget=None) -> "PermAction":
-        """GL_n(F_q) acting on the q^n - 1 nonzero column vectors; built by
+    def gl_on_nonzero_vectors(n: int) -> "PermAction":
+        """GL_n(F_2) acting on the 2^n - 1 nonzero column vectors; built by
         enumerating all invertible matrices (desk scale only)."""
-        if q != 2:
-            raise ValidationError("only F_2 is supported here")
         vectors = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 2**n)]
         pos = {v: i for i, v in enumerate(vectors)}
 
@@ -282,7 +277,7 @@ class PermAction:
             images = [apply(mat, v) for v in vectors]
             if len(set(images)) == len(vectors) and all(any(x) for x in images):
                 mats.append(tuple(pos[im] for im in images))
-        return PermAction(len(vectors), mats, f"GL{n}(F2) on nonzero vectors", order_budget)
+        return PermAction(len(vectors), mats, f"GL{n}(F2) on nonzero vectors")
 
 
 class LetterDistribution:

@@ -36,12 +36,11 @@ class ExplicitWreath:
     Element ids are vec_code * n! + perm_index with vec_code in base |G|.
     """
 
-    def __init__(self, base: FiniteGroup, degree: int, element_budget: int | None = None):
+    def __init__(self, base: FiniteGroup, degree: int):
         if degree < 1:
             raise ValidationError(f"wreath degree must be >= 1, got {degree}")
-        budget = element_budget or DEFAULT_GROUP_ELEMENT_BUDGET
         order = base.order**degree * factorial(degree)
-        check("wreath product size", order, budget)
+        check("wreath product size", order, DEFAULT_GROUP_ELEMENT_BUDGET)
         self.base = base
         self.degree = degree
         self.order = order
@@ -147,10 +146,10 @@ class ExplicitWreath:
             out.append(val)
         return tuple(out)
 
-    def to_finite_group(self, element_budget: int | None = None) -> FiniteGroup:
+    def to_finite_group(self) -> FiniteGroup:
         """Materialize the full multiplication table (small orders only);
         needed to iterate the wreath construction."""
-        check("wreath elements", self.order, element_budget or DEFAULT_GROUP_ELEMENT_BUDGET)
+        check("wreath elements", self.order, DEFAULT_GROUP_ELEMENT_BUDGET)
         check("wreath multiplication table", self.order**2, eval_budget(None))
         mult = [[0] * self.order for _ in range(self.order)]
         for a in range(self.order):
@@ -167,16 +166,12 @@ class ExplicitWreath:
         return f"{self.base.name} wr S{self.degree} (order {self.order})"
 
 
-def build_wreath(
-    base: FiniteGroup, degree: int, element_budget: int | None = None
-) -> ExplicitWreath:
+def build_wreath(base: FiniteGroup, degree: int) -> ExplicitWreath:
     """G wr S_n as an explicit group; order |G|^n n!."""
-    return ExplicitWreath(base, degree, element_budget)
+    return ExplicitWreath(base, degree)
 
 
-def build_iterated_wreath(
-    base: FiniteGroup, degrees, element_budget: int | None = None
-):
+def build_iterated_wreath(base: FiniteGroup, degrees):
     """W_{n_1,...,n_m}(G) = G wr S_{n_1} wr ... wr S_{n_m}, folding left to
     right; intermediate levels are materialized as full finite groups."""
     degrees = list(degrees)
@@ -185,24 +180,22 @@ def build_iterated_wreath(
     current_group = base
     wreath = None
     for pos, d in enumerate(degrees):
-        wreath = ExplicitWreath(current_group, d, element_budget)
+        wreath = ExplicitWreath(current_group, d)
         if pos != len(degrees) - 1:
-            current_group = wreath.to_finite_group(element_budget)
+            current_group = wreath.to_finite_group()
     return wreath
 
 
-def iterated_ind_character(
-    base: FiniteGroup, phi: ClassFunction, degrees, element_budget: int | None = None
-):
+def iterated_ind_character(base: FiniteGroup, phi: ClassFunction, degrees):
     """(top-level ExplicitWreath, per-element values of Ind_{n_1..n_m} phi)."""
     degrees = list(degrees)
     current_group, current_phi = base, phi
     wreath = None
     for pos, d in enumerate(degrees):
-        wreath = ExplicitWreath(current_group, d, element_budget)
+        wreath = ExplicitWreath(current_group, d)
         values = wreath.ind_character_values(current_phi)
         if pos != len(degrees) - 1:
-            current_group = wreath.to_finite_group(element_budget)
+            current_group = wreath.to_finite_group()
             current_phi = classfunction_from_elements(
                 current_group, values, f"Ind{d}_{current_phi.name}", is_character=True
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError, eval_budget
+from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError, check, eval_budget
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -204,9 +204,12 @@ class WordSyntaxError(ValidationError):
 class _Parser:
     # word := factor+ ; factor := atom ('^' int)? ;
     # atom := [a-z] | [A-Z] | '[' word ',' word ']' | '(' word ')'
+    # Each power and commutator is charged its length against the
+    # evaluation budget before it is expanded, and a word after each factor.
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.budget = eval_budget()
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -214,13 +217,14 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else None
 
     def word(self) -> list:
-        factors = []
+        out = []
         while True:
             c = self.peek()
             if c is None or c in "],)":
                 break
-            factors.append(self.factor())
-        return [x for f in factors for x in f]
+            out += self.factor()
+            check("expanded word length", len(out), self.budget)
+        return out
 
     def factor(self) -> list:
         atom = self.atom()
@@ -230,14 +234,11 @@ class _Parser:
             return self._power(atom, k)
         return atom
 
-    @staticmethod
-    def _power(atom: list, k: int) -> list:
-        if k == 0:
-            return []
+    def _power(self, atom: list, k: int) -> list:
+        check("expanded power length", len(atom) * abs(k), self.budget)
         if k < 0:
             atom = [-x for x in reversed(atom)]
-            k = -k
-        return atom * k
+        return atom * abs(k)
 
     def atom(self) -> list:
         c = self.peek()
@@ -260,6 +261,7 @@ class _Parser:
             if self.peek() != "]":
                 raise WordSyntaxError(f"unclosed '[' opened", start)
             self.pos += 1
+            check("expanded commutator length", 2 * (len(u) + len(v)), self.budget)
             return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
         if c == "(":
             start = self.pos

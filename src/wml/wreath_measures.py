@@ -52,12 +52,11 @@ _ONE = Cyclotomic.one()
 
 class WordContext:
     """Everything computed about one word: compressed cyclic word, the
-    stored quotient poset of ``iterated_expectation``'s chains with their
-    bases, relative expectations and link fibers, the sums of
-    ``_level_sum`` at the degrees asked (one memo for both readings), and
-    the contexts of the word rewritten in a quotient's basis.  Memos are
-    keyed by the ``CharacterSpec`` itself.  A caller holds one to share
-    that work and drops it to free it."""
+    sums of ``_level_sum`` at the degrees asked (one memo for both
+    readings), the contexts of the word rewritten in a quotient's basis,
+    and the quotient poset that ``iterated_expectation`` stores for its
+    chains.  Memos are keyed by the ``CharacterSpec`` itself.  A caller
+    holds one to share that work and drops it to free it."""
 
     def __init__(self, w: Word):
         cyc, _ = cyclic_reduce(w)
@@ -68,35 +67,8 @@ class WordContext:
         self.word = cyc.to_word().compress()
         self.rank = self.word.rank
         self._poset: QuotientPoset | None = None
-        self._bases: dict = {}
-        self._erel: dict = {}
         self._sums: dict = {}
         self._inner: dict = {}
-
-    @property
-    def poset(self) -> QuotientPoset:
-        """The stored quotient poset.  Only the chains of
-        ``iterated_expectation`` read it, which builds it under the
-        caller's budget; on a first access here it is built under the
-        default one.  Every other sum streams the partitions instead."""
-        if self._poset is None:
-            self._poset = enumerate_quotients(self.word)
-        return self._poset
-
-    def basis(self, i: int):
-        if i not in self._bases:
-            self._bases[i] = spanning_tree_basis(self.poset.nodes[i])
-        return self._bases[i]
-
-    def e_rel(self, i: int, phi: CharacterSpec, budget=None) -> Cyclotomic:
-        key = (i, phi)
-        if key not in self._erel:
-            self._erel[key] = expectation_rel(phi, self.word, self.basis(i), budget)
-        return self._erel[key]
-
-    def link_fibers(self, i: int, j: int):
-        eta = self.poset.morphism_between(i, j)
-        return eta.vertex_fibers(), eta.edge_fibers()
 
     def context_of(self, rewritten: Word) -> "WordContext":
         """The context of the word rewritten in a quotient's basis.  The
@@ -496,21 +468,23 @@ def iterated_expectation(
     Only the chains with a non-zero coefficient are built: the nodes are
     taken in index order, and a node H_1 with E_{w->H_1}[phi] != 0 is
     extended through its up-set alone.  The terms come in the
-    lexicographic order of their node tuples.  The stored poset is built
-    here, under the caller's budget."""
+    lexicographic order of their node tuples.  The poset is built here,
+    under the caller's budget, and kept on the context for the next call;
+    nothing else builds or reads it."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     if ctx._poset is None:
         ctx._poset = enumerate_quotients(ctx.word, budget=budget)
-    poset = ctx.poset
+    poset = ctx._poset
     terms = []
-    for first in range(len(poset)):
-        coeff = ctx.e_rel(first, spec.phi, budget)
+    for first, node in enumerate(poset.nodes):
+        coeff = expectation_rel(spec.phi, ctx.word, spanning_tree_basis(node), budget)
         if coeff.is_zero():
             continue
         up = poset.above(first) if spec.levels > 1 else ()  # one level reads no order
         for rest in poset.chains(spec.levels - 1, up):
             chain = (first,) + rest
-            links = [ctx.link_fibers(a, b) for a, b in zip(chain, chain[1:])]
+            links = [(eta.vertex_fibers(), eta.edge_fibers())
+                     for eta in map(poset.morphism_between, chain, chain[1:])]
             links.append(poset.fibers[chain[-1]])
             terms.append(ChainTerm(coeff, chain, tuple(links)))
     return IteratedExpectation(ctx, spec.phi, spec.levels, tuple(terms))

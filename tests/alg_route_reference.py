@@ -9,16 +9,18 @@ core (the unique maximal algebraic quotient below M) is A, and for the
 last link B is the ambient bouquet.  The chains run through the
 algebraic quotients below the core of the top quotient.
 
-``AlgRoute`` builds these chains off ``WordContext.poset`` with its own
-algebraicity test (``is_algebraic_cyclic_base``), AFD cores and L^alg
-piece sums; the tests compare the library's chain sum against it, so this
-module uses none of the library's chain types or chain sums.
+``AlgRoute`` builds these chains off its own quotient poset of the
+word, with its own algebraicity test (``is_algebraic_cyclic_base``), AFD
+cores, relative expectations and L^alg piece sums; the tests compare the
+library's chain sum against it, so this module uses none of the
+library's chain types or chain sums.
 """
 
 from fractions import Fraction
 
 from wml.budget import InvariantError
-from wml.core_graphs import is_algebraic_cyclic_base
+from wml.characters import expectation_rel
+from wml.core_graphs import enumerate_quotients, is_algebraic_cyclic_base, spanning_tree_basis
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, L_value_at
 from wml.rational import RationalFunctionN
@@ -37,7 +39,7 @@ class AlgRoute:
     fibers) pieces whose L^B terms sum to its L^alg term."""
 
     def __init__(self, ctx, phi, levels, budget=None):
-        poset = ctx.poset
+        poset = enumerate_quotients(ctx.word)
         everything = range(len(poset))
         algebraic = [i for i in everything if is_algebraic_cyclic_base(ctx.word, poset.nodes[i])]
         core = [
@@ -51,13 +53,15 @@ class AlgRoute:
             middles = [m for m in everything if core[m] == a and poset.leq(a, m)]
             if b is None:
                 return tuple(poset.fibers[m] for m in middles)
-            return tuple(ctx.link_fibers(m, b) for m in middles if poset.leq(m, b))
+            etas = (poset.morphism_between(m, b) for m in middles if poset.leq(m, b))
+            return tuple((eta.vertex_fibers(), eta.edge_fibers()) for eta in etas)
 
         allowed = [i for i in algebraic if poset.leq(i, core[top])]
         self.levels = levels
         self.terms = []
         for chain in poset.chains(levels, allowed):
-            coefficient = ctx.e_rel(chain[0], phi, budget)
+            basis = spanning_tree_basis(poset.nodes[chain[0]])
+            coefficient = expectation_rel(phi, ctx.word, basis, budget)
             if coefficient.is_zero():
                 continue
             links = [alg_link(a, b) for a, b in zip(chain, chain[1:])]

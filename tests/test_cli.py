@@ -342,6 +342,12 @@ def test_surface_word_on_s5_answers(capsys):
     assert code == 0 and data["value"] == oracle["value"] == "1/27"
 
 
+def test_word_expansion_past_the_budget_exits_3(capsys):
+    assert run(["whitehead", "a^1000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded:")
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("WML_BUDGET", "10")
     assert run(["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]) == 3
@@ -385,12 +391,17 @@ C2_MULT = [[0, 1], [1, 0]]
     ({"perm_generators": [[1, 0, 3]]}, "generator"),
     ({"mult": C2_MULT, "characters": [{"conductor": "x", "values": [["1"], ["-1"]]}]},
      "conductor"),
+    ({"mult": C2_MULT, "characters": [{"conductor": 100003, "values": [["1"], ["-1"]]}]},
+     "conductor 100003 does not divide"),
+    ({"mult": C2_MULT, "characters": [{"conductor": 3, "values": [["1"], ["-1"]]}]},
+     "conductor 3 does not divide"),
     ({"mult": C2_MULT, "characters": [{"conductor": 1}]}, "values"),
     ({"mult": C2_MULT, "characters": [{"conductor": 1, "values": [["1"], ["y"]]}]}, "values"),
     ([C2_MULT], "object"),
 ], ids=["ragged-rows", "entry-out-of-range", "negative-entry", "non-int-entry", "mult-not-rows",
         "no-generators", "ragged-generators", "repeated-point", "point-out-of-range",
-        "bad-conductor", "no-values", "bad-coefficient", "not-an-object"])
+        "bad-conductor", "huge-conductor", "conductor-off-the-exponent", "no-values",
+        "bad-coefficient", "not-an-object"])
 def test_group_spec_malformed_table(tmp_path, capsys, bad, field):
     # a malformed group file is a validation error (exit 2), not a traceback
     path = tmp_path / "bad.json"

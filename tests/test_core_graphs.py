@@ -387,21 +387,23 @@ def test_quotient_counts(text, nodes):
 
 
 def test_order_is_built_only_for_order_queries():
-    # rank, witnesses and one-level expectations never read the order
+    # rank, witnesses and one-level expectations never read the order, and
+    # a poset builds its order at the first order query
     ctx = WordContext(parse_word("[[a,b],c]"))
     ind_expectation_symbolic(ctx, CharacterSpec.trivial())
     witness_report(ctx, CharacterSpec.trivial())
     assert ctx._poset is None
-    assert ctx.poset._up is None
-    assert ctx.poset.leq(ctx.poset.bottom_index, ctx.poset.top_index())
-    assert ctx.poset._up is not None
+    poset = enumerate_quotients(ctx.word)
+    assert poset._up is None
+    assert poset.leq(poset.bottom_index, poset.top_index())
+    assert poset._up is not None
 
 
 def test_one_level_chains_read_no_order():
     ctx = WordContext(parse_word("aabbcc"))
     it = iterated_expectation(ctx, IteratedSpec(1, CharacterSpec.trivial()))
-    assert [t.nodes for t in it.terms] == [(i,) for i in range(len(ctx.poset))]
-    assert ctx.poset._up is None
+    assert [t.nodes for t in it.terms] == [(i,) for i in range(len(ctx._poset))]
+    assert ctx._poset._up is None
 
 
 def test_order_budget_names_the_stage(monkeypatch):
@@ -488,7 +490,7 @@ def test_partition_reader_matches_the_core_graph(w):
     # the sums read each quotient's fibers and rank off the stream instead
     # of building its core graph
     ctx = WordContext(w)
-    poset = ctx.poset
+    poset = enumerate_quotients(ctx.word)
     letters, rank = ctx.word.letters, ctx.rank
     index = {p: i for i, p in enumerate(poset._partitions)}
     for p, fibers, word in fold_closed_partitions(letters, rank, 10**7):

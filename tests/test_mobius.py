@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wml.budget import ValidationError
+from wml.budget import BudgetError, ValidationError
 from wml.core_graphs import bouquet, enumerate_quotients, graph_of_word, morphism
 from wml.mobius import (
     L_B,
@@ -229,8 +229,9 @@ def test_edge_fibers_bounded_by_endpoint_fibers():
 
 
 def test_perm_action_closure_budget():
-    with pytest.raises(Exception):
-        PermAction.symmetric(9, order_budget=10**4)
+    # S9 has order 362,880, past the default action order budget
+    with pytest.raises(BudgetError, match="action closure"):
+        PermAction.symmetric(9)
 
 
 def test_subsets_action():
@@ -239,5 +240,5 @@ def test_subsets_action():
 
 
 def test_gl_action():
-    act = PermAction.gl_on_nonzero_vectors(2, 2)
+    act = PermAction.gl_on_nonzero_vectors(2)
     assert act.degree == 3 and act.order == 6

@@ -94,10 +94,15 @@ def test_the_fold_reference_closes_under_merges():
     assert not names & library, names & library
 
 
+# the stored-poset interface the word context no longer has; a reference
+# builds its own poset and relative expectations
+CONTEXT_POSET = {"poset", "e_rel", "basis", "link_fibers", "_poset"}
+
+
 def test_the_witness_reference_reads_the_stored_poset():
     # the tests compare the streamed witness report against this reference
     names = _names_read("witness_reference.py")
-    library = {"fold_closed_partitions", "read_partition", "witness_report"}
+    library = {"fold_closed_partitions", "read_partition", "witness_report"} | CONTEXT_POSET
     assert not names & library, names & library
 
 
@@ -113,17 +118,41 @@ def test_the_general_action_reference_reads_the_stored_poset():
     # the tests compare the streamed general-action sums against this reference
     names = _names_read("general_action_reference.py")
     library = {"fold_closed_partitions", "read_partition", "partition_graphs",
-               "_quotient_terms", "general_action_expectation"}
+               "_quotient_terms", "general_action_expectation"} | CONTEXT_POSET
     assert not names & library, names & library
+
+
+def _definitions(path) -> list:
+    """(qualified name, node) of each top-level statement of a module, a
+    class's body statement by statement."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            out += [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+        else:
+            out.append((getattr(top, "name", ""), top))
+    return out
 
 
 def test_only_the_chains_read_the_stored_poset():
     # every other sum streams the partitions; a new reader of the stored
-    # poset brings its memory back
-    tree = ast.parse((ROOT / "src" / "wml" / "wreath_measures.py").read_text())
-    readers = {top.name for top in tree.body for node in ast.walk(top)
-               if isinstance(node, ast.Attribute) and node.attr in ("poset", "_poset")}
-    assert readers == {"WordContext", "iterated_expectation"}, readers
+    # poset brings its memory back, and a second builder its budget
+    definitions = _definitions(ROOT / "src" / "wml" / "wreath_measures.py")
+    context = {name.split(".")[1]: node for name, node in definitions
+               if name.startswith("WordContext.")}
+    bound = {node.attr for method in context.values() for node in ast.walk(method)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert bound == {"original", "word", "rank", "_poset", "_sums", "_inner"}, bound
+    methods = {name for name, node in context.items() if isinstance(node, ast.FunctionDef)}
+    assert methods == {"__init__", "context_of"}, methods
+    touching = {name for name, top in definitions for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "_poset"}
+    assert touching == {"WordContext.__init__", "iterated_expectation"}, touching
+    builders = {name for name, top in definitions for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "enumerate_quotients"}
+    assert builders == {"iterated_expectation"}, builders
 
 
 def test_one_recursion_sums_the_levels():
@@ -149,7 +178,7 @@ def test_the_alg_route_reference_builds_its_own_chains():
     # algebraic chains
     names = _names_read("alg_route_reference.py")
     library = {"iterated_expectation", "IteratedExpectation", "ChainTerm",
-               "single_variable", "value_at_closed_form", "_sum_forms"}
+               "single_variable", "value_at_closed_form", "_sum_forms"} | CONTEXT_POSET
     assert not names & library, names & library
 
 

@@ -80,6 +80,23 @@ def test_parser_errors_carry_position():
         parse_word("(ab")
 
 
+@pytest.mark.parametrize("text", ["a^1000000000", "(a^100000)^100000",
+                                  "[" * 30 + "a,b]" + ",b]" * 29],
+                         ids=["power", "power-of-power", "nested-commutator"])
+def test_parser_charges_each_expansion_to_the_budget(text):
+    # the length is checked before the letters are built, so these fail
+    # at once instead of allocating gigabytes
+    with pytest.raises(BudgetError, match="expanded"):
+        parse_word(text)
+
+
+def test_parser_charges_the_expanded_word(monkeypatch):
+    monkeypatch.setenv("WML_BUDGET", "100")
+    assert len(parse_word("a^60b^40").letters) == 100
+    with pytest.raises(BudgetError, match="expanded word length"):
+        parse_word("a^60b^41")
+
+
 def test_parse_words_shared_alphabet():
     u, v = parse_words(["x", "y^6"])
     assert u.rank == v.rank == 2

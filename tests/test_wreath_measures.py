@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 
 import wml.wreath_measures as wreath_measures
 from wml.budget import BudgetError, ValidationError
-from wml.characters import CharacterSpec, builtin_group, symmetric_std_character
+from wml.characters import CharacterSpec, builtin_group, expectation_rel, symmetric_std_character
 from wml.core_graphs import (
     bouquet,
+    enumerate_quotients,
     fold_closed_partitions,
     graph_of_subgroup,
     graph_of_word,
+    spanning_tree_basis,
 )
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, LetterDistribution, PermAction
@@ -80,10 +82,16 @@ def pole_sum_reference(it):
     return total.reduced()
 
 
+def e_rel(phi, w, node):
+    """E_{w->H}[phi] for the quotient H at ``node``."""
+    return expectation_rel(phi, w, spanning_tree_basis(node))
+
+
 def chains_reference(ctx, phi, levels):
     """The node tuples of the chains with a non-zero coefficient, as the
-    whole chain list filtered afterwards."""
-    return [c for c in ctx.poset.chains(levels) if not ctx.e_rel(c[0], phi).is_zero()]
+    whole chain list of a fresh poset filtered afterwards."""
+    poset = enumerate_quotients(ctx.word)
+    return [c for c in poset.chains(levels) if not e_rel(phi, ctx.word, poset.nodes[c[0]]).is_zero()]
 
 
 def one_over(poly_den):
@@ -375,7 +383,7 @@ class TestIterated:
         # [a,b][a,c] has rank-5 quotients; the free-factor certificates
         # settle each of them, so the algebraic route meets no bound
         ctx = WordContext(parse_word("[a,b][a,c]"))
-        assert max(node.rank() for node in ctx.poset.nodes) == 5
+        assert max(node.rank() for node in enumerate_quotients(ctx.word).nodes) == 5
         b = iterated_expectation(ctx, IteratedSpec(1, TRIV))
         alg = AlgRoute(ctx, TRIV, 1)
         assert alg.single_variable() == b.single_variable()
@@ -529,6 +537,21 @@ class TestContextOwnership:
         live = [o for o in gc.get_objects() if isinstance(o, WordContext) and o.original == w]
         assert not live
 
+    def test_repeated_chain_sums_reuse_the_poset(self, monkeypatch):
+        built = []
+        enumerate_quotients = wreath_measures.enumerate_quotients
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return enumerate_quotients(*args, **kwargs)
+
+        monkeypatch.setattr(wreath_measures, "enumerate_quotients", counted)
+        ctx = WordContext(parse_word("[a,b]^2"))
+        for phi in (TRIV, CharacterSpec.finite(char("S3", "std"))):
+            for m in (1, 2):
+                iterated_expectation(ctx, IteratedSpec(m, phi))
+        assert len(built) == 1
+
     def test_the_bouquet_rewrites_to_the_context_itself(self):
         # the one-block quotient rewrites w relabelled into first-crossing
         # form, which for BAba and [b,a][b,c] is not w; its inner value
@@ -556,8 +579,8 @@ class TestContextOwnership:
         haar = iterated_value_at(ctx, std, ())
         assert witness_report(ctx, TRIV).pi == 2
         assert ctx._poset is None
-        assert haar == ctx.e_rel(ctx.poset.top_index(), std)
-        assert ctx._poset is not None
+        poset = enumerate_quotients(ctx.word)
+        assert haar == e_rel(std, ctx.word, poset.nodes[poset.top_index()])
 
     def test_one_context_serves_two_whitehead_bounds(self):
         std = CharacterSpec.finite(char("S3", "std"))

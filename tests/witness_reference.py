@@ -1,8 +1,8 @@
 """Reference witness report for the tests: the loop over the stored
 quotient poset.
 
-``witness_report_reference`` visits the nodes of ``WordContext.poset`` in
-its node order, rewrites w in each node's spanning-tree basis, and asks
+``witness_report_reference`` visits the nodes of the word's quotient poset
+in its node order, rewrites w in each node's spanning-tree basis, and asks
 primitivity, the relative expectation and algebraicity of the node
 itself.  It is slow and stores every quotient; the library's streamed
 ``witness_report`` is compared against it, so this module uses neither
@@ -12,7 +12,9 @@ the library's partition stream nor its partition reader.
 from math import inf
 
 from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, InvariantError
-from wml.core_graphs import is_algebraic_cyclic_base, rewrite_in_subgroup
+from wml.characters import expectation_rel
+from wml.core_graphs import (enumerate_quotients, is_algebraic_cyclic_base, rewrite_in_subgroup,
+                             spanning_tree_basis)
 from wml.cyclotomic import Cyclotomic
 from wml.words import is_primitive
 from wml.wreath_measures import WitnessEntry, WitnessReport, WordContext
@@ -24,20 +26,22 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
     ctx = WordContext(w)
     entries = []
     partial = False
-    for i, node in enumerate(ctx.poset.nodes):
-        if i == ctx.poset.bottom_index:
+    poset = enumerate_quotients(ctx.word)
+    for i, node in enumerate(poset.nodes):
+        if i == poset.bottom_index:
             continue
+        basis = spanning_tree_basis(node)
         if phi.kind == "trivial":
             # witness iff w is non-primitive in H
             if node.rank() > whitehead_bound:
                 partial = True
                 continue
-            rewritten = rewrite_in_subgroup(ctx.word, ctx.basis(i))
+            rewritten = rewrite_in_subgroup(ctx.word, basis)
             if is_primitive(rewritten, whitehead_bound):
                 continue
             value = Cyclotomic.one()
         else:
-            value = ctx.e_rel(i, phi, budget)
+            value = expectation_rel(phi, ctx.word, basis, budget)
             if value.is_zero():
                 continue
         if node.rank() <= whitehead_bound:
