@@ -26,14 +26,11 @@ from .core_graphs import (
     GraphMorphism,
     QuotientPoset,
     SubgroupBasis,
-    afd_cyclic,
     bouquet,
-    decomp,
     enumerate_quotients,
     fold,
     graph_of_subgroup,
     graph_of_word,
-    is_algebraic_cyclic_base,
     morphism,
     rewrite_in_subgroup,
     spanning_tree_basis,
@@ -41,20 +38,10 @@ from .core_graphs import (
 from .cyclotomic import Cyclotomic
 from .mobius import (
     L_B,
-    L_B_function,
     L_general,
     LetterDistribution,
     PermAction,
-    PosetFunction,
-    central_derivation,
-    convolve,
     expectation_action,
-    expectation_action_function,
-    left_derivation,
-    mobius_B,
-    poset_delta,
-    poset_ones,
-    right_derivation,
 )
 from .oracle import (
     ExplicitWreath,

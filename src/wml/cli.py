@@ -113,19 +113,17 @@ def parse_group_spec(text: str):
     return group, tuple(chars)
 
 
-def _select_chars(spec: str, group, chars):
-    """--char value: a name, 'all', an index 'i<k>', or 'circle:m'."""
-    if spec == "all":
-        return list(chars)
+def _select_char(spec: str, chars):
+    """The character a --char value names: a name or an index 'i<k>'."""
     if spec.startswith("circle:"):
         raise ValidationError("circle characters do not belong to a finite group")
     for c in chars:
         if c.name == spec:
-            return [c]
+            return c
     if spec.startswith("i") and spec[1:].isdigit():
         k = int(spec[1:])
         if 0 <= k < len(chars):
-            return [chars[k]]
+            return chars[k]
     raise ValidationError(
         f"unknown character {spec!r}; available: {[c.name for c in chars]}"
     )
@@ -143,9 +141,8 @@ def _char_spec(args) -> CharacterSpec:
         return CharacterSpec.trivial()
     if args.group is None:
         raise ValidationError("--group is required for finite characters")
-    group, chars = parse_group_spec(args.group)
-    cf = _select_chars(args.char, group, chars)[0]
-    return CharacterSpec.finite(cf)
+    _, chars = parse_group_spec(args.group)
+    return CharacterSpec.finite(_select_char(args.char, chars))
 
 
 def _parse_action(text: str) -> PermAction:
@@ -208,21 +205,21 @@ def _cyclo_json(v: Cyclotomic):
 
 
 def cmd_rank(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     rep = witness_report(w, CharacterSpec.trivial(), budget=args.budget,
                          whitehead_bound=args.whitehead_rank_bound)
     return rep.to_json()
 
 
 def cmd_witnesses(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     rep = witness_report(w, _char_spec(args), budget=args.budget,
                          whitehead_bound=args.whitehead_rank_bound)
     return rep.to_json()
 
 
 def cmd_expect(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     spec = _char_spec(args)
     out = {"word": w.display(), "phi": spec.describe()}
     # the identity word has no quotients; the expectations take it as a Word
@@ -246,7 +243,7 @@ def cmd_expect(args) -> dict:
 
 
 def cmd_expect_iterated(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     spec = _char_spec(args)
     degrees = _degrees(args)
     levels = len(degrees) if degrees else args.levels
@@ -261,7 +258,7 @@ def cmd_expect_iterated(args) -> dict:
 
 
 def cmd_tree(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     degrees = _degrees(args)
     levels = len(degrees) if degrees else (2 if args.levels is None else args.levels)
     rep = tree_fix_expectation(w, levels, args.budget)
@@ -285,11 +282,11 @@ def cmd_tree(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    w = parse_word(args.word, args.rank)
+    w = parse_word(args.word, args.rank, args.budget)
     if args.group is None:
         raise ValidationError("--group is required")
     group, chars = parse_group_spec(args.group)
-    cf = _select_chars(args.char, group, chars)[0]
+    cf = _select_char(args.char, chars)
     degrees = _degrees(args) or [2 if args.n is None else args.n]
     wreath, chi_vals = iterated_ind_character(group, cf, degrees)
     out = {

@@ -14,7 +14,6 @@ from functools import reduce
 from operator import and_, or_
 
 from .budget import (
-    DEFAULT_WHITEHEAD_RANK_BOUND,
     DEFAULT_WORD_LENGTH_BOUND,
     BudgetError,
     InvariantError,
@@ -22,7 +21,7 @@ from .budget import (
     check,
     eval_budget,
 )
-from .words import Word, CyclicWord, cyclic_reduce, lies_in_proper_free_factor, reduce_letters
+from .words import Word, CyclicWord, cyclic_reduce, reduce_letters
 
 
 class NotInSubgroupError(ValidationError):
@@ -71,12 +70,6 @@ class CoreGraph:
 
     def in_edge(self, v: int, label: int):
         return self._in.get((v, label))
-
-    def edges_with_label(self, label: int) -> int:
-        return sum(1 for (_, _, l) in self.edges if l == label)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for (s, d, _) in self.edges for x in (s, d) if x == v)
 
     def key(self):
         return (self.n_vertices, self.rank_ambient, self.edges)
@@ -353,11 +346,6 @@ class GraphMorphism:
             f > 0 for f in self.edge_fibers()
         )
 
-    def is_injective(self) -> bool:
-        return len(set(self.vertex_map)) == self.source.n_vertices and len(
-            set(self.edge_map)
-        ) == self.source.n_edges
-
 
 def morphism(h: CoreGraph, j: CoreGraph) -> GraphMorphism | None:
     """The morphism Gamma(H) -> Gamma(J), which exists iff H <= J.
@@ -610,8 +598,8 @@ def check_word_length(cyc: CyclicWord) -> None:
 
 
 class QuotientPoset:
-    """All quotients of the w-cycle: the lattice underlying every
-    convolution formula.  Nodes are canonical core graphs, sorted by
+    """All quotients of the w-cycle, stored with their order: the lattice
+    the chains of ``iterated_expectation`` run over.  Nodes are canonical core graphs, sorted by
     (rank, -vertices, key).
 
     Each quotient is generated once, as a fold-closed partition of the
@@ -638,7 +626,6 @@ class QuotientPoset:
                  for p, fibers, _ in fold_closed_partitions(letters, cyc.rank, self._budget)]
         found.sort(key=lambda item: (item[0].rank(), -item[0].n_vertices, item[0].key()))
         self.nodes, self._partitions, self.fibers = map(tuple, zip(*found))
-        self._index = {g: i for i, g in enumerate(self.nodes)}
         self.bottom_index = self._partitions.index(tuple(range(len(letters))))
         self._up: list[int] | None = None
         self._morphisms: dict = {}
@@ -674,12 +661,6 @@ class QuotientPoset:
     def __len__(self):
         return len(self.nodes)
 
-    def index_of(self, g: CoreGraph) -> int:
-        try:
-            return self._index[g]
-        except KeyError:
-            raise ValueError(f"{g!r} is not a quotient of the {self.word} cycle") from None
-
     def morphism_between(self, i: int, j: int) -> GraphMorphism | None:
         key = (i, j)
         if key not in self._morphisms:
@@ -693,13 +674,6 @@ class QuotientPoset:
         """The nodes j with i <= j, i itself included, in index order: the
         set bits of i's up-set."""
         return list(_bits(self._order()[i]))
-
-    def comparable_pairs(self):
-        return [(i, j) for i, up in enumerate(self._order()) for j in _bits(up)]
-
-    def interval(self, i: int, j: int) -> list[int]:
-        up = self._order()
-        return [k for k in _bits(up[i]) if up[k] >> j & 1]
 
     def chains(self, length: int, among=None):
         """Weakly increasing chains c_1 <= ... <= c_length of the nodes in
@@ -716,19 +690,6 @@ class QuotientPoset:
                 if not c or self.leq(c[-1], k):
                     yield c + (k,)
 
-    def maximal(self, indices) -> list[int]:
-        """The elements of ``indices`` lying below no other one of them."""
-        up = self._order()
-        indices = list(indices)
-        mask = 0
-        for k in indices:
-            mask |= 1 << k
-        return [k for k in indices if up[k] & mask == 1 << k]
-
-    def top_index(self) -> int | None:
-        """Index of the bouquet node, if w uses every ambient generator."""
-        return self._index.get(bouquet(self.word.rank, self.word.names))
-
 
 def enumerate_quotients(w: Word, budget=None) -> QuotientPoset:
     """The poset Q_B(w) of quotients of the w-cycle.
@@ -740,52 +701,3 @@ def enumerate_quotients(w: Word, budget=None) -> QuotientPoset:
     """
     return QuotientPoset(w, budget)
 
-
-def decomp(poset: QuotientPoset, i: int, j: int, m: int) -> list[tuple[int, ...]]:
-    """All chains i = c_0 <= c_1 <= ... <= c_m = j in the poset, i.e. the
-    decompositions of the morphism i -> j into m surjective morphisms.
-    Degenerate links (isomorphisms) are allowed."""
-    if m < 1:
-        raise ValidationError("a decomposition has at least one link")
-    if not poset.leq(i, j):
-        return []
-    return [(i,) + c + (j,) for c in poset.chains(m - 1, poset.interval(i, j))]
-
-
-# -- algebraicity and the algebraic-free decomposition ----------------------
-
-
-def is_algebraic_cyclic_base(
-    w: Word, h: CoreGraph, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND
-) -> bool:
-    """Is <w> <= H an algebraic extension?  True iff w, rewritten in a
-    basis of H, lies in no proper free factor of H."""
-    basis = spanning_tree_basis(h)
-    rewritten = rewrite_in_subgroup(w, basis)
-    if rewritten.is_identity():
-        raise ValidationError("identity word: algebraicity handled upstream")
-    if basis.rank() <= 1:
-        return True  # rank-1 H: only proper free factor is trivial
-    return not lies_in_proper_free_factor(rewritten, rank_bound)
-
-
-def afd_cyclic(w: Word, j: CoreGraph) -> CoreGraph:
-    """The algebraic-free decomposition of <w> <= J: the unique L with
-    <w> <=_alg L <=* J, computed as the maximal algebraic quotient of the
-    w-cycle that maps into J."""
-    cyc, _ = cyclic_reduce(w)
-    if j.trace(cyc.letters) != 0:
-        raise NotInSubgroupError("w does not lie in J")
-    poset = enumerate_quotients(cyc.to_word())
-    candidates = []
-    for idx, node in enumerate(poset.nodes):
-        if morphism(node, j) is None:
-            continue
-        if is_algebraic_cyclic_base(cyc.to_word(), node):
-            candidates.append(idx)
-    maximal = poset.maximal(candidates)
-    if len(maximal) != 1:
-        raise InvariantError(
-            f"algebraic-free decomposition must be unique, found {len(maximal)} maximal nodes"
-        )
-    return poset.nodes[maximal[0]]

@@ -1,17 +1,16 @@
-"""Mobius inversion on quotient posets, the closed-form left derivation
-L^B, the convolution algebra of poset functions, and the generalized L for
-arbitrary permutation actions and letter distributions.
+"""The closed-form L-term L^B of a surjective morphism of core graphs, the
+fixed-point expectation E_{H->J} it resums to (sum over the quotients M
+between H and J of L^B(M -> J)), and the generalized L for arbitrary
+permutation actions and letter distributions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import (
     DEFAULT_ACTION_ORDER_BUDGET,
-    InvariantError,
     ValidationError,
     check,
     eval_budget,
@@ -19,7 +18,6 @@ from .budget import (
 from .core_graphs import (
     CoreGraph,
     GraphMorphism,
-    QuotientPoset,
     morphism,
     spanning_tree_basis,
     rewrite_in_subgroup,
@@ -81,118 +79,6 @@ def L_value_at(vertex_fibers, edge_fibers, n: int) -> Fraction:
     for f in edge_fibers:
         den *= falling(n, f)
     return num / den
-
-
-# -- poset functions and convolution ------------------------------------------
-
-
-@dataclass
-class PosetFunction:
-    """A function on the comparable pairs of a quotient poset.
-
-    Values may be any ring elements that support + and * (Fractions,
-    Cyclotomics, RationalFunctionN, plain ints).
-    """
-
-    poset: QuotientPoset
-    values: dict
-
-    def __call__(self, i: int, j: int):
-        return self.values[(i, j)]
-
-    def __eq__(self, other):
-        return self.poset is other.poset and self.values == other.values
-
-
-def poset_ones(poset: QuotientPoset) -> PosetFunction:
-    return PosetFunction(poset, {p: 1 for p in poset.comparable_pairs()})
-
-
-def poset_delta(poset: QuotientPoset) -> PosetFunction:
-    return PosetFunction(
-        poset, {(i, j): 1 if i == j else 0 for (i, j) in poset.comparable_pairs()}
-    )
-
-
-def convolve(f: PosetFunction, g: PosetFunction) -> PosetFunction:
-    """(f * g)(eta) = sum over decompositions eta = eta_2 . eta_1 of
-    f(eta_1) g(eta_2); associative, with poset_delta as identity."""
-    if f.poset is not g.poset:
-        raise ValidationError("convolution requires functions on the same poset")
-    poset = f.poset
-    out = {}
-    for (i, j) in poset.comparable_pairs():
-        acc = 0
-        for k in poset.interval(i, j):
-            acc = acc + f(i, k) * g(k, j)
-        out[(i, j)] = acc
-    return PosetFunction(poset, out)
-
-
-def mobius_B(poset: QuotientPoset) -> PosetFunction:
-    """The Mobius inversion: the convolution inverse of the constant 1.
-
-    mu(H, H) = 1 and mu(H, J) = -sum over H <= M < J of mu(H, M); the
-    defining identity mu * 1 = delta is checked before returning.
-    """
-    pairs = poset.comparable_pairs()
-    mu: dict = {}
-
-    def compute(i, j):
-        if (i, j) in mu:
-            return mu[(i, j)]
-        if i == j:
-            mu[(i, j)] = 1
-            return 1
-        total = 0
-        for k in poset.interval(i, j):
-            if k != j:
-                total += compute(i, k)
-        mu[(i, j)] = -total
-        return -total
-
-    for (i, j) in pairs:
-        compute(i, j)
-    result = PosetFunction(poset, mu)
-    identity = convolve(result, poset_ones(poset))
-    for (i, j) in pairs:
-        if identity(i, j) != (1 if i == j else 0):
-            raise InvariantError(f"mu * 1 != delta at ({i}, {j})")
-    return result
-
-
-def L_B_function(poset: QuotientPoset) -> PosetFunction:
-    """L^B on every comparable pair of the poset, as rational functions."""
-    out = {}
-    for (i, j) in poset.comparable_pairs():
-        out[(i, j)] = L_B(poset.morphism_between(i, j))
-    return PosetFunction(poset, out)
-
-
-def expectation_action_function(
-    poset: QuotientPoset, action, budget: int | None = None
-) -> PosetFunction:
-    """The fixed-point expectation on every comparable pair."""
-    out = {}
-    for (i, j) in poset.comparable_pairs():
-        out[(i, j)] = expectation_action(poset.nodes[i], poset.nodes[j], action, budget)
-    return PosetFunction(poset, out)
-
-
-def left_derivation(poset: QuotientPoset, ex: PosetFunction) -> PosetFunction:
-    """L = mu * E."""
-    return convolve(mobius_B(poset), ex)
-
-
-def right_derivation(poset: QuotientPoset, ex: PosetFunction) -> PosetFunction:
-    """R = E * mu."""
-    return convolve(ex, mobius_B(poset))
-
-
-def central_derivation(poset: QuotientPoset, ex: PosetFunction) -> PosetFunction:
-    """C = mu * E * mu."""
-    mu = mobius_B(poset)
-    return convolve(mu, convolve(ex, mu))
 
 
 # -- permutation actions -------------------------------------------------------

@@ -144,10 +144,7 @@ class CyclicWord:
 
     def canonical_key(self) -> tuple[int, ...]:
         """Minimal rotation; rotation-invariant identifier."""
-        if not self.letters:
-            return ()
-        ls = self.letters
-        return min(ls[i:] + ls[:i] for i in range(len(ls)))
+        return _canon_rotation(self.letters)
 
     def to_word(self) -> Word:
         return Word(self.rank, self.letters, self.names)
@@ -206,10 +203,10 @@ class _Parser:
     # atom := [a-z] | [A-Z] | '[' word ',' word ']' | '(' word ')'
     # Each power and commutator is charged its length against the
     # evaluation budget before it is expanded, and a word after each factor.
-    def __init__(self, text: str):
+    def __init__(self, text: str, budget: int | None = None):
         self.text = text
         self.pos = 0
-        self.budget = eval_budget()
+        self.budget = eval_budget(budget)
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -289,8 +286,8 @@ class _Parser:
         return sign * int(digits)
 
 
-def _raw_parse(text: str) -> list[int]:
-    parser = _Parser(text)
+def _raw_parse(text: str, budget: int | None = None) -> list[int]:
+    parser = _Parser(text, budget)
     raw = parser.word()
     if parser.peek() is not None:
         raise WordSyntaxError(f"unexpected token {parser.peek()!r}", parser.pos)
@@ -316,17 +313,19 @@ def _alphabet_map(used_chars: list[str], rank: int | None):
     return rank, names, remap
 
 
-def parse_word(text: str, rank: int | None = None) -> Word:
+def parse_word(text: str, rank: int | None = None, budget: int | None = None) -> Word:
     """Parse the word grammar.  Lowercase letters are generators, uppercase
     their inverses; ``^k`` exponents, ``[u,v]`` commutators, parentheses.
+    Expansions are charged against ``budget`` (default ``eval_budget()``).
     """
-    return parse_words([text], rank)[0]
+    return parse_words([text], rank, budget)[0]
 
 
-def parse_words(texts: list[str], rank: int | None = None) -> list[Word]:
+def parse_words(texts: list[str], rank: int | None = None,
+                budget: int | None = None) -> list[Word]:
     """Parse several words over one shared alphabet (for subgroup
     generating sets the letters must be numbered consistently)."""
-    raws = [_raw_parse(t) for t in texts]
+    raws = [_raw_parse(t, budget) for t in texts]
     used_chars = sorted({ALPHABET[abs(x) - 1] for raw in raws for x in raw})
     rank, names, remap = _alphabet_map(used_chars, rank)
     out = []

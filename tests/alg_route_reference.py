@@ -10,7 +10,7 @@ last link B is the ambient bouquet.  The chains run through the
 algebraic quotients below the core of the top quotient.
 
 ``AlgRoute`` builds these chains off its own quotient poset of the
-word, with its own algebraicity test (``is_algebraic_cyclic_base``), AFD
+word, with its own algebraicity test (``is_algebraic``), AFD
 cores, relative expectations and L^alg piece sums; the tests compare the
 library's chain sum against it, so this module uses none of the
 library's chain types or chain sums.
@@ -18,16 +18,28 @@ library's chain types or chain sums.
 
 from fractions import Fraction
 
-from wml.budget import InvariantError
+from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, InvariantError
 from wml.characters import expectation_rel
-from wml.core_graphs import enumerate_quotients, is_algebraic_cyclic_base, spanning_tree_basis
+from wml.core_graphs import enumerate_quotients, rewrite_in_subgroup, spanning_tree_basis
 from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, L_value_at
 from wml.rational import RationalFunctionN
+from wml.words import lies_in_proper_free_factor
+
+
+def is_algebraic(w, h, rank_bound=DEFAULT_WHITEHEAD_RANK_BOUND):
+    """Is <w> <= H algebraic: does w, rewritten in a basis of the core
+    graph ``h``, lie in no proper free factor of H?  (A rank-1 H has only
+    the trivial one.)"""
+    basis = spanning_tree_basis(h)
+    return basis.rank() <= 1 or not lies_in_proper_free_factor(
+        rewrite_in_subgroup(w, basis), rank_bound)
 
 
 def _unique_maximal(poset, indices, what):
-    maximal = poset.maximal(indices)
+    """The one element of ``indices`` below no other one of them."""
+    members = set(indices)
+    maximal = [k for k in members if len(members.intersection(poset.above(k))) == 1]
     if len(maximal) != 1:
         raise InvariantError(f"{what} must be unique, found {len(maximal)}")
     return maximal[0]
@@ -41,7 +53,7 @@ class AlgRoute:
     def __init__(self, ctx, phi, levels, budget=None):
         poset = enumerate_quotients(ctx.word)
         everything = range(len(poset))
-        algebraic = [i for i in everything if is_algebraic_cyclic_base(ctx.word, poset.nodes[i])]
+        algebraic = [i for i in everything if is_algebraic(ctx.word, poset.nodes[i])]
         core = [
             _unique_maximal(poset, [a for a in algebraic if poset.leq(a, i)], f"AFD core of {i}")
             for i in everything

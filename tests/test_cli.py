@@ -245,6 +245,19 @@ def test_validation_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("expect", "ab", "--group", "S3", "--char", "all", "--n", "3"),
+    ("witnesses", "ab", "--group", "S3", "--char", "all"),
+    ("oracle", "ab", "--group", "S3", "--char", "all", "--n", "3"),
+], ids=["expect", "witnesses", "oracle"])
+def test_char_all_names_no_character(capsys, argv):
+    # every command reads one character, so 'all' is no shorthand for the first
+    assert run(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown character 'all'; available: ['trivial', 'sign', 'std']" in err
+
+
 ORACLE_S3 = ("oracle", "[a,b]", "--group", "S3", "--char", "std")
 
 
@@ -346,6 +359,14 @@ def test_word_expansion_past_the_budget_exits_3(capsys):
     assert run(["whitehead", "a^1000000000"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("budget exceeded:")
+
+
+def test_the_budget_option_reaches_the_word_parser(capsys):
+    # without --budget reaching the parser, a^2000 passed it and stopped
+    # at the word-length bound (exit 2)
+    assert run(["expect", "a^2000", "--symbolic", "--budget", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded: expanded power length")
 
 
 def test_env_budget_override(capsys, monkeypatch):

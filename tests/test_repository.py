@@ -155,6 +155,22 @@ def test_only_the_chains_read_the_stored_poset():
     assert builders == {"iterated_expectation"}, builders
 
 
+def test_the_poset_keeps_only_what_the_commands_read():
+    # every command streams the quotients; the stored poset serves the
+    # chains of expect-iterated, and no command reads the incidence algebra
+    definitions = _definitions(ROOT / "src" / "wml" / "core_graphs.py")
+    poset = {name.split(".")[1] for name, node in definitions
+             if name.startswith("QuotientPoset.") and isinstance(node, ast.FunctionDef)}
+    assert poset == {"__init__", "_order", "__len__", "morphism_between", "leq", "above",
+                     "chains"}, poset
+    removed = {name for name, _ in definitions} & {"decomp", "afd_cyclic"}
+    assert not removed, removed
+    mobius = {name for name, _ in _definitions(ROOT / "src" / "wml" / "mobius.py")}
+    algebra = {name for name in mobius if name.endswith("_derivation")
+               or name in ("PosetFunction", "convolve", "mobius_B")}
+    assert not algebra, algebra
+
+
 def test_one_recursion_sums_the_levels():
     # the single-variable function and the values at concrete degrees are
     # two readings of one level recursion with one memo; a further caller

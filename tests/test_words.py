@@ -97,6 +97,18 @@ def test_parser_charges_the_expanded_word(monkeypatch):
         parse_word("a^60b^41")
 
 
+def test_parser_takes_the_callers_budget(monkeypatch):
+    # an explicit budget overrides WML_BUDGET, as it does for the sums
+    monkeypatch.setenv("WML_BUDGET", "10")
+    assert len(parse_word("a^20", budget=20).letters) == 20
+    assert [w.letters for w in parse_words(["a^20", "b"], budget=20)] == [(1,) * 20, (2,)]
+    with pytest.raises(BudgetError, match="expanded power length"):
+        parse_word("a^20")
+    monkeypatch.delenv("WML_BUDGET")
+    with pytest.raises(BudgetError, match="expanded power length"):
+        parse_word("a^20", budget=19)
+
+
 def test_parse_words_shared_alphabet():
     u, v = parse_words(["x", "y^6"])
     assert u.rank == v.rank == 2

@@ -579,8 +579,7 @@ class TestContextOwnership:
         haar = iterated_value_at(ctx, std, ())
         assert witness_report(ctx, TRIV).pi == 2
         assert ctx._poset is None
-        poset = enumerate_quotients(ctx.word)
-        assert haar == e_rel(std, ctx.word, poset.nodes[poset.top_index()])
+        assert haar == e_rel(std, ctx.word, bouquet(ctx.rank))
 
     def test_one_context_serves_two_whitehead_bounds(self):
         std = CharacterSpec.finite(char("S3", "std"))

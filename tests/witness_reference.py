@@ -11,10 +11,10 @@ the library's partition stream nor its partition reader.
 
 from math import inf
 
+from alg_route_reference import is_algebraic
 from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, InvariantError
 from wml.characters import expectation_rel
-from wml.core_graphs import (enumerate_quotients, is_algebraic_cyclic_base, rewrite_in_subgroup,
-                             spanning_tree_basis)
+from wml.core_graphs import enumerate_quotients, rewrite_in_subgroup, spanning_tree_basis
 from wml.cyclotomic import Cyclotomic
 from wml.words import is_primitive
 from wml.wreath_measures import WitnessEntry, WitnessReport, WordContext
@@ -45,7 +45,7 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
             if value.is_zero():
                 continue
         if node.rank() <= whitehead_bound:
-            algebraic = is_algebraic_cyclic_base(ctx.word, node, whitehead_bound)
+            algebraic = is_algebraic(ctx.word, node, whitehead_bound)
         else:
             algebraic = None
             partial = True
