@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .budget import BudgetError, ValidationError
+from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError
 from .characters import ClassFunction, FiniteGroup, builtin_group
 from .cyclotomic import Cyclotomic
 from .mobius import PermAction
@@ -24,13 +24,13 @@ from .oracle import (
     monte_carlo_expectation,
     orbit_count,
 )
-from .rational import RationalFunctionN
 from .words import parse_word, whitehead_minimize, is_primitive, lies_in_proper_free_factor
 from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
     WordContext,
     chi_expectation_at,
+    chi_expectation_symbolic,
     ind_expectation_at,
     ind_expectation_symbolic,
     iterated_expectation,
@@ -231,8 +231,7 @@ def cmd_expect(args) -> dict:
             lt = leading_term(f)
             out["leading"] = {"exponent": lt.exponent, "coefficient": _cyclo_json(lt.coefficient)}
         if args.chi:
-            chi = f - RationalFunctionN.constant(1) if spec.kind == "trivial" else f
-            out["chi_symbolic"] = chi.to_json()
+            out["chi_symbolic"] = chi_expectation_symbolic(ctx, spec, args.budget).to_json()
     if args.n is not None:
         v = ind_expectation_at(ctx, spec, args.n, args.budget)
         out["n"] = args.n
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=None, help="evaluation budget override")
         if whitehead:
             sp.add_argument(
-                "--whitehead-rank-bound", type=int, default=4,
+                "--whitehead-rank-bound", type=int, default=DEFAULT_WHITEHEAD_RANK_BOUND,
                 help="maximum rank for Whitehead minimization searches",
             )
         return sp

@@ -2,15 +2,24 @@
 
 Elements are stored as rational coefficient vectors in the power basis of
 Q[x]/(Phi_N(x)), where Phi_N is the N-th cyclotomic polynomial.  Mixed
-conductors are reconciled by lifting both operands into Q(zeta_lcm).
+conductors are reconciled by lifting both operands into Q(zeta_lcm); a
+rational lifts to any conductor, and prints at conductor 1.
 All character values and word-measure expectations in this package live
 in such a field, so every computation downstream stays exact.
+
+The arithmetic follows the structure of the field, with no polynomial
+gcd: Phi_N is the Moebius product of the x^d - 1 over the divisors d of
+N, computed in integers; a product is an integer convolution over the
+common denominators, folded modulo N and divided by Phi_N; the Galois
+group acts by zeta_N -> zeta_N^k for k prime to N; and 1/x is the
+product of the other Galois conjugates of x over its rational norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .budget import InvariantError, ValidationError
@@ -29,39 +38,42 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _moebius(n: int) -> int:
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # b must be non-zero; exact division over Q
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, bj in enumerate(b):
-                a[i + j] -= coef * bj
-    return _poly_trim(q), _poly_trim(a)
+def _times_x_power_minus_one(poly: list[int], d: int) -> list[int]:
+    """poly * (x^d - 1), low degree first."""
+    return [a - b for a, b in zip_longest([0] * d + poly, poly, fillvalue=0)]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, low degree first."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    # (x^n - 1) / prod of Phi_d over proper divisors d
-    poly = [Fraction(0)] * (n + 1)
-    poly[0], poly[n] = Fraction(-1), Fraction(1)
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise InvariantError(f"Phi_{d} does not divide x^{n} - 1 exactly")
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, low degree first: the Moebius product
+    prod_{d | n} (x^d - 1)^mu(n/d) in integers, the factors with
+    exponent +1 multiplied first, then those with exponent -1 divided out
+    exactly (q = p / (x^d - 1) solves q_i = q_{i-d} - p_i)."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _moebius(n // d) == 1:
+            poly = _times_x_power_minus_one(poly, d)
+    for d in divisors:
+        if _moebius(n // d) == -1:
+            q: list[int] = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            if _times_x_power_minus_one(q, d) != poly:
+                raise InvariantError(f"x^{d} - 1 does not divide the product for Phi_{n} exactly")
+            poly = q
     return tuple(poly)
 
 
@@ -70,14 +82,21 @@ def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The degree of Phi_n and its non-zero terms (i, c) below the leading
     one; Phi_n is monic with integer coefficients."""
     phi_n = cyclotomic_polynomial(n)
-    return len(phi_n) - 1, tuple((i, int(c)) for i, c in enumerate(phi_n[:-1]) if c)
+    return len(phi_n) - 1, tuple((i, c) for i, c in enumerate(phi_n[:-1]) if c)
 
 
-def _reduce_mod_phi(n: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (any degree, int or Fraction
-    coefficients) to the power basis: over the common denominator, fold
-    the powers modulo n (zeta_n^n = 1), then divide by Phi_n in integers,
-    touching only its non-zero terms."""
+def _integral(coeffs) -> tuple[list[int], int]:
+    """(integers, den) with coeffs = integers / den, den the least common
+    denominator of the int or Fraction coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce_mod_phi(n: int, coeffs, scale: int = 1) -> tuple[Fraction, ...]:
+    """Reduce sum_j coeffs[j] zeta_n^j / scale (any degree, int or
+    Fraction coefficients) to the power basis: over the common
+    denominator, fold the powers modulo n (zeta_n^n = 1), then divide by
+    Phi_n in integers, touching only its non-zero terms."""
     deg, low = _phi_terms(n)
     den = lcm(*(c.denominator for c in coeffs))
     rem = [0] * n
@@ -89,24 +108,12 @@ def _reduce_mod_phi(n: int, coeffs) -> tuple[Fraction, ...]:
         if lead:
             for i, c in low:
                 rem[top - deg + i] -= lead * c
-    return tuple(Fraction(r, den) for r in rem[:deg])
+    return tuple(Fraction(r, den * scale) for r in rem[:deg])
 
 
 def powers_sum_is_zero(n: int, coeffs) -> bool:
     """Whether sum_k coeffs[k] * zeta_n^k is zero."""
     return not any(_reduce_mod_phi(n, coeffs))
-
-
-def _moebius(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if m > 1 else result
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +168,13 @@ class Cyclotomic:
     # -- conversions ---------------------------------------------------
 
     def lift(self, m: int) -> "Cyclotomic":
-        """Rewrite in Q(zeta_m); requires conductor | m."""
+        """Rewrite in Q(zeta_m); requires conductor | m unless the element
+        is rational."""
         if m == self.conductor:
             return self
         if m % self.conductor:
+            if self.is_rational():
+                return Cyclotomic(m, self.coeffs[:1])
             raise ValidationError(f"cannot lift from Q(zeta_{self.conductor}) to Q(zeta_{m})")
         step = m // self.conductor
         out: list[Fraction] = []
@@ -233,36 +243,33 @@ class Cyclotomic:
             q = Fraction(other)
             return Cyclotomic(self.conductor, tuple(c * q for c in self.coeffs))
         a, b = self._pair(other)
-        n = a.conductor
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1 or 1)
-        for i, x in enumerate(a.coeffs):
+        (xs, dx), (ys, dy) = _integral(a.coeffs), _integral(b.coeffs)
+        prod = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(n, _reduce_mod_phi(n, prod))
+                for j, y in enumerate(ys):
+                    prod[i + j] += x * y
+        return Cyclotomic(a.conductor, _reduce_mod_phi(a.conductor, prod, dx * dy))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/x = prod_{sigma != 1} sigma(x) / N(x): the product of the other
+        Galois conjugates over the norm N(x) = prod_sigma sigma(x), which is
+        rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        if self.is_rational():
+            return Cyclotomic.from_rational(1 / self.coeffs[0])
         n = self.conductor
-        phi_n = list(cyclotomic_polynomial(n))
-        # extended Euclid: s*self + t*Phi_n = 1 in Q[x]
-        r0, r1 = phi_n, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r1 is the gcd (a non-zero constant since Phi_n is irreducible)
-        if len(r1) != 1:
-            raise InvariantError(f"gcd with Phi_{n} has degree {len(r1) - 1}, not 0")
-        c = r1[0]
-        return Cyclotomic(n, tuple(x / c for x in s1))
+        others = _ONE
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * self.galois(k)
+        norm = self * others
+        if not norm.is_rational():
+            raise InvariantError(f"the norm of {self} from Q(zeta_{n}) is not rational")
+        return others / norm.coeffs[0]
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -300,14 +307,20 @@ class Cyclotomic:
             return None
         return n // gcd(k, n)
 
-    def conjugate(self) -> "Cyclotomic":
-        """Galois automorphism zeta_N -> zeta_N^(-1) (complex conjugation)."""
+    def galois(self, k: int) -> "Cyclotomic":
+        """The Galois automorphism zeta_N -> zeta_N^k, for k prime to N."""
         n = self.conductor
+        if gcd(k, n) != 1:
+            raise ValidationError(f"{k} is not prime to the conductor {n}")
         out: list[Fraction] = [Fraction(0)] * n
         for j, c in enumerate(self.coeffs):
             if c:
-                out[(-j) % n] += c
+                out[(j * k) % n] += c
         return Cyclotomic(n, _reduce_mod_phi(n, out))
+
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugation, zeta_N -> zeta_N^(-1)."""
+        return self.galois(-1)
 
     # -- comparisons / hashing -----------------------------------------
 
@@ -356,31 +369,13 @@ class Cyclotomic:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
+        """Rationals at conductor 1, whatever conductor they are stored at."""
+        x = self.lift(1) if self.is_rational() else self
+        return {"conductor": x.conductor, "coeffs": [str(c) for c in x.coeffs]}
 
     @staticmethod
     def from_json(data) -> "Cyclotomic":
         return Cyclotomic(int(data["conductor"]), [Fraction(c) for c in data["coeffs"]])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 @lru_cache(maxsize=4096)

@@ -44,41 +44,40 @@ def L_B(eta: GraphMorphism) -> RationalFunctionN:
     return L_rational(eta.vertex_fibers(), eta.edge_fibers()).reduced()
 
 
-def L_rational(vertex_fibers, edge_fibers) -> PoleRational:
-    """The L-term of a morphism with the given fiber sizes, unreduced over
-    its poles: (n)_f is prod_{j < f} (n - j), so the ratio above is
-    prod_j (n - j)^e_j with e_j = #{edge fibers > j} - #{vertex fibers > j}."""
+def _pole_exponents(vertex_fibers, edge_fibers) -> list[int]:
+    """The exponents e_j of the L-term of a morphism with the given fiber
+    sizes: (n)_f is prod_{j < f} (n - j), so the ratio above is
+    prod_j (n - j)^(-e_j) with e_j = #{edge fibers > j} - #{vertex fibers > j}."""
     top = max((*vertex_fibers, *edge_fibers), default=0)
-    return PoleRational.of_exponents(
+    return [
         sum(f > j for f in edge_fibers) - sum(f > j for f in vertex_fibers)
         for j in range(top)
-    )
+    ]
 
 
-def falling(n: int, t: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(t):
-        out *= n - i
-    return out
+def L_rational(vertex_fibers, edge_fibers) -> PoleRational:
+    """The L-term of a morphism with the given fiber sizes, unreduced over
+    its poles: prod_j (n - j)^(-e_j), the e_j of ``_pole_exponents``."""
+    return PoleRational.of_exponents(_pole_exponents(vertex_fibers, edge_fibers))
 
 
 def L_value_at(vertex_fibers, edge_fibers, n: int) -> Fraction:
     """Exact value of the L-term at a concrete n, for uniform S_n.
 
     This is the direct-count semantics (expected number of valid injective
-    colorings), which is 0 whenever n < |V(source)| and agrees with the
-    falling-factorial ratio above that threshold.
+    colorings), which is 0 whenever n < |V(source)| and above that is
+    prod_j (n - j)^(-e_j), the falling-factorial ratio read off the same
+    exponents as ``L_rational``.
     """
-    nv = sum(vertex_fibers)
-    if n < nv:
+    if n < sum(vertex_fibers):
         return Fraction(0)
-    num = Fraction(1)
-    for f in vertex_fibers:
-        num *= falling(n, f)
-    den = Fraction(1)
-    for f in edge_fibers:
-        den *= falling(n, f)
-    return num / den
+    num = den = 1
+    for j, e in enumerate(_pole_exponents(vertex_fibers, edge_fibers)):
+        if e > 0:
+            den *= (n - j) ** e
+        else:
+            num *= (n - j) ** -e
+    return Fraction(num, den)
 
 
 # -- permutation actions -------------------------------------------------------

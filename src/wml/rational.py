@@ -148,7 +148,8 @@ class Poly:
         return " + ".join(parts)
 
     def conductor(self) -> int:
-        return lcm(*[c.conductor for c in self.coeffs]) if self.coeffs else 1
+        """The lcm of the coefficients' conductors, rationals counting as 1."""
+        return lcm(*(1 if c.is_rational() else c.conductor for c in self.coeffs))
 
     def to_json(self, conductor: int | None = None):
         conductor = conductor or self.conductor()

@@ -543,43 +543,16 @@ def tree_fix_expectation(w: Word | WordContext, levels: int, budget=None) -> Tre
 
 
 def tree_dimension_identity(levels: int) -> bool:
-    """n_1...n_m = 1 + (n_m - 1) + n_m (n_{m-1} - 1) + ... as polynomials."""
-
-    def poly_mul(p, q):
-        out = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return {e: c for e, c in out.items() if c}
-
-    def var(i):
-        e = [0] * levels
-        e[i] = 1
-        return {tuple(e): 1}
-
-    def const(c):
-        return {tuple([0] * levels): c} if c else {}
-
-    def poly_add(p, q):
-        out = dict(p)
-        for e, c in q.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return out
-
-    lhs = const(1)
+    """n_1...n_m = 1 + (n_m - 1) + n_m (n_{m-1} - 1) + ... as polynomials.
+    Every term is multilinear, so a monomial is the frozenset of its
+    variable indices and the check is exact."""
+    rhs = {frozenset(): 1}
     for i in range(levels):
-        lhs = poly_mul(lhs, var(i))
-    rhs = const(1)
-    for i in range(1, levels + 1):
-        # n_m * ... * n_{i+1} * (n_i - 1)   [indices 1-based from the base]
-        term = poly_add(var(i - 1), const(-1))
-        for j in range(i, levels):
-            term = poly_mul(term, var(j))
-        rhs = poly_add(rhs, term)
-    return lhs == rhs
+        # (n_i - 1) n_{i+1} ... n_{m-1}, indices 0-based from the base
+        above = frozenset(range(i + 1, levels))
+        for monomial, c in ((above | {i}, 1), (above, -1)):
+            rhs[monomial] = rhs.get(monomial, 0) + c
+    return {m: c for m, c in rhs.items() if c} == {frozenset(range(levels)): 1}
 
 
 # -- profiles and bounds --------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from wml.cli import build_parser, parse_group_spec, run
-from wml.budget import ValidationError
+from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, ValidationError
 
 
 def run_json(capsys, *argv):
@@ -103,6 +103,17 @@ def test_expect_identity_word_is_n_dim_phi(capsys):
     assert code == 0 and data["value"] == "8"
     code, data = run_json(capsys, "oracle", "[a,a]", "--group", "S3", "--char", "std", "--n", "4")
     assert code == 0 and data["value"] == "8"
+
+
+def test_a_rational_symbolic_answer_prints_at_conductor_one(capsys):
+    code, data = run_json(capsys, "expect", "aA", "--group", "C3", "--char", "chi1", "--symbolic")
+    assert code == 0
+    assert data["symbolic"] == {"conductor": 1, "num": [["0"], ["1"]], "den": [["1"]]}
+
+
+def test_whitehead_rank_bound_defaults_to_the_library_default():
+    args = build_parser().parse_args(["rank", "a"])
+    assert args.whitehead_rank_bound == DEFAULT_WHITEHEAD_RANK_BOUND
 
 
 @pytest.mark.parametrize("command", [("expect-iterated", "--levels", "2"), ("tree",)])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -151,3 +152,75 @@ def test_power_terms_write_an_element_in_powers_of_a_larger_root():
     assert terms == ((0, Fraction(1, 2)), (4, 2))
     with pytest.raises(ValidationError):
         x.power_terms(4)
+
+
+def test_rationals_lift_to_any_conductor_and_print_at_conductor_one():
+    half = Cyclotomic(3, (Fraction(1, 2), 0))
+    assert half.lift(4) == Fraction(1, 2) and half.lift(4).conductor == 4
+    assert half.to_json() == {"conductor": 1, "coeffs": ["1/2"]}
+    assert Cyclotomic.from_json(half.to_json()) == half
+
+
+def _elements(n: int):
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.lists(q, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda cs: Cyclotomic(n, cs))
+
+
+def _units(n: int) -> list[int]:
+    return [k for k in range(1, n + 1) if gcd(k, n) == 1]
+
+
+@st.composite
+def galois_cases(draw):
+    n = draw(st.integers(1, 30))
+    k, k2 = draw(st.sampled_from(_units(n))), draw(st.sampled_from(_units(n)))
+    return n, k, k2, draw(_elements(n)), draw(_elements(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(galois_cases())
+def test_galois_is_a_ring_automorphism_and_composes(case):
+    n, k, k2, x, y = case
+    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+    assert x.galois(k).galois(k2) == x.galois(k * k2)
+    assert x.galois(1) == x and x.galois(-1) == x.conjugate()
+
+
+def test_galois_needs_an_exponent_prime_to_the_conductor():
+    with pytest.raises(ValidationError):
+        Cyclotomic.root_of_unity(6).galois(3)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_an_element_times_its_inverse_is_one(n, data):
+    if data.draw(st.booleans()):
+        # a rational stored at a conductor above 1
+        q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+        x = Cyclotomic(1, (q,)).lift(n)
+    else:
+        x = data.draw(_elements(n).filter(bool))
+    assert x * x.inverse() == 1
+    assert x.inverse().inverse() == x
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic(5, (0, 0, 0, 0)).inverse()
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_the_cyclotomic_polynomials_of_the_divisors_multiply_to_x_n_minus_1(n):
+    product = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi_d = cyclotomic_polynomial(d)
+            out = [0] * (len(product) + len(phi_d) - 1)
+            for i, a in enumerate(product):
+                for j, b in enumerate(phi_d):
+                    out[i + j] += a * b
+            product = out
+    assert product == [-1] + [0] * (n - 1) + [1]

@@ -87,6 +87,13 @@ def test_json():
     assert data["num"] == [["0", "1"]]
 
 
+def test_rational_coefficients_print_at_conductor_one():
+    # -(n + 1)/n with a zero coefficient stored in Q(zeta_3)
+    f = RationalFunctionN.of(Poly((Cyclotomic(3, (0, 0)), -1, -1)), Poly((0, 0, 1)))
+    assert f.to_json() == {"conductor": 1, "num": [["-1"], ["-1"]], "den": [["0"], ["1"]]}
+    assert Poly((Cyclotomic(12, (Fraction(1, 2),)), 1)).conductor() == 1
+
+
 def test_pole_rational_reads_the_exponents():
     # (n)_3 / ((n)_2 (n)_2) = (n - 2) / (n (n - 1)): exponents (1, 1, -1)
     f = L_rational((3,), (2, 2))

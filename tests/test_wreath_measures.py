@@ -486,9 +486,8 @@ class TestStreamedWitnesses:
 
 class TestTree:
     def test_dimension_identity(self):
-        assert tree_dimension_identity(1)
-        assert tree_dimension_identity(2)
-        assert tree_dimension_identity(3)
+        for m in range(13):
+            assert tree_dimension_identity(m), m
 
     def test_primitive_word_tree_fix_is_one(self):
         rep = tree_fix_expectation(parse_word("a"), 2)
