@@ -29,8 +29,7 @@ from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
     WordContext,
-    chi_expectation_at,
-    chi_expectation_symbolic,
+    chi_from_ind,
     ind_expectation_at,
     ind_expectation_symbolic,
     iterated_expectation,
@@ -231,13 +230,13 @@ def cmd_expect(args) -> dict:
             lt = leading_term(f)
             out["leading"] = {"exponent": lt.exponent, "coefficient": _cyclo_json(lt.coefficient)}
         if args.chi:
-            out["chi_symbolic"] = chi_expectation_symbolic(ctx, spec, args.budget).to_json()
+            out["chi_symbolic"] = chi_from_ind(f, spec).to_json()
     if args.n is not None:
         v = ind_expectation_at(ctx, spec, args.n, args.budget)
         out["n"] = args.n
         out["value"] = _cyclo_json(v)
         if args.chi:
-            out["chi_value"] = _cyclo_json(chi_expectation_at(ctx, spec, args.n, args.budget))
+            out["chi_value"] = _cyclo_json(chi_from_ind(v, spec))
     return out
 
 

@@ -605,9 +605,10 @@ class QuotientPoset:
     Each quotient is generated once, as a fold-closed partition of the
     positions of w (``fold_closed_partitions``), and built by one ``fold``
     (``partition_graphs``); ``fibers[i]`` keeps node i's fibers over the
-    bouquet as the generator yields them.  H <= J exactly when H's
-    partition refines J's: the morphism of core graphs commutes with the
-    maps from the w-cycle.  The order is one bitset up-set per node, built
+    bouquet and ``words[i]`` the letters of w rewritten in node i's
+    first-crossing basis, both as the generator yields them.  H <= J
+    exactly when H's partition refines J's: the morphism of core graphs
+    commutes with the maps from the w-cycle.  The order is one bitset up-set per node, built
     on the first order query and charged, like the enumeration, against
     the budget given at construction before it is allocated; ``above``
     reads a node's up-set, and ``leq`` one bit of it.
@@ -622,10 +623,10 @@ class QuotientPoset:
         letters = cyc.letters
         self._budget = eval_budget(budget)
         graph_of = partition_graphs(letters, cyc.rank, cyc.names)
-        found = [(graph_of(p), p, fibers)
-                 for p, fibers, _ in fold_closed_partitions(letters, cyc.rank, self._budget)]
+        found = [(graph_of(p), p, fibers, word)
+                 for p, fibers, word in fold_closed_partitions(letters, cyc.rank, self._budget)]
         found.sort(key=lambda item: (item[0].rank(), -item[0].n_vertices, item[0].key()))
-        self.nodes, self._partitions, self.fibers = map(tuple, zip(*found))
+        self.nodes, self._partitions, self.fibers, self.words = map(tuple, zip(*found))
         self.bottom_index = self._partitions.index(tuple(range(len(letters))))
         self._up: list[int] | None = None
         self._morphisms: dict = {}

@@ -181,22 +181,22 @@ def ind_expectation_at(w: Word | WordContext, phi, n: int, budget=None) -> Cyclo
     return iterated_value_at(w, phi, (n,), budget)
 
 
-def chi_expectation_symbolic(w, phi, budget=None) -> RationalFunctionN:
-    """E_w[chi_{phi,n}]: subtracts the constant 1 exactly when phi is
+def chi_from_ind(value, phi):
+    """E_w[chi_{phi,n}] from E_w[Ind_n phi], a rational function of n or
+    a value at one n: subtracts the constant 1 exactly when phi is
     trivial (the standard character of S_n)."""
-    phi = _as_spec(phi)
-    f = ind_expectation_symbolic(w, phi, budget)
-    if phi.kind == "trivial":
-        f = f - RationalFunctionN.constant(1)
-    return f
+    if _as_spec(phi).kind != "trivial":
+        return value
+    return value - (RationalFunctionN.constant(1) if isinstance(value, RationalFunctionN) else _ONE)
+
+
+def chi_expectation_symbolic(w, phi, budget=None) -> RationalFunctionN:
+    """E_w[chi_{phi,n}] as an exact rational function of n."""
+    return chi_from_ind(ind_expectation_symbolic(w, phi, budget), phi)
 
 
 def chi_expectation_at(w, phi, n: int, budget=None) -> Cyclotomic:
-    phi = _as_spec(phi)
-    v = ind_expectation_at(w, phi, n, budget)
-    if phi.kind == "trivial":
-        v = v - _ONE
-    return v
+    return chi_from_ind(ind_expectation_at(w, phi, n, budget), phi)
 
 
 @dataclass(frozen=True)
@@ -465,19 +465,26 @@ def iterated_expectation(
     poset: E_{w->H_1}[phi] times one L^B term per level, H_i -> H_{i+1}
     and last H_m -> bouquet.
 
-    Only the chains with a non-zero coefficient are built: the nodes are
-    taken in index order, and a node H_1 with E_{w->H_1}[phi] != 0 is
-    extended through its up-set alone.  The terms come in the
-    lexicographic order of their node tuples.  The poset is built here,
-    under the caller's budget, and kept on the context for the next call;
-    nothing else builds or reads it."""
+    E_{w->H_1}[phi] depends only on w rewritten in H_1's basis, whichever
+    basis, so it is computed once per rewritten word (the node's
+    first-crossing letters, ``QuotientPoset.words``) and call.  Only the
+    chains with a non-zero coefficient are built: the nodes are taken in
+    index order, and a node H_1 with E_{w->H_1}[phi] != 0 is extended
+    through its up-set alone.  The terms come in the lexicographic order
+    of their node tuples.  The poset is built here, under the caller's
+    budget, and kept on the context for the next call; nothing else
+    builds or reads it."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     if ctx._poset is None:
         ctx._poset = enumerate_quotients(ctx.word, budget=budget)
     poset = ctx._poset
+    coefficients: dict = {}  # rewritten letters -> E_{w->H}[phi]
     terms = []
-    for first, node in enumerate(poset.nodes):
-        coeff = expectation_rel(spec.phi, ctx.word, spanning_tree_basis(node), budget)
+    for first, (node, word) in enumerate(zip(poset.nodes, poset.words)):
+        coeff = coefficients.get(word)
+        if coeff is None:
+            coeff = expectation_rel(spec.phi, ctx.word, spanning_tree_basis(node), budget)
+            coefficients[word] = coeff
         if coeff.is_zero():
             continue
         up = poset.above(first) if spec.levels > 1 else ()  # one level reads no order

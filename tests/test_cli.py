@@ -123,6 +123,23 @@ def test_chains_of_the_identity_word_are_validation_errors(capsys, command):
     assert out == "" and "w reduces to the identity" in err
 
 
+def test_symbolic_chi_reduces_the_level_sum_once(capsys, monkeypatch):
+    # the chi function is subtracted from the reduced sum expect already holds
+    from wml.rational import PoleRational
+
+    calls = []
+    reduced = PoleRational.reduced
+
+    def counted(self):
+        calls.append(self)
+        return reduced(self)
+
+    monkeypatch.setattr(PoleRational, "reduced", counted)
+    code, data = run_json(capsys, "expect", "aabb", "--symbolic", "--chi")
+    assert code == 0 and "chi_symbolic" in data and data["chi_symbolic"] != data["symbolic"]
+    assert len(calls) == 1
+
+
 def _forbid_the_poset(monkeypatch, command):
     import wml.wreath_measures
 

@@ -394,6 +394,47 @@ class TestIterated:
         assert iterated_value_at(Word(2, ()), CharacterSpec.finite(char("S3", "std")), (3, 4)) == 24
 
 
+class TestChainCoefficients:
+    """``iterated_expectation`` computes E_{w->H}[phi] once per rewritten
+    word; a fresh ``expectation_rel`` in each node's BFS basis is the
+    reference."""
+
+    PHIS = tuple(CharacterSpec.finite(c) for g in ("C2", "C3", "S3", "Q8")
+                 for c in builtin_group(g)[1]) + (CharacterSpec.circle(2), TRIV)
+
+    def test_one_relative_expectation_per_rewritten_word(self, monkeypatch):
+        calls = {"expectation_rel": 0, "spanning_tree_basis": 0}
+        for name in calls:
+            original = getattr(wreath_measures, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(wreath_measures, name, counted)
+        ctx = WordContext(parse_word("[a,b][a,c]"))
+        streamed = list(fold_closed_partitions(ctx.word.letters, ctx.rank, 10**6))
+        words = {word for _, _, word in streamed}
+        assert (len(streamed), len(words)) == (234, 17)
+        iterated_expectation(ctx, IteratedSpec(2, CharacterSpec.finite(char("C2", "chi1"))))
+        assert calls == {"expectation_rel": len(words), "spanning_tree_basis": len(words)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(cyclic_words(max_length=8))
+    @example(parse_word("[a,b][a,c]"))
+    def test_each_coefficient_equals_a_fresh_relative_expectation(self, w):
+        ctx = WordContext(w)
+        nodes = enumerate_quotients(ctx.word).nodes
+        for phi in self.PHIS:
+            fresh = [e_rel(phi, ctx.word, node) for node in nodes]
+            terms = iterated_expectation(ctx, IteratedSpec(1, phi)).terms
+            assert [t.nodes for t in terms] == [(i,) for i, c in enumerate(fresh) if not c.is_zero()]
+            for t in terms:
+                expected = fresh[t.nodes[0]]
+                assert t.coefficient == expected, phi.describe()
+                assert t.coefficient.to_json() == expected.to_json(), phi.describe()
+
+
 class TestStreamedSums:
     """One-level sums and values at concrete degrees stream the fold-closed
     partitions; the chain route over the stored poset is their reference."""
