@@ -2,15 +2,13 @@
 
 Every exhaustive enumeration in this package is watched by an explicit
 budget so that accidental combinatorial blowups fail fast instead of
-hanging.  Budgets can be overridden per call, or globally through the
-``WML_BUDGET`` environment variable.
+hanging.  The evaluation budget is the caller's (``None`` for
+``DEFAULT_EVAL_BUDGET``); each stage charges it in its own unit of work.
 """
 
 from __future__ import annotations
 
-import os
-
-# Default ceilings.  An "evaluation" is one word evaluation / tuple visit.
+# Default ceilings.  An "evaluation" is one unit of the charging stage's work.
 DEFAULT_EVAL_BUDGET = 10**7
 DEFAULT_GROUP_ELEMENT_BUDGET = 10**5
 DEFAULT_ACTION_ORDER_BUDGET = 10**5
@@ -38,15 +36,7 @@ class InvariantError(Exception):
 
 
 def eval_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("WML_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"WML_BUDGET is not an integer: {env!r}")
-    return DEFAULT_EVAL_BUDGET
+    return DEFAULT_EVAL_BUDGET if override is None else override
 
 
 def check(what: str, needed: int, budget: int) -> None:

@@ -286,7 +286,7 @@ def cmd_oracle(args) -> dict:
     group, chars = parse_group_spec(args.group)
     cf = _select_char(args.char, chars)
     degrees = _degrees(args) or [2 if args.n is None else args.n]
-    wreath, chi_vals = iterated_ind_character(group, cf, degrees)
+    wreath, chi_vals = iterated_ind_character(group, cf, degrees, args.budget)
     out = {
         "word": w.display(),
         "group": group.name,
@@ -321,8 +321,8 @@ def cmd_orbits(args) -> dict:
 
 
 def cmd_whitehead(args) -> dict:
-    w = parse_word(args.word, args.rank)
-    min_len, level = whitehead_minimize(w, args.whitehead_rank_bound)
+    w = parse_word(args.word, args.rank, args.budget)
+    min_len, level = whitehead_minimize(w, args.whitehead_rank_bound, args.budget)
     return {
         "word": w.display(),
         "min_length": min_len,
@@ -330,7 +330,7 @@ def cmd_whitehead(args) -> dict:
         "level_set": sorted(c.to_word().display() for c in level),
         "is_primitive": is_primitive(w, args.whitehead_rank_bound),
         "lies_in_proper_free_factor": (
-            lies_in_proper_free_factor(w, args.whitehead_rank_bound)
+            lies_in_proper_free_factor(w, args.whitehead_rank_bound, args.budget)
             if not w.is_identity()
             else True
         ),
@@ -346,13 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, word=True, budget=True, whitehead=False):
+    def common(sp, word=True, whitehead=False):
         if word:
             sp.add_argument("word", help="word in letters a-z (A-Z inverses), ^k, [u,v], (...)")
             sp.add_argument("--rank", type=int, default=None, help="ambient free-group rank")
         sp.add_argument("--format", choices=["json", "table"], default="json")
-        if budget:
-            sp.add_argument("--budget", type=int, default=None, help="evaluation budget override")
+        sp.add_argument("--budget", type=int, default=None, help="evaluation budget (default 10^7)")
         if whitehead:
             sp.add_argument(
                 "--whitehead-rank-bound", type=int, default=DEFAULT_WHITEHEAD_RANK_BOUND,
@@ -404,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--injective", action="store_true")
     sp.set_defaults(func=cmd_orbits)
 
-    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"),
-                budget=False, whitehead=True)
+    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"), whitehead=True)
     sp.set_defaults(func=cmd_whitehead)
     return p
 

@@ -609,8 +609,8 @@ class QuotientPoset:
     first-crossing basis, both as the generator yields them.  H <= J
     exactly when H's partition refines J's: the morphism of core graphs
     commutes with the maps from the w-cycle.  The order is one bitset up-set per node, built
-    on the first order query and charged, like the enumeration, against
-    the budget given at construction before it is allocated; ``above``
+    on the first order query but charged, ``N * ceil(N/64)`` words, right
+    after the partition stream and before any quotient is folded; ``above``
     reads a node's up-set, and ``leq`` one bit of it.
     """
 
@@ -621,10 +621,12 @@ class QuotientPoset:
         check_word_length(cyc)
         self.word = cyc.to_word()
         letters = cyc.letters
-        self._budget = eval_budget(budget)
+        budget = eval_budget(budget)
+        stream = list(fold_closed_partitions(letters, cyc.rank, budget))
+        size = len(stream)
+        check(f"quotient order ({size} nodes)", size * -(-size // 64), budget)
         graph_of = partition_graphs(letters, cyc.rank, cyc.names)
-        found = [(graph_of(p), p, fibers, word)
-                 for p, fibers, word in fold_closed_partitions(letters, cyc.rank, self._budget)]
+        found = [(graph_of(p), p, fibers, word) for p, fibers, word in stream]
         found.sort(key=lambda item: (item[0].rank(), -item[0].n_vertices, item[0].key()))
         self.nodes, self._partitions, self.fibers, self.words = map(tuple, zip(*found))
         self.bottom_index = self._partitions.index(tuple(range(len(letters))))
@@ -638,7 +640,6 @@ class QuotientPoset:
         merged pairs (f, i), of the nodes that put f and i in one block."""
         if self._up is None:
             size = len(self.nodes)
-            check(f"quotient order ({size} nodes)", size * -(-size // 64), self._budget)
             # cells[i][b]: the nodes that put position i in block b (b <= i)
             cells = [[bytearray((size + 7) // 8) for _ in range(i + 1)]
                      for i in range(len(self.word.letters))]
@@ -698,7 +699,7 @@ def enumerate_quotients(w: Word, budget=None) -> QuotientPoset:
     Generated as the fold-closed partitions of the positions of w, each
     once, without iterating all set partitions; the order is refinement
     of partitions, built on the first order query; both are charged
-    against ``budget``.
+    against ``budget`` before any quotient is folded.
     """
     return QuotientPoset(w, budget)
 

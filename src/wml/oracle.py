@@ -146,11 +146,11 @@ class ExplicitWreath:
             out.append(val)
         return tuple(out)
 
-    def to_finite_group(self) -> FiniteGroup:
-        """Materialize the full multiplication table (small orders only);
-        needed to iterate the wreath construction."""
+    def to_finite_group(self, budget=None) -> FiniteGroup:
+        """Materialize the full multiplication table (small orders only, its
+        entries charged against ``budget``); needed to iterate the wreath."""
         check("wreath elements", self.order, DEFAULT_GROUP_ELEMENT_BUDGET)
-        check("wreath multiplication table", self.order**2, eval_budget(None))
+        check("wreath multiplication table", self.order**2, eval_budget(budget))
         mult = [[0] * self.order for _ in range(self.order)]
         for a in range(self.order):
             va, sa = self.decode(a)
@@ -171,9 +171,9 @@ def build_wreath(base: FiniteGroup, degree: int) -> ExplicitWreath:
     return ExplicitWreath(base, degree)
 
 
-def build_iterated_wreath(base: FiniteGroup, degrees):
+def build_iterated_wreath(base: FiniteGroup, degrees, budget=None):
     """W_{n_1,...,n_m}(G) = G wr S_{n_1} wr ... wr S_{n_m}, folding left to
-    right; intermediate levels are materialized as full finite groups."""
+    right; intermediate levels are materialized under ``budget``."""
     degrees = list(degrees)
     if not degrees:
         raise ValidationError("need at least one wreath degree")
@@ -182,12 +182,13 @@ def build_iterated_wreath(base: FiniteGroup, degrees):
     for pos, d in enumerate(degrees):
         wreath = ExplicitWreath(current_group, d)
         if pos != len(degrees) - 1:
-            current_group = wreath.to_finite_group()
+            current_group = wreath.to_finite_group(budget)
     return wreath
 
 
-def iterated_ind_character(base: FiniteGroup, phi: ClassFunction, degrees):
-    """(top-level ExplicitWreath, per-element values of Ind_{n_1..n_m} phi)."""
+def iterated_ind_character(base: FiniteGroup, phi: ClassFunction, degrees, budget=None):
+    """(top-level ExplicitWreath, per-element values of Ind_{n_1..n_m} phi),
+    the intermediate levels materialized under ``budget``."""
     degrees = list(degrees)
     current_group, current_phi = base, phi
     wreath = None
@@ -195,7 +196,7 @@ def iterated_ind_character(base: FiniteGroup, phi: ClassFunction, degrees):
         wreath = ExplicitWreath(current_group, d)
         values = wreath.ind_character_values(current_phi)
         if pos != len(degrees) - 1:
-            current_group = wreath.to_finite_group()
+            current_group = wreath.to_finite_group(budget)
             current_phi = classfunction_from_elements(
                 current_group, values, f"Ind{d}_{current_phi.name}", is_character=True
             )

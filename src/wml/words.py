@@ -542,32 +542,40 @@ def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
             return _canon_rotation(current)
 
 
-def _level_walk(rank: int, min_key: tuple[int, ...], budget: int | None = None):
+def _rewriter(rank: int, budget: int):
+    """One Whitehead search's rewriting of a cyclic word by a move, to its
+    canonical rotation.  Each call is charged one unit of ``budget``; past
+    it, ``BudgetError`` names the states explored, which the caller passes."""
+    spent = 0
+
+    def rewrite(aut: WhiteheadAut, ls: tuple[int, ...], explored: int) -> tuple[int, ...]:
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetError(f"Whitehead level set ({explored} states explored)", spent, budget)
+        return _canon_rotation(_cyc_len(aut, ls, rank))
+
+    return rewrite
+
+
+def _level_walk(rank: int, min_key: tuple[int, ...], rewrite):
     """Breadth-first walk of the cyclic words that type-II Whitehead moves
     reach from a minimal representative without changing its length.
     Yields the representative first, then each other word once, as soon
     as it is reached, so a caller may stop early.  Only the moves that the
-    Whitehead graph shows to keep the length are applied, but every word
-    walked is charged all the type-II moves: with a budget, raises
-    ``BudgetError`` once more moves than that have been tried."""
-    per_word = len(type2_automorphisms(rank))
+    Whitehead graph shows to keep the length are applied, each charged by
+    ``rewrite`` (a ``_rewriter``) to the search's budget."""
     moves = _screened_moves(rank)
     yield min_key
     seen = {min_key}
     frontier = [min_key]
-    tried = 0
     while frontier:
         nxt = []
         for ls in frontier:
-            tried += per_word
-            if budget is not None and tried > budget:
-                raise BudgetError(
-                    f"Whitehead level set ({len(seen)} states explored)", tried, budget
-                )
             cut = _cut_sizes(rank, ls)
             for aut, mask, amask in moves:
                 if cut[mask] == cut[amask]:
-                    c = _canon_rotation(_cyc_len(aut, ls, rank))
+                    c = rewrite(aut, ls, len(seen))
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
@@ -582,18 +590,16 @@ def _level_set_key(
     """Closure of a minimal representative under the length-preserving
     Whitehead moves of both kinds: the relabelings of the type-II walk,
     since a relabeling conjugates every type-II move to a type-II move.
-    Raises ``BudgetError`` once the moves of both kinds exceed the budget."""
-    walk = tuple(_level_walk(rank, min_key, budget))
-    relabelings = type1_automorphisms(rank)
-    tried = len(walk) * (len(type2_automorphisms(rank)) + len(relabelings))
-    if tried > budget:
-        raise BudgetError(f"Whitehead level set ({len(walk)} states explored)", tried, budget)
+    The walk and the relabeling pass share one ``_rewriter``: every word
+    rewritten, by a move of either kind, is one unit of ``budget``."""
+    rewrite = _rewriter(rank, budget)
+    walk = tuple(_level_walk(rank, min_key, rewrite))
     # a relabeling sigma maps the walk onto the type-II component of
     # sigma(min_key), so it is applied only when that word is new
-    found: set[tuple[int, ...]] = set()
-    for aut in relabelings:
-        if _canon_rotation(_cyc_len(aut, min_key, rank)) not in found:
-            found.update(_canon_rotation(_cyc_len(aut, ls, rank)) for ls in walk)
+    found = set(walk)
+    for aut in type1_automorphisms(rank):
+        if rewrite(aut, min_key, len(found)) not in found:
+            found.update(rewrite(aut, ls, len(found)) for ls in walk)
     return tuple(sorted(found))
 
 
@@ -657,17 +663,18 @@ def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
 
 
 def whitehead_minimize(
-    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND
+    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND, budget: int | None = None
 ) -> tuple[int, frozenset[CyclicWord]]:
     """Minimal cyclic length over Aut(F_r), and the full level set of
-    minimal cyclic words reachable by length-preserving Whitehead moves,
-    under the evaluation budget on the moves tried."""
+    minimal cyclic words reachable by length-preserving Whitehead moves.
+    The level-set search charges ``budget`` one unit per word it rewrites
+    (``_level_set_key``)."""
     _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
         return 0, frozenset([cyc])
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    keys = _level_set_key(w.rank, minimal, eval_budget())
+    keys = _level_set_key(w.rank, minimal, eval_budget(budget))
     return len(minimal), frozenset(CyclicWord(w.rank, k, w.names) for k in keys)
 
 
@@ -696,7 +703,7 @@ def is_primitive(w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> boo
 
 
 def lies_in_proper_free_factor(
-    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND
+    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND, budget: int | None = None
 ) -> bool:
     """Whitehead's criterion: a word of minimal length in its orbit lies in
     a proper free factor iff some minimal representative omits a generator.
@@ -704,7 +711,7 @@ def lies_in_proper_free_factor(
     A word that omits a generator, and any word that ``_certificate``
     decides, is answered in O(|w|).  Only the words left undecided meet
     the rank bound, then descend and explore the minimal level set
-    breadth-first, under the evaluation budget on Whitehead moves tried,
+    breadth-first, charging ``budget`` one unit per word rewritten,
     stopping at the first omitting representative.
     """
 
@@ -724,4 +731,5 @@ def lies_in_proper_free_factor(
     # type-I moves only relabel, so they never change whether a generator
     # is omitted; expanding type-II moves alone still meets every omitting
     # class (relabelings can be commuted to the end of any move sequence)
-    return any(omits(c) for c in _level_walk(w.rank, minimal, eval_budget()))
+    walk = _level_walk(w.rank, minimal, _rewriter(w.rank, eval_budget(budget)))
+    return any(omits(c) for c in walk)

@@ -307,7 +307,8 @@ def witness_report(
         if h_rank <= whitehead_bound:
             alg = algebraic.get(word)
             if alg is None:
-                alg = h_rank <= 1 or not lies_in_proper_free_factor(Word(h_rank, word), whitehead_bound)
+                alg = h_rank <= 1 or not lies_in_proper_free_factor(
+                    Word(h_rank, word), whitehead_bound, budget)
                 algebraic[word] = alg
         else:
             alg = None

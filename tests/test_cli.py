@@ -25,7 +25,6 @@ def test_unread_flags_are_usage_errors(capsys):
         ["tree", "a", "--whitehead-rank-bound", "3"],
         ["oracle", "a", "--whitehead-rank-bound", "3"],
         ["orbits", "--action", "natural:3", "--whitehead-rank-bound", "3"],
-        ["whitehead", "aa", "--budget", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -397,11 +396,21 @@ def test_the_budget_option_reaches_the_word_parser(capsys):
     assert out == "" and err.startswith("budget exceeded: expanded power length")
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("WML_BUDGET", "10")
-    assert run(["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]) == 3
-    monkeypatch.delenv("WML_BUDGET")
-    assert run(["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]) == 0
+def test_the_budget_option_reaches_the_whitehead_searches(capsys):
+    # rank's witness report hands --budget to the free-factor search
+    assert run(["rank", "aBab^-3", "--budget", "20"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
+    assert run(["whitehead", "aBab^-3", "--budget", "5"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: expanded word length")
+    assert run(["rank", "aBab^-3", "--budget", "100"]) == 0
+    capsys.readouterr()
+
+
+def test_oracle_budget_option(capsys):
+    query = ["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]
+    assert run(query + ["--budget", "10"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: brute enumeration")
+    assert run(query) == 0
     capsys.readouterr()
 
 

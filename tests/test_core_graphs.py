@@ -338,13 +338,11 @@ def test_word_length_bound():
         enumerate_quotients(parse_word("a^20"))
 
 
-def test_enumeration_budget_names_the_stage(monkeypatch):
+def test_enumeration_budget_names_the_stage():
     w = parse_word("[a,b][c,d]")
-    monkeypatch.setenv("WML_BUDGET", "100")
     with pytest.raises(BudgetError, match=r"quotient enumeration \(\d+ nodes reached\)") as exc:
-        enumerate_quotients(w)
+        enumerate_quotients(w, budget=100)
     assert exc.value.needed == 101 and exc.value.budget == 100
-    monkeypatch.delenv("WML_BUDGET")
     assert len(enumerate_quotients(w)) == 908
 
 
@@ -402,16 +400,18 @@ def test_one_level_chains_read_no_order():
     assert ctx._poset._up is None
 
 
-def test_order_budget_names_the_stage(monkeypatch):
-    # the generation's states fit the budget, the order's words do not
+def test_order_budget_names_the_stage():
+    # the generation's states fit the budget, the order's words do not,
+    # and construction refuses the poset before it folds any quotient
     w = parse_word("[[a,b],c]")
     size = len(enumerate_quotients(w))
     words = size * -(-size // 64)
-    monkeypatch.setenv("WML_BUDGET", str(words - 1))
-    poset = enumerate_quotients(w)
-    with pytest.raises(BudgetError, match=rf"quotient order \({size} nodes\)") as exc:
-        poset.leq(0, 0)
-    assert exc.value.needed == words and poset._up is None
+    with mock.patch("wml.core_graphs.fold", wraps=fold) as counted:
+        with pytest.raises(BudgetError, match=rf"quotient order \({size} nodes\)") as exc:
+            enumerate_quotients(w, budget=words - 1)
+        assert exc.value.needed == words and counted.call_count == 0
+        assert len(enumerate_quotients(w, budget=words)) == size
+        assert counted.call_count == size - 1 == 2174
 
 
 # -- incremental folding and the refinement order against the references ------

@@ -1,5 +1,6 @@
 """Checks on the package source and the demos as a whole."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -67,6 +68,29 @@ def test_every_import_is_used():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert SOURCES and not found, found
+
+
+def test_no_module_reads_the_environment():
+    # the evaluation budget, like every setting, is the caller's argument
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in ("environ", "getenv")]
+    assert SOURCES and not found, found
+
+
+def test_every_command_takes_the_budget_option():
+    from wml.cli import build_parser
+
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    missing = [name for name, sub in commands.choices.items()
+               if not any("--budget" in action.option_strings for action in sub._actions)]
+    assert len(commands.choices) == 8 and not missing, missing
 
 
 def _names_read(reference: str) -> set:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import whitehead_reference
 from wml.budget import DEFAULT_EVAL_BUDGET, BudgetError, ValidationError
+import wml.words as words_module
 from wml.cli import run
 from wml.words import (
     CyclicWord,
@@ -19,6 +21,7 @@ from wml.words import (
     _descend_key,
     _level_set_key,
     _level_walk,
+    _rewriter,
     _screened_moves,
     _vertex,
     apply_whitehead,
@@ -90,23 +93,19 @@ def test_parser_charges_each_expansion_to_the_budget(text):
         parse_word(text)
 
 
-def test_parser_charges_the_expanded_word(monkeypatch):
-    monkeypatch.setenv("WML_BUDGET", "100")
-    assert len(parse_word("a^60b^40").letters) == 100
+def test_parser_charges_the_expanded_word():
+    assert len(parse_word("a^60b^40", budget=100).letters) == 100
     with pytest.raises(BudgetError, match="expanded word length"):
-        parse_word("a^60b^41")
+        parse_word("a^60b^41", budget=100)
 
 
-def test_parser_takes_the_callers_budget(monkeypatch):
-    # an explicit budget overrides WML_BUDGET, as it does for the sums
-    monkeypatch.setenv("WML_BUDGET", "10")
+def test_parser_takes_the_callers_budget():
     assert len(parse_word("a^20", budget=20).letters) == 20
     assert [w.letters for w in parse_words(["a^20", "b"], budget=20)] == [(1,) * 20, (2,)]
     with pytest.raises(BudgetError, match="expanded power length"):
-        parse_word("a^20")
-    monkeypatch.delenv("WML_BUDGET")
-    with pytest.raises(BudgetError, match="expanded power length"):
         parse_word("a^20", budget=19)
+    with pytest.raises(BudgetError, match="expanded power length"):
+        parse_words(["b", "a^20"], budget=19)
 
 
 def test_parse_words_shared_alphabet():
@@ -349,32 +348,58 @@ def test_descent_equals_the_rewriting_descent(w):
 def test_level_walk_yields_the_rewriting_walk_in_order(text):
     w = parse_word(text)
     minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
-    assert (list(_level_walk(w.rank, minimal))
+    rewrite = _rewriter(w.rank, DEFAULT_EVAL_BUDGET)
+    assert (list(_level_walk(w.rank, minimal, rewrite))
             == list(whitehead_reference.type2_walk(w.rank, minimal)))
 
 
-def test_whitehead_minimize_charges_every_move(monkeypatch):
-    # 328 words, each charged its 90 type-II moves in the walk and the
-    # 90 + 48 moves of both kinds in the level set: 45,264 in all
+def _count_rewrites(monkeypatch):
+    calls = []
+    monkeypatch.setattr(words_module, "_cyc_len",
+                        lambda *args: calls.append(args) or _cyc_len(*args))
+    return calls
+
+
+def test_whitehead_minimize_charges_every_rewrite(monkeypatch):
+    # the walk rewrites 5,400 length-keeping moves to reach the 328 words;
+    # the relabeling pass rewrites the minimal word by each of the 48
+    # relabelings, none of which leaves the walk: 5,448 rewrites in all
     w = parse_word("aabbcc")
-    monkeypatch.setenv("WML_BUDGET", "45263")
     with pytest.raises(BudgetError, match=r"\(328 states explored\)") as exc:
-        whitehead_minimize(w)
-    assert exc.value.needed == 45264
-    monkeypatch.setenv("WML_BUDGET", "45264")
-    assert len(whitehead_minimize(w)[1]) == 328
+        whitehead_minimize(w, budget=5447)
+    assert exc.value.needed == 5448
+    _level_set_key.cache_clear()
+    calls = _count_rewrites(monkeypatch)
+    assert len(whitehead_minimize(w, budget=5448)[1]) == 328
+    assert len(calls) == 5448
 
 
-def test_whitehead_minimize_level_set_is_under_the_budget(monkeypatch, capsys):
+def test_fallback_search_charges_every_rewrite(monkeypatch):
+    # aBab^-3 lies in no proper free factor, so the search walks its whole
+    # type-II level set; the first call also warms the descent's cache
+    w = parse_word("aBab^-3")
+    assert not lies_in_proper_free_factor(w)
+    calls = _count_rewrites(monkeypatch)
+    assert not lies_in_proper_free_factor(w)
+    spent = len(calls)
+    assert spent > 0 and not lies_in_proper_free_factor(w, budget=spent)
+    with pytest.raises(BudgetError, match="Whitehead level set") as exc:
+        lies_in_proper_free_factor(w, budget=spent - 1)
+    assert exc.value.needed == spent
+
+
+def test_whitehead_minimize_level_set_is_under_the_budget(capsys):
     w = parse_word("aabbcc")
     assert len(whitehead_minimize(w)[1]) == 328
     # the budget is part of the level-set cache key, so the result above
     # does not answer the call below
-    monkeypatch.setenv("WML_BUDGET", "1000")
     with pytest.raises(BudgetError, match=r"Whitehead level set \(\d+ states explored\)"):
-        whitehead_minimize(w)
-    assert run(["whitehead", "aabbcc"]) == 3
-    monkeypatch.delenv("WML_BUDGET")
+        whitehead_minimize(w, budget=1000)
+    assert run(["whitehead", "aabbcc", "--budget", "1000"]) == 3
+    assert run(["whitehead", "aabbcc", "--budget", "5447"]) == 3
+    capsys.readouterr()
+    assert run(["whitehead", "aabbcc", "--budget", "5448"]) == 0
+    assert json.loads(capsys.readouterr().out)["level_set_size"] == 328
     assert len(whitehead_minimize(w)[1]) == 328
 
 
@@ -399,11 +424,10 @@ def test_uncertified_rank5_word_still_meets_the_rank_bound():
         is_primitive(w, rank_bound=4)
 
 
-def test_fallback_search_budget_names_the_stage(monkeypatch):
+def test_fallback_search_budget_names_the_stage():
     w = parse_word("aBab^-3")  # a cut vertex, in no proper free factor
     assert _certificate(2, cyclic_reduce(w)[0].letters) is None
     assert not lies_in_proper_free_factor(w)
-    monkeypatch.setenv("WML_BUDGET", "5")
     with pytest.raises(BudgetError, match="Whitehead level set") as exc:
-        lies_in_proper_free_factor(w)
+        lies_in_proper_free_factor(w, budget=5)
     assert "states explored" in exc.value.what and exc.value.budget == 5

@@ -5,10 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import wml.wreath_measures as wreath_measures
-from wml.budget import BudgetError, ValidationError
+from wml.budget import DEFAULT_WORD_LENGTH_BOUND, BudgetError, ValidationError
 from wml.characters import CharacterSpec, builtin_group, expectation_rel, symmetric_std_character
 from wml.core_graphs import (
     bouquet,
@@ -22,7 +23,8 @@ from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, LetterDistribution, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
 from wml.rational import PoleRational, Poly, RationalFunctionN
-from wml.words import Word, cyclic_reduce, parse_word, parse_words
+from wml.words import (Word, apply_whitehead, cyclic_reduce, parse_word, parse_words,
+                       type1_automorphisms, type2_automorphisms)
 from wml.wreath_measures import (
     IteratedSpec,
     WordContext,
@@ -449,10 +451,9 @@ class TestStreamedSums:
             assert streamed == chains
             assert streamed.to_json() == chains.to_json()
 
-    def test_the_stream_charges_generation_states(self, monkeypatch):
-        monkeypatch.setenv("WML_BUDGET", "100")
+    def test_the_stream_charges_generation_states(self):
         with pytest.raises(BudgetError, match="quotient enumeration") as exc:
-            ind_expectation_symbolic(parse_word("[a,b][c,d]"), TRIV)
+            ind_expectation_symbolic(parse_word("[a,b][c,d]"), TRIV, budget=100)
         assert exc.value.needed == 101
 
     @pytest.mark.parametrize("text", ["aabb", "abab^-1", "[a,b]^2", "aabbcc"])
@@ -523,6 +524,26 @@ class TestStreamedWitnesses:
                 streamed = witness_report(w, phi, whitehead_bound=bound).to_json()
                 reference = witness_report_reference(w, phi, whitehead_bound=bound).to_json()
                 assert json.dumps(streamed) == json.dumps(reference), (phi.describe(), bound)
+
+
+class TestAutomorphismInvariance:
+    """E_w[Ind_n phi], pi_phi(w) and the critical value depend only on the
+    Aut(F_r)-orbit of w: they agree at w and at its image under a
+    Whitehead automorphism of either kind."""
+
+    PHIS = (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("S3", "sign")),
+            CharacterSpec.finite(char("S3", "std")))
+
+    @settings(max_examples=25, deadline=None)
+    @given(cyclic_words(max_length=10, min_length=5), st.data())
+    def test_image_under_a_whitehead_automorphism(self, w, data):
+        auts = type1_automorphisms(w.rank) + type2_automorphisms(w.rank)
+        image = apply_whitehead(data.draw(st.sampled_from(auts)), w)
+        assume(0 < len(cyclic_reduce(image)[0].letters) <= DEFAULT_WORD_LENGTH_BOUND)
+        for phi in self.PHIS:
+            assert ind_expectation_symbolic(image, phi) == ind_expectation_symbolic(w, phi)
+            before, after = witness_report(w, phi), witness_report(image, phi)
+            assert (after.pi, after.crit_value) == (before.pi, before.crit_value), phi.describe()
 
 
 class TestTree:
