@@ -11,7 +11,6 @@ from __future__ import annotations
 # Default ceilings.  An "evaluation" is one unit of the charging stage's work.
 DEFAULT_EVAL_BUDGET = 10**7
 DEFAULT_GROUP_ELEMENT_BUDGET = 10**5
-DEFAULT_ACTION_ORDER_BUDGET = 10**5
 DEFAULT_WORD_LENGTH_BOUND = 16
 DEFAULT_WHITEHEAD_RANK_BOUND = 4
 

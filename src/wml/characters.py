@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .budget import BudgetError, ValidationError, eval_budget
+from .budget import DEFAULT_GROUP_ELEMENT_BUDGET, BudgetError, ValidationError, check, eval_budget
 from .core_graphs import SubgroupBasis, rewrite_in_subgroup
 from .cyclotomic import Cyclotomic, powers_sum_is_zero
 from .words import Word, some_generator_occurs_once
@@ -117,39 +117,34 @@ class FiniteGroup:
 
     @staticmethod
     def from_permutation_generators(gens, name="G") -> "FiniteGroup":
-        """Closure of permutation generators: one or more equal-length
-        tuples, each a permutation of 0..n-1."""
-        from .budget import DEFAULT_GROUP_ELEMENT_BUDGET, check
-
+        """The group generated by one or more equal-length tuples, each a
+        permutation of 0..n-1, numbered in ``permutation_closure`` order."""
         if not gens:
             raise ValidationError("no permutation generators")
-        n = len(gens[0])
-        for k, g in enumerate(gens):
-            if len(g) != n or any(type(x) is not int for x in g) or set(g) != set(range(n)):
-                raise ValidationError(f"permutation generator {k} is not a permutation of 0..{n - 1}")
-        ident = tuple(range(n))
-        elements = {ident: 0}
-        order_list = [ident]
-        frontier = [ident]
-        gens = [tuple(g) for g in gens]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(p[g[i]] for i in range(n))
-                    if q not in elements:
-                        check("permutation closure", len(elements) + 1,
-                              DEFAULT_GROUP_ELEMENT_BUDGET)
-                        elements[q] = len(order_list)
-                        order_list.append(q)
-                        new.append(q)
-            frontier = new
-        mult = [
-            [elements[tuple(p[q[i]] for i in range(n))] for q in order_list]
-            for p in order_list
-        ]
-        group = FiniteGroup(mult, name)
-        return group
+        index = permutation_closure(len(gens[0]), gens)
+        return FiniteGroup([[index[tuple(p[i] for i in q)] for q in index] for p in index], name)
+
+
+def permutation_closure(n: int, gens) -> dict[tuple[int, ...], int]:
+    """Every element of the group that the permutations ``gens`` of
+    0..n-1 generate, numbered in breadth-first order from the identity, 0:
+    each element p is extended by each generator g, in order, to the
+    product ``q[i] = p[g[i]]``.  The group files and every ``PermAction``
+    close here, under the fixed bound of ``DEFAULT_GROUP_ELEMENT_BUDGET``
+    elements ("action closure")."""
+    for k, g in enumerate(gens):
+        if len(g) != n or any(type(x) is not int for x in g) or set(g) != set(range(n)):
+            raise ValidationError(f"permutation generator {k} is not a permutation of 0..{n - 1}")
+    index = {tuple(range(n)): 0}
+    queue = list(index)
+    for p in queue:  # grows as it is read: breadth-first
+        for g in gens:
+            q = tuple(p[i] for i in g)
+            if q not in index:
+                check("action closure", len(index) + 1, DEFAULT_GROUP_ELEMENT_BUDGET)
+                index[q] = len(index)
+                queue.append(q)
+    return index
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,13 @@ class NotInSubgroupError(ValidationError):
 
 
 class CoreGraph:
-    """Canonical folded rooted labeled graph.  Root is always vertex 0."""
+    """Canonical folded rooted labeled graph.  Root is always vertex 0.
+    Callers pass the canonical numbering (``_canonicalize``, ``fold``);
+    the constructor checks only that the graph is folded."""
 
     __slots__ = ("n_vertices", "edges", "rank_ambient", "names", "_out", "_in")
 
-    def __init__(self, n_vertices, edges, rank_ambient, names=(), _canonical=False):
+    def __init__(self, n_vertices, edges, rank_ambient, names=()):
         self.n_vertices = n_vertices
         self.edges = tuple(sorted(edges))
         self.rank_ambient = rank_ambient
@@ -47,11 +49,6 @@ class CoreGraph:
                 raise ValidationError("graph is not folded")
             self._out[(s, l)] = (d, idx)
             self._in[(d, l)] = (s, idx)
-        if not _canonical:
-            # constructors are expected to canonicalize first
-            canon = _canonicalize(n_vertices, self.edges, 0, rank_ambient)
-            if canon != (self.n_vertices, self.edges):
-                raise ValidationError("graph is not in canonical numbering")
 
     # -- structure -------------------------------------------------------
 
@@ -218,12 +215,12 @@ def _canonicalize(n_vertices, edges, root, rank):
 
 def bouquet(rank: int, names=()) -> CoreGraph:
     """The wedge of rank loops: the core graph of the whole free group."""
-    return CoreGraph(1, [(0, 0, l) for l in range(rank)], rank, names, _canonical=True)
+    return CoreGraph(1, [(0, 0, l) for l in range(rank)], rank, names)
 
 
 def trivial_graph(rank: int, names=()) -> CoreGraph:
     """Single root, no edges: the trivial subgroup."""
-    return CoreGraph(1, [], rank, names, _canonical=True)
+    return CoreGraph(1, [], rank, names)
 
 
 def _cycle_edges(letters):
@@ -243,7 +240,7 @@ def graph_of_word(w: Word | CyclicWord) -> CoreGraph:
     if not w.letters:
         raise ValidationError("graph_of_word is undefined for the identity word")
     nv, es = _canonicalize(len(w.letters), _cycle_edges(w.letters), 0, w.rank)
-    return CoreGraph(nv, es, w.rank, w.names, _canonical=True)
+    return CoreGraph(nv, es, w.rank, w.names)
 
 
 def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None) -> CoreGraph:
@@ -293,7 +290,7 @@ def fold(n_vertices, edges, root=0, rank=None, names=(), *, tables=None) -> Core
                 if degree[x] == 1 and x != root:
                     leaves.append(x)
     nv, es = _renumber(out, inn, rep, rank, root)
-    return CoreGraph(nv, es, rank, names, _canonical=True)
+    return CoreGraph(nv, es, rank, names)
 
 
 def graph_of_subgroup(generators: list[Word], rank: int | None = None, names=()) -> CoreGraph:
@@ -570,7 +567,7 @@ def partition_graphs(letters, rank: int, names=()):
     n = len(letters)
     edges = _cycle_edges(letters)
     out, inn, _ = _tables(n, edges, rank)
-    cycle = CoreGraph(*_canonicalize(n, edges, 0, rank), rank, names, _canonical=True)
+    cycle = CoreGraph(*_canonicalize(n, edges, 0, rank), rank, names)
 
     def graph_of(partition) -> CoreGraph:
         pairs = _merged_pairs(partition)

@@ -9,12 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .budget import (
-    DEFAULT_ACTION_ORDER_BUDGET,
-    ValidationError,
-    check,
-    eval_budget,
-)
+from .budget import InvariantError, ValidationError, check, eval_budget
+from .characters import permutation_closure
 from .core_graphs import (
     CoreGraph,
     GraphMorphism,
@@ -83,34 +79,28 @@ def L_value_at(vertex_fibers, edge_fibers, n: int) -> Fraction:
 # -- permutation actions -------------------------------------------------------
 
 
+def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
+    """A transposition and an n-cycle, which generate S_n; the identity
+    alone below n = 2."""
+    if n < 2:
+        return [tuple(range(n))]
+    return [(1, 0, *range(2, n)), (*range(1, n), 0)]
+
+
 class PermAction:
-    """A permutation group acting on a finite set, by explicit closure."""
+    """A permutation group acting on the points 0..degree-1, closed from
+    its generators by ``permutation_closure``.  ``elements`` come in that
+    closure order, identity first, and explicit ``LetterDistribution``
+    weights index that order."""
 
     def __init__(self, degree: int, generators, name="action"):
+        if degree < 1:
+            raise ValidationError(f"an action needs at least one point, got degree {degree}")
         self.degree = degree
         self.name = name
-        gens = [tuple(g) for g in generators]
-        for g in gens:
-            if sorted(g) != list(range(degree)):
-                raise ValidationError("generator is not a permutation of the set")
-        ident = tuple(range(degree))
-        elements = {ident: 0}
-        order_list = [ident]
-        frontier = [ident]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(g[p[i]] for i in range(degree))
-                    if q not in elements:
-                        check("action closure", len(elements) + 1, DEFAULT_ACTION_ORDER_BUDGET)
-                        elements[q] = len(order_list)
-                        order_list.append(q)
-                        new.append(q)
-            frontier = new
-        self.generators = tuple(gens)
-        self.elements: tuple[tuple[int, ...], ...] = tuple(order_list)
-        self.index = elements
+        self.generators = tuple(tuple(g) for g in generators)
+        self.elements: tuple[tuple[int, ...], ...] = tuple(
+            permutation_closure(degree, self.generators))
 
     @property
     def order(self) -> int:
@@ -123,46 +113,36 @@ class PermAction:
 
     @staticmethod
     def symmetric(n: int) -> "PermAction":
-        if n == 1:
-            return PermAction(1, [(0,)], "S1 on [1]")
-        gens = [
-            tuple([1, 0] + list(range(2, n))),
-            tuple(list(range(1, n)) + [0]),
-        ]
-        return PermAction(n, gens, f"S{n} on [{n}]")
+        return PermAction(n, _symmetric_generators(n), f"S{n} on [{n}]")
 
     @staticmethod
     def symmetric_on_subsets(n: int, k: int) -> "PermAction":
         subsets = sorted(itertools.combinations(range(n), k))
         pos = {s: i for i, s in enumerate(subsets)}
-        base = [
-            tuple([1, 0] + list(range(2, n))),
-            tuple(list(range(1, n)) + [0]),
-        ]
-        gens = []
-        for g in base:
-            gens.append(
-                tuple(pos[tuple(sorted(g[x] for x in s))] for s in subsets)
-            )
+        gens = [tuple(pos[tuple(sorted(g[x] for x in s))] for s in subsets)
+                for g in _symmetric_generators(n)]
         return PermAction(len(subsets), gens, f"S{n} on {k}-subsets")
 
     @staticmethod
     def gl_on_nonzero_vectors(n: int) -> "PermAction":
-        """GL_n(F_2) acting on the 2^n - 1 nonzero column vectors; built by
-        enumerating all invertible matrices (desk scale only)."""
-        vectors = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 2**n)]
-        pos = {v: i for i, v in enumerate(vectors)}
-
-        def apply(mat, vec):
-            return tuple(sum(mat[i][j] * vec[j] for j in range(n)) % 2 for i in range(n))
-
-        mats = []
-        for bits in itertools.product((0, 1), repeat=n * n):
-            mat = tuple(tuple(bits[i * n + j] for j in range(n)) for i in range(n))
-            images = [apply(mat, v) for v in vectors]
-            if len(set(images)) == len(vectors) and all(any(x) for x in images):
-                mats.append(tuple(pos[im] for im in images))
-        return PermAction(len(vectors), mats, f"GL{n}(F2) on nonzero vectors")
+        """GL_n(F_2) acting on the 2^n - 1 nonzero vectors of F_2^n, point
+        v - 1 the vector whose coordinate i is bit i of v.  It is closed
+        from two generators (Steinberg 1962): the n-cycle permutation
+        matrix, e_i -> e_{i+1 mod n}, which rotates the bits, and the
+        transvection I + E_12, which adds coordinate 2 into coordinate 1."""
+        if n < 1:
+            raise ValidationError(f"GL_n(F_2) needs n >= 1, got {n}")
+        top = 2**n - 1
+        vectors = range(1, top + 1)
+        cycle = tuple(((v << 1 | v >> (n - 1)) & top) - 1 for v in vectors)
+        transvection = tuple((v ^ (v >> 1 & 1)) - 1 for v in vectors)
+        action = PermAction(top, [cycle, transvection], f"GL{n}(F2) on nonzero vectors")
+        order = 1
+        for i in range(n):
+            order *= 2**n - 2**i
+        if action.order != order:
+            raise InvariantError(f"the generators of GL{n}(F2) close to {action.order} elements, not {order}")
+        return action
 
 
 class LetterDistribution:
@@ -188,35 +168,32 @@ class LetterDistribution:
         return LetterDistribution(action, [w] * rank)
 
     @staticmethod
-    def m_torsion_uniform(action: PermAction, m: int, rank: int) -> "LetterDistribution":
-        """Uniform on the solutions of sigma^m = 1."""
-        sols = []
-        for idx, p in enumerate(action.elements):
-            q = tuple(range(action.degree))
-            for _ in range(m):
-                q = tuple(p[q[i]] for i in range(action.degree))
-            if q == tuple(range(action.degree)):
-                sols.append(idx)
-        if not sols:
-            raise ValidationError("no m-torsion elements")
-        w = [Fraction(0)] * action.order
-        for i in sols:
-            w[i] = Fraction(1, len(sols))
+    def _uniform_where(action: PermAction, rank: int, test, what: str) -> "LetterDistribution":
+        """Uniform on the elements p with ``test(p)``, for every letter."""
+        chosen = [int(test(p)) for p in action.elements]
+        total = sum(chosen)
+        if not total:
+            raise ValidationError(f"no {what} in this action")
+        w = [Fraction(c, total) for c in chosen]
         return LetterDistribution(action, [w] * rank)
 
     @staticmethod
+    def m_torsion_uniform(action: PermAction, m: int, rank: int) -> "LetterDistribution":
+        """Uniform on the solutions of sigma^m = 1."""
+        identity = tuple(range(action.degree))
+
+        def m_torsion(p):
+            q = identity
+            for _ in range(m):
+                q = tuple(p[i] for i in q)
+            return q == identity
+
+        return LetterDistribution._uniform_where(action, rank, m_torsion, "m-torsion elements")
+
+    @staticmethod
     def derangement_uniform(action: PermAction, rank: int) -> "LetterDistribution":
-        sols = [
-            i
-            for i, p in enumerate(action.elements)
-            if all(p[x] != x for x in range(action.degree))
-        ]
-        if not sols:
-            raise ValidationError("no derangements in this action")
-        w = [Fraction(0)] * action.order
-        for i in sols:
-            w[i] = Fraction(1, len(sols))
-        return LetterDistribution(action, [w] * rank)
+        return LetterDistribution._uniform_where(
+            action, rank, lambda p: all(p[x] != x for x in range(action.degree)), "derangements")
 
 
 def L_general(

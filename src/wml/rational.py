@@ -39,14 +39,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
-    @staticmethod
     def falling_factorial(t: int) -> "Poly":
         """(n)_t = n (n-1) ... (n-t+1)."""
         p = Poly((1,))

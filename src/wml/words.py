@@ -437,7 +437,7 @@ def _image_table(aut: WhiteheadAut) -> dict:
     return table
 
 
-def _cyc_len(aut: WhiteheadAut, cyc: tuple[int, ...], rank: int) -> tuple[int, ...]:
+def _cyc_len(aut: WhiteheadAut, cyc: tuple[int, ...]) -> tuple[int, ...]:
     table = _image_table(aut)
     out: list[int] = []
     for x in cyc:
@@ -536,13 +536,13 @@ def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
         cut = _cut_sizes(rank, current)
         for aut, mask, amask in moves:
             if cut[mask] < cut[amask]:
-                current = _cyc_len(aut, current, rank)
+                current = _cyc_len(aut, current)
                 break
         else:
             return _canon_rotation(current)
 
 
-def _rewriter(rank: int, budget: int):
+def _rewriter(budget: int):
     """One Whitehead search's rewriting of a cyclic word by a move, to its
     canonical rotation.  Each call is charged one unit of ``budget``; past
     it, ``BudgetError`` names the states explored, which the caller passes."""
@@ -553,7 +553,7 @@ def _rewriter(rank: int, budget: int):
         spent += 1
         if spent > budget:
             raise BudgetError(f"Whitehead level set ({explored} states explored)", spent, budget)
-        return _canon_rotation(_cyc_len(aut, ls, rank))
+        return _canon_rotation(_cyc_len(aut, ls))
 
     return rewrite
 
@@ -592,7 +592,7 @@ def _level_set_key(
     since a relabeling conjugates every type-II move to a type-II move.
     The walk and the relabeling pass share one ``_rewriter``: every word
     rewritten, by a move of either kind, is one unit of ``budget``."""
-    rewrite = _rewriter(rank, budget)
+    rewrite = _rewriter(budget)
     walk = tuple(_level_walk(rank, min_key, rewrite))
     # a relabeling sigma maps the walk onto the type-II component of
     # sigma(min_key), so it is applied only when that word is new
@@ -731,5 +731,5 @@ def lies_in_proper_free_factor(
     # type-I moves only relabel, so they never change whether a generator
     # is omitted; expanding type-II moves alone still meets every omitting
     # class (relabelings can be commuted to the end of any move sequence)
-    walk = _level_walk(w.rank, minimal, _rewriter(w.rank, eval_budget(budget)))
+    walk = _level_walk(w.rank, minimal, _rewriter(eval_budget(budget)))
     return any(omits(c) for c in walk)

@@ -103,7 +103,7 @@ def fold_reference(n_vertices, edges, root=0, rank=None, names=()) -> CoreGraph:
     num = {v: i for i, v in enumerate(sorted(verts))}
     renum = [(num[s], num[d], l) for s, d, l in final]
     nv, es = canonicalize_reference(len(verts), renum, num[find(root)], rank)
-    return CoreGraph(nv, es, rank, names, _canonical=True)
+    return CoreGraph(nv, es, rank, names)
 
 
 def merge_children_reference(g) -> dict:

@@ -18,6 +18,7 @@ from wml.characters import (
     expectation_rel,
     expectation_word,
     inner_product,
+    permutation_closure,
     symmetric_std_character,
 )
 from wml.core_graphs import bouquet, graph_of_subgroup, graph_of_word, spanning_tree_basis
@@ -110,6 +111,52 @@ def test_group_from_permutation_generators():
     assert g.order == 6
     assert len(g.classes) == 3
     assert g.exponent == 6
+
+
+def _closure_reference(gens):
+    """The elements and table of the group the permutations ``gens``
+    generate, by the frontier loop ``from_permutation_generators`` ran
+    before the closure was shared: the numbering a group file's character
+    values rely on."""
+    n = len(gens[0])
+    ident = tuple(range(n))
+    elements = {ident: 0}
+    order_list = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(n))
+                if q not in elements:
+                    elements[q] = len(order_list)
+                    order_list.append(q)
+                    new.append(q)
+        frontier = new
+    mult = [[elements[tuple(p[q[i]] for i in range(n))] for q in order_list]
+            for p in order_list]
+    return order_list, mult
+
+
+def test_permutation_groups_keep_their_numbering(tmp_path):
+    # a group file lists its character values per class in this numbering
+    s3, s4 = [(1, 0, 2), (1, 2, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)]
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"name": "S4", "perm_generators": [list(g) for g in s4]}))
+    for group, gens in ((FiniteGroup.from_permutation_generators(s3, "S3"), s3),
+                        (parse_group_spec(str(path))[0], s4)):
+        _, mult = _closure_reference(gens)
+        reference = FiniteGroup(mult)
+        assert group.mult == reference.mult and group.classes == reference.classes
+    assert FiniteGroup.from_permutation_generators(s4).order == 24
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)))
+def test_permutation_closure_numbers_like_the_frontier_loop(gens):
+    elements, _ = _closure_reference(gens)
+    assert list(permutation_closure(len(gens[0]), gens)) == elements
 
 
 def test_haar_letter_kills_nontrivial_characters():

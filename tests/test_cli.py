@@ -299,6 +299,11 @@ ORACLE_S3 = ("oracle", "[a,b]", "--group", "S3", "--char", "std")
     ((*ORACLE_S3, "--n-list", "2,0"), "wreath degree must be >= 1, got 0"),
     ((*ORACLE_S3, "--samples", "-5"), "at least one sample, got -5"),
     (("orbits", "--action", "natural:3", "--t", "-1"), "tuple length must be >= 0, got -1"),
+    # an action needs at least one point
+    (("orbits", "--action", "natural:0", "--t", "1"), "at least one point, got degree 0"),
+    (("orbits", "--action", "glvec:-1", "--t", "1"), "GL_n(F_2) needs n >= 1, got -1"),
+    (("orbits", "--action", "glvec:0", "--t", "1"), "GL_n(F_2) needs n >= 1, got 0"),
+    (("orbits", "--action", "subsets:3,5", "--t", "1"), "at least one point, got degree 0"),
     # one parser reads --n-list for every command
     (("expect-iterated", "aa", "--n-list", "2,x"), "malformed --n-list '2,x'"),
     (("tree", "[a,b]", "--n-list", "2,,3"), "malformed --n-list '2,,3'"),
@@ -306,7 +311,8 @@ ORACLE_S3 = ("oracle", "[a,b]", "--group", "S3", "--char", "std")
     (("tree", "[a,b]", "--n-list", ""), "malformed --n-list ''"),
 ], ids=["tree-levels-0", "oracle-n-0", "oracle-samples-0", "oracle-n-negative",
         "oracle-n-list-negative", "oracle-n-list-0", "oracle-samples-negative",
-        "orbits-t-negative", "expect-iterated-n-list-letter", "tree-n-list-empty-item",
+        "orbits-t-negative", "orbits-natural-0", "orbits-glvec-negative", "orbits-glvec-0", "orbits-subsets-empty",
+        "expect-iterated-n-list-letter", "tree-n-list-empty-item",
         "oracle-n-list-letter", "tree-n-list-empty"])
 def test_out_of_range_counts_are_validation_errors(capsys, argv, message):
     assert run(list(argv)) == 2

@@ -329,7 +329,7 @@ def test_serialization_roundtrip():
     data = g.to_json()
     label_index = {name: i for i, name in enumerate(g.names)}
     edges = [(e["src"], e["dst"], label_index[e["label"]]) for e in data["edges"]]
-    rebuilt = CoreGraph(data["vertices"], edges, data["rank"], g.names, _canonical=True)
+    rebuilt = CoreGraph(data["vertices"], edges, data["rank"], g.names)
     assert rebuilt == g
 
 

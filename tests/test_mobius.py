@@ -1,9 +1,11 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wml.budget import BudgetError, ValidationError
+from wml.cli import _parse_action, run
 from wml.core_graphs import bouquet, enumerate_quotients, graph_of_word, morphism
 from wml.mobius import (
     L_B,
@@ -173,3 +175,63 @@ def test_subsets_action():
 def test_gl_action():
     act = PermAction.gl_on_nonzero_vectors(2)
     assert act.degree == 3 and act.order == 6
+
+
+def _gl_reference(n):
+    """GL_n(F_2) on the nonzero vectors by the construction the builtin
+    used before it closed two generators: every n x n bit matrix, kept
+    when it permutes the nonzero vectors."""
+    vectors = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 2**n)]
+    pos = {v: i for i, v in enumerate(vectors)}
+    found = set()
+    for bits in itertools.product((0, 1), repeat=n * n):
+        images = [tuple(sum(bits[i * n + j] * v[j] for j in range(n)) % 2 for i in range(n))
+                  for v in vectors]
+        if len(set(images)) == len(vectors) and all(any(x) for x in images):
+            found.add(tuple(pos[im] for im in images))
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_closes_from_two_generators(n):
+    act = PermAction.gl_on_nonzero_vectors(n)
+    assert act.elements[0] == tuple(range(2**n - 1))
+    assert set(act.elements) == _gl_reference(n) and act.order == len(act.elements)
+
+
+def _induced(n, k):
+    """Every permutation of [n] acting on the sorted k-subsets: the
+    element set of the builtin actions, read off their definition."""
+    subsets = sorted(itertools.combinations(range(n), k))
+    pos = {s: i for i, s in enumerate(subsets)}
+    return {tuple(pos[tuple(sorted(g[x] for x in s))] for s in subsets)
+            for g in itertools.permutations(range(n))}
+
+
+@pytest.mark.parametrize("spec, n, k", [
+    *((f"natural:{n}", n, 1) for n in range(1, 6)),
+    ("subsets:4,2", 4, 2), ("subsets:6,3", 6, 3), ("subsets:1,1", 1, 1),
+])
+def test_symmetric_actions_have_their_element_sets(spec, n, k):
+    act = _parse_action(spec)
+    assert set(act.elements) == _induced(n, k) and act.order == len(act.elements)
+
+
+def test_uniform_where_weights_the_chosen_elements():
+    act = PermAction.gl_on_nonzero_vectors(3)
+    # GL_3(F_2) has 21 involutions; with the identity, 22 solutions of g^2 = 1
+    d = LetterDistribution.m_torsion_uniform(act, 2, 1)
+    assert Counter(d.weight_vector(0)) == {Fraction(1, 22): 22, 0: 146}
+    with pytest.raises(ValidationError, match="no derangements in this action"):
+        LetterDistribution.derangement_uniform(PermAction.symmetric(1), 1)
+
+
+def test_gl4_orbits_finish(capsys):
+    assert run(["orbits", "--action", "glvec:4", "--t", "2"]) == 0
+    assert '"orbits": 2' in capsys.readouterr().out
+
+
+def test_gl5_stops_at_the_closure_bound(capsys):
+    # |GL_5(F_2)| = 9,999,360, past the bound of 10^5 elements
+    assert run(["orbits", "--action", "glvec:5", "--t", "1"]) == 3
+    assert "action closure" in capsys.readouterr().err

@@ -213,6 +213,22 @@ def test_one_recursion_sums_the_levels():
     assert "_sums" in bound and "_values" not in bound, bound
 
 
+def test_one_closure_builds_every_permutation_group():
+    # a group file's generators and a PermAction close by the same routine;
+    # a loop of their own is a second closure with its own bound
+    methods = {}
+    for module, method in (("characters.py", "FiniteGroup.from_permutation_generators"),
+                           ("mobius.py", "PermAction.__init__")):
+        methods.update(item for item in _definitions(ROOT / "src" / "wml" / module)
+                       if item[0] == method)
+    assert len(methods) == 2, sorted(methods)
+    for name, node in methods.items():
+        calls = {sub.func.id for sub in ast.walk(node)
+                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+        loops = [sub.lineno for sub in ast.walk(node) if isinstance(sub, (ast.For, ast.While))]
+        assert "permutation_closure" in calls and not loops, (name, loops)
+
+
 def test_the_alg_route_reference_builds_its_own_chains():
     # the tests compare the library's chain sum against this reference's
     # algebraic chains

@@ -302,7 +302,7 @@ def test_whitehead_graph_prices_every_type2_move(w):
     for aut in type2_automorphisms(rank):
         mask = sum(1 << _vertex(x) for x in aut.letter_set)
         change = cut[mask] - cut[1 << _vertex(aut.multiplier)]
-        assert change == len(_cyc_len(aut, cyc, rank)) - len(cyc)
+        assert change == len(_cyc_len(aut, cyc)) - len(cyc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,12 +314,12 @@ def test_complement_moves_agree_on_cyclic_words(w):
     letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
     for aut in type2_automorphisms(rank):
         a, A = aut.multiplier, aut.letter_set
-        image = _canon_rotation(_cyc_len(aut, cyc, rank))
+        image = _canon_rotation(_cyc_len(aut, cyc))
         if A == letters - {-a}:
             assert image == _canon_rotation(cyc)
         else:
             partner = WhiteheadAut(rank, 2, multiplier=-a, letter_set=letters - A)
-            assert image == _canon_rotation(_cyc_len(partner, cyc, rank))
+            assert image == _canon_rotation(_cyc_len(partner, cyc))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -348,7 +348,7 @@ def test_descent_equals_the_rewriting_descent(w):
 def test_level_walk_yields_the_rewriting_walk_in_order(text):
     w = parse_word(text)
     minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
-    rewrite = _rewriter(w.rank, DEFAULT_EVAL_BUDGET)
+    rewrite = _rewriter(DEFAULT_EVAL_BUDGET)
     assert (list(_level_walk(w.rank, minimal, rewrite))
             == list(whitehead_reference.type2_walk(w.rank, minimal)))
 

@@ -31,7 +31,7 @@ def descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     while improved:
         improved = False
         for aut in type2_automorphisms(rank):
-            img = _cyc_len(aut, current, rank)
+            img = _cyc_len(aut, current)
             if len(img) < len(current):
                 current, improved = img, True
                 break
@@ -46,7 +46,7 @@ def _walk(rank: int, min_key: tuple[int, ...], auts):
         nxt = []
         for ls in frontier:
             for aut in auts:
-                img = _cyc_len(aut, ls, rank)
+                img = _cyc_len(aut, ls)
                 if len(img) == len(min_key):
                     c = _canon_rotation(img)
                     if c not in seen:
