@@ -116,12 +116,15 @@ class FiniteGroup:
         }
 
     @staticmethod
-    def from_permutation_generators(gens, name="G") -> "FiniteGroup":
+    def from_permutation_generators(gens, name="G", budget=None) -> "FiniteGroup":
         """The group generated by one or more equal-length tuples, each a
-        permutation of 0..n-1, numbered in ``permutation_closure`` order."""
+        permutation of 0..n-1, numbered in ``permutation_closure`` order.
+        Its multiplication table, order² entries, is charged to ``budget``
+        before it is built ("multiplication table")."""
         if not gens:
             raise ValidationError("no permutation generators")
         index = permutation_closure(len(gens[0]), gens)
+        check(f"multiplication table (order {len(index)})", len(index) ** 2, eval_budget(budget))
         return FiniteGroup([[index[tuple(p[i] for i in q)] for q in index] for p in index], name)
 
 
@@ -736,6 +739,15 @@ class CharacterSpec:
         if self.kind == "finite":
             return self.cf.dim()
         return Cyclotomic.one()
+
+    def has_zero_mean(self) -> bool:
+        """Whether the Haar mean <phi, 1> is 0: yes for a circle
+        character, no for the trivial one, and for a class function
+        whether ``ClassFunction.mean()`` is 0 (so for every non-trivial
+        irreducible character)."""
+        if self.kind == "finite":
+            return self.cf.mean().is_zero()
+        return self.kind == "circle"
 
     def describe(self) -> str:
         if self.kind == "trivial":

@@ -40,8 +40,10 @@ from .wreath_measures import (
 )
 
 
-def parse_group_spec(text: str):
-    """A builtin name (C5, S4, D8, Q8) or a path to a JSON group file.
+def parse_group_spec(text: str, budget=None):
+    """A builtin name (C5, S4, D8, Q8) or a path to a JSON group file;
+    ``budget`` bounds the multiplication table of a group given by
+    ``perm_generators``.
 
     JSON schema: {"order", "mult": [[...]], "classes": [[...]]} or
     {"perm_generators": [[...]]}; characters under "characters":
@@ -65,7 +67,7 @@ def parse_group_spec(text: str):
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise ValidationError("perm_generators must be a list of permutations")
         group = FiniteGroup.from_permutation_generators(
-            [tuple(g) for g in gens], name=data.get("name", text)
+            [tuple(g) for g in gens], name=data.get("name", text), budget=budget
         )
     elif "mult" in data:
         mult = data["mult"]
@@ -140,7 +142,7 @@ def _char_spec(args) -> CharacterSpec:
         return CharacterSpec.trivial()
     if args.group is None:
         raise ValidationError("--group is required for finite characters")
-    _, chars = parse_group_spec(args.group)
+    _, chars = parse_group_spec(args.group, args.budget)
     return CharacterSpec.finite(_select_char(args.char, chars))
 
 
@@ -283,7 +285,7 @@ def cmd_oracle(args) -> dict:
     w = parse_word(args.word, args.rank, args.budget)
     if args.group is None:
         raise ValidationError("--group is required")
-    group, chars = parse_group_spec(args.group)
+    group, chars = parse_group_spec(args.group, args.budget)
     cf = _select_char(args.char, chars)
     degrees = _degrees(args) or [2 if args.n is None else args.n]
     wreath, chi_vals = iterated_ind_character(group, cf, degrees, args.budget)

@@ -465,7 +465,8 @@ def _bits(x: int):
         x ^= low
 
 
-def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | None = None):
+def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | None = None,
+                           crossed_twice: bool = False):
     """Every partition of the positions of the cyclic word ``letters``
     whose quotient of the w-cycle is folded, each exactly once, as
     ``(partition, fibers, word)``, all three snapshots.  The partition is
@@ -476,7 +477,9 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
     of w rewritten in the quotient's first-crossing basis, of rank
     1 - V + E.  With ``max_blocks`` no block is opened past that many, so
     exactly the partitions with at most ``max_blocks`` blocks come out, in
-    the same order, from fewer states.
+    the same order, from fewer states.  With ``crossed_twice`` exactly the
+    partitions whose quotient has every edge crossed at least twice by w
+    come out, again in the same order and from fewer states.
 
     A quotient of the w-cycle is fixed by the partition it induces on the
     positions of w, and the partitions that arise are exactly those whose
@@ -496,6 +499,15 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
     and the word needs no free reduction: a cancelling pair would be a
     closed tree walk between two crossings of one edge, which in a folded
     graph means a letter followed by its inverse in w.
+
+    The crossings are counted on the same walk.  A new edge is crossed
+    once; a forced crossing crosses an edge again.  Each crossing still to
+    come crosses one edge, of its letter's label, so a branch is cut
+    before its state is charged once the edges of the step's label that
+    are crossed once outnumber the crossings of that label left in w.
+    After the last crossing nothing is left, so every edge of a quotient
+    that comes out is crossed at least twice.  The counts are kept only
+    with ``crossed_twice``; the full stream pays two flag tests per state.
     """
     n = len(letters)
     cap = n if max_blocks is None else min(n, max_blocks)
@@ -508,6 +520,13 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
     counts = [0] * rank  # the edges of each label
     word = []  # w rewritten up to the current position
     states = found = gens = 0
+    # with crossed_twice: the forced crossings of each edge, by its slot in
+    # heads; the edges of each label crossed once; and after step i, the
+    # crossings of step i's label still to come
+    recrossed = [0] * (n * rank)
+    once = [0] * rank
+    labels = [abs(x) - 1 for x in letters]
+    later = [0] + [labels[i:].count(labels[i - 1]) for i in range(1, n + 1)]
 
     def extend(i, blocks):
         nonlocal states, found, gens
@@ -521,6 +540,15 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
         else:
             choices = (c,) if forced else [c for c in range(min(blocks + 1, cap))
                                            if far[c * rank + l] < 0]
+        if crossed_twice:
+            if forced:
+                e = k if near is heads else c * rank + l
+                once[l] -= not recrossed[e]
+                recrossed[e] += 1
+            else:
+                once[l] += 1  # whichever block, the step adds one edge of label l
+            if once[l] > later[i]:
+                choices = ()
         for c in choices:
             if forced:
                 x = near_gens[k]
@@ -547,6 +575,12 @@ def fold_closed_partitions(letters, rank: int, budget: int, max_blocks: int | No
                 near[k] = far[c * rank + l] = -1
                 counts[l] -= 1
                 gens -= x > 0
+        if crossed_twice:
+            if forced:
+                recrossed[e] -= 1
+                once[l] += not recrossed[e]
+            else:
+                once[l] -= 1
 
     yield from extend(1, 1)
 

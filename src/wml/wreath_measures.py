@@ -103,11 +103,20 @@ def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blo
     vertex) is ``ctx`` itself.  A rewritten word in which some generator
     occurs once is primitive, hence Haar at every level: its coefficient
     is E_{w->H}[phi] too, with no context built.  The trivial character at
-    one level needs no rewritten word."""
+    one level needs no rewritten word.
+
+    When phi has mean 0 (``CharacterSpec.has_zero_mean``) only the
+    quotients whose every edge w crosses at least twice are streamed.  An
+    edge that a closed walk crosses once is no bridge, so a spanning tree
+    avoids it, and its generator occurs once in w rewritten in that basis:
+    w is primitive in H, and its coefficient is the Haar mean <phi, 1> = 0
+    at every level (Puder 2014; Puder-Parzanchevski 2015).  The cut
+    quotients are exactly terms that would be dropped as zero."""
     trivial = inner is None and phi.kind == "trivial"
     coefficients: dict = {}  # rewritten letters -> coefficient
     for p, fibers, word in fold_closed_partitions(ctx.word.letters, ctx.rank,
-                                                  eval_budget(budget), max_blocks):
+                                                  eval_budget(budget), max_blocks,
+                                                  phi.has_zero_mean()):
         c = _ONE if trivial else coefficients.get(word)
         if c is None:
             (v,), e = fibers
@@ -143,11 +152,16 @@ def _level_sum(ctx: WordContext, phi: CharacterSpec, degrees: tuple, budget=None
     else:
         rest, n = degrees[:-1], degrees[-1]
         inner = partial(_level_sum, phi=phi, degrees=rest, budget=budget) if rest else None
-        # sums and constants mix in the coefficients of the variable above one level
-        zero = PoleRational() if n is None and rest else _ZERO
+        # above one level the coefficients of the variable are the sums of
+        # the level below and the Haar constants of the singleton rule; the
+        # constants are summed apart and added once per fiber signature
         by_fibers: dict = {}
+        constants: dict = {}
         for _, fibers, c in _quotient_terms(ctx, phi, inner, budget, n):
-            by_fibers[fibers] = by_fibers.get(fibers, zero) + c
+            into = constants if isinstance(c, Cyclotomic) else by_fibers
+            into[fibers] = into[fibers] + c if fibers in into else c
+        for f, c in constants.items():
+            by_fibers[f] = by_fibers[f] + c if f in by_fibers else c
         if n is None:
             total = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
         else:
@@ -275,6 +289,11 @@ def witness_report(
     always have rank above the bound, so a reported finite ``pi`` is exact
     regardless; only ``pi == inf`` on a partial report means "no witness
     of rank <= bound" rather than a definitive answer.
+
+    For a phi of mean 0 only the quotients whose every edge w crosses at
+    least twice are streamed (see ``_quotient_terms``): each one cut has
+    value 0, so it is no witness, and a non-trivial phi sets ``partial``
+    only on a witness.  The trivial character streams every quotient.
     """
     phi = _as_spec(phi)
     if isinstance(w, Word) and w.is_identity():
@@ -287,7 +306,9 @@ def witness_report(
     algebraic: dict = {}  # rewritten letters -> is <w> <= H algebraic
     entries = []
     partial = False
-    for p, ((v,), e), word in fold_closed_partitions(letters, rank, eval_budget(budget)):
+    stream = fold_closed_partitions(letters, rank, eval_budget(budget),
+                                    crossed_twice=phi.has_zero_mean())
+    for p, ((v,), e), word in stream:
         if v == len(p):
             continue  # the w-cycle itself
         h_rank = 1 - v + sum(e)

@@ -519,3 +519,59 @@ def test_group_spec_from_permutation_generators(tmp_path):
     path.write_text(json.dumps(data))
     g, chars = parse_group_spec(str(path))
     assert g.order == 6 and chars == ()
+
+
+@pytest.mark.parametrize("command", ["expect", "witnesses"])
+def test_zero_mean_queries_reach_the_nested_commutator(capsys, command):
+    # [[a,b],[a,c]] has 221,008 quotients; the 56 whose every edge w
+    # crosses twice are all a zero-mean character's sum and report read
+    argv = [command, "[[a,b],[a,c]]", "--group", "S3", "--char", "std"]
+    code, data = run_json(capsys, *argv, *(["--symbolic"] if command == "expect" else []))
+    assert code == 0
+    if command == "expect":
+        assert data["symbolic"]["num"] and data["phi"] == "std on S3"
+    else:
+        assert data["pi"] == 2 and len(data["witnesses"]) == 56
+
+
+def test_a_budget_below_the_full_stream_lets_the_zero_mean_query_finish(capsys):
+    # [[a,b],c]: 4,728 generation states in full, 265 for the quotients
+    # crossed twice; the relative expectations over S3 need 6^4
+    argv = ["[[a,b],c]", "--group", "S3", "--char", "std", "--budget", "2000"]
+    code, data = run_json(capsys, "expect", *argv, "--symbolic")
+    assert code == 0 and data["symbolic"]["num"]
+    assert run(["witnesses", *argv]) == 0
+    capsys.readouterr()
+    assert run(["expect", "[[a,b],c]", "--symbolic", "--budget", "2000"]) == 3
+    assert "quotient enumeration" in capsys.readouterr().err
+
+
+def _symmetric_group_file(tmp_path, n):
+    """A group file of S_n by an n-cycle and a transposition, with the
+    trivial character, one value per class (the partitions of n)."""
+    classes = {6: 11, 7: 15}[n]
+    data = {"name": f"S{n}perm",
+            "perm_generators": [[*range(1, n), 0], [1, 0, *range(2, n)]],
+            "characters": [{"name": "triv", "conductor": 1, "values": [["1"]] * classes}]}
+    path = tmp_path / f"s{n}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_a_large_permutation_group_fails_at_its_multiplication_table(tmp_path, capsys):
+    # S7: 5,040^2 table entries exceed the default budget of 10^7
+    path = _symmetric_group_file(tmp_path, 7)
+    assert run(["expect", "a", "--group", path, "--char", "triv", "--n", "2"]) == 3
+    assert "multiplication table (order 5040)" in capsys.readouterr().err
+    assert run(["oracle", "a", "--group", path, "--char", "triv", "--n", "1"]) == 3
+    capsys.readouterr()
+
+
+def test_a_permutation_group_within_the_budget_runs(tmp_path, capsys):
+    # S6: 720^2 = 518,400 entries; a budget below them refuses the table
+    path = _symmetric_group_file(tmp_path, 6)
+    code, data = run_json(capsys, "expect", "a", "--group", path, "--char", "triv", "--n", "2")
+    assert code == 0 and data["value"] == "1"  # one fixed point on average
+    assert run(["expect", "a", "--group", path, "--char", "triv", "--n", "2",
+                "--budget", "518399"]) == 3
+    assert "multiplication table" in capsys.readouterr().err

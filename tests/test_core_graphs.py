@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alg_route_reference import is_algebraic
@@ -572,13 +572,13 @@ def test_listed_partitions_and_fibers_are_snapshots(text):
     assert len({word for *_, word in listed}) > 1
 
 
-def states_charged(letters, rank, max_blocks=None):
+def states_charged(letters, rank, max_blocks=None, crossed_twice=False):
     """The states a whole generation charges: the least budget it fits."""
     lo, hi = 0, 10**6
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            list(fold_closed_partitions(letters, rank, mid, max_blocks))
+            list(fold_closed_partitions(letters, rank, mid, max_blocks, crossed_twice))
             hi = mid
         except BudgetError:
             lo = mid + 1
@@ -595,6 +595,56 @@ def test_capped_generation_is_the_uncapped_one_filtered(text):
         capped = [(p, fibers) for p, fibers, _ in items]
         assert capped == [(p, fibers) for p, fibers in full if max(p) < k]
         assert states_charged(w.letters, w.rank, k) < whole
+
+
+def every_edge_crossed_twice(letters, partition):
+    """Whether w crosses every edge of its quotient by ``partition`` at
+    least twice, counted off the partition alone: letter i crosses the
+    edge (tail block, label, head block) between the blocks of positions
+    i and i + 1."""
+    n = len(letters)
+    crossings = {}
+    for i, x in enumerate(letters):
+        a, b = partition[i], partition[(i + 1) % n]
+        edge = (a, x - 1, b) if x > 0 else (b, -x - 1, a)
+        crossings[edge] = crossings.get(edge, 0) + 1
+    return min(crossings.values()) >= 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclic_words(max_length=10, min_rank=1), st.none() | st.integers(1, 5))
+@example(parse_word("x^-3(xy^6)^2"), None)
+@example(parse_word("[a,b][a,c]"), 3)
+def test_crossed_twice_stream_is_the_full_one_filtered(w, max_blocks):
+    letters, rank = w.letters, w.rank
+    full = list(fold_closed_partitions(letters, rank, 10**7, max_blocks))
+    pruned = list(fold_closed_partitions(letters, rank, 10**7, max_blocks, crossed_twice=True))
+    assert pruned == [item for item in full if every_edge_crossed_twice(letters, item[0])], w
+    # no more states than the full stream: it does not fit below the pruned count
+    charged = states_charged(letters, rank, max_blocks, crossed_twice=True)
+    if charged:
+        with pytest.raises(BudgetError):
+            list(fold_closed_partitions(letters, rank, charged - 1, max_blocks))
+
+
+@pytest.mark.parametrize("text, full, pruned", [
+    ("x^-3(xy^6)^2", 357, 4),
+    ("[a,b][a,c]", 234, 2),
+    ("[a,b]^2", 100, 7),
+    ("[[a,b],c]", 2175, 11),
+])
+def test_crossed_twice_partition_counts(text, full, pruned):
+    w = parse_word(text)
+    assert sum(1 for _ in fold_closed_partitions(w.letters, w.rank, 10**7)) == full
+    assert sum(1 for _ in fold_closed_partitions(w.letters, w.rank, 10**7,
+                                                 crossed_twice=True)) == pruned
+
+
+def test_crossed_twice_cuts_before_charging():
+    # [[a,b],c]: 4,728 states in full, 265 pruned
+    w = parse_word("[[a,b],c]")
+    assert states_charged(w.letters, w.rank) == 4728
+    assert states_charged(w.letters, w.rank, crossed_twice=True) == 265
 
 
 @st.composite

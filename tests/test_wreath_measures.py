@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import wml.wreath_measures as wreath_measures
 from wml.budget import DEFAULT_WORD_LENGTH_BOUND, BudgetError, ValidationError
-from wml.characters import CharacterSpec, builtin_group, expectation_rel, symmetric_std_character
+from wml.characters import (CharacterSpec, ClassFunction, builtin_group, expectation_rel,
+                            symmetric_std_character)
 from wml.core_graphs import (
     bouquet,
     enumerate_quotients,
@@ -524,6 +526,94 @@ class TestStreamedWitnesses:
                 streamed = witness_report(w, phi, whitehead_bound=bound).to_json()
                 reference = witness_report_reference(w, phi, whitehead_bound=bound).to_json()
                 assert json.dumps(streamed) == json.dumps(reference), (phi.describe(), bound)
+
+
+ZERO_MEAN = tuple(CharacterSpec.finite(c) for g in ("S3", "Q8", "S4", "D8")
+                  for c in builtin_group(g)[1] if not c.is_trivial()) + (
+    CharacterSpec.circle(2), CharacterSpec.circle(None))
+
+
+def stream_spy(asked):
+    """The partition stream, recording each call's ``crossed_twice``."""
+    def stream(letters, rank, budget, max_blocks=None, crossed_twice=False):
+        asked.append(crossed_twice)
+        return fold_closed_partitions(letters, rank, budget, max_blocks, crossed_twice)
+    return stream
+
+
+def full_stream(letters, rank, budget, max_blocks=None, crossed_twice=False):
+    """The partition stream with every quotient, whatever the caller asks."""
+    return fold_closed_partitions(letters, rank, budget, max_blocks)
+
+
+class TestZeroMeanPrune:
+    """A character of mean 0 streams only the quotients whose every edge w
+    crosses twice; the same sums and reports over the full stream are the
+    reference."""
+
+    DEGREES = ((None,), (None, None), (3,), (4,), (2, 3))
+
+    def results(self, w, phi):
+        ctx = WordContext(w)
+        out = []
+        for degrees in self.DEGREES:
+            value = wreath_measures._level_sum(ctx, phi, degrees)
+            value = value.reduced() if isinstance(value, PoleRational) else value
+            out.append((value, json.dumps(value.to_json())))
+        out.append(json.dumps(witness_report(ctx, phi).to_json()))
+        return out
+
+    @settings(max_examples=15, deadline=None)
+    @given(cyclic_words(max_length=8, min_length=3))
+    @example(parse_word("[a,b]^2"))
+    @example(parse_word("[a,b][a,c]"))
+    @example(parse_word("x^-3(xy^6)^2"))
+    @example(parse_word("aab"))
+    def test_pruned_sums_and_reports_equal_the_full_stream(self, w):
+        for phi in ZERO_MEAN:
+            assert phi.has_zero_mean(), phi.describe()
+            asked = []
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(asked)):
+                pruned = self.results(w, phi)
+            assert asked and all(asked), phi.describe()
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", full_stream):
+                assert pruned == self.results(w, phi), (w, phi.describe())
+
+    def test_the_mean_alone_decides(self):
+        group, (triv, sign, std) = builtin_group("S3")
+        plus = ClassFunction(group, tuple(a + b for a, b in zip(triv.values, std.values)),
+                             "triv+std", is_character=True)
+        zero = ClassFunction(group, tuple(a + b for a, b in zip(sign.values, std.values)),
+                             "sign+std", is_character=True)
+        assert plus.mean() == 1 and zero.mean() == 0
+        assert not TRIV.has_zero_mean() and not CharacterSpec.finite(plus).has_zero_mean()
+        assert CharacterSpec.finite(zero).has_zero_mean()
+        w = parse_word("[a,b]^2")
+        for phi, pruned in ((TRIV, False), (CharacterSpec.finite(plus), False),
+                            (CharacterSpec.finite(zero), True)):
+            asked = []
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(asked)):
+                streamed = self.results(w, phi)
+            assert asked and set(asked) == {pruned}, phi.describe()
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", full_stream):
+                assert streamed == self.results(w, phi), phi.describe()
+
+    def test_the_trivial_rank_report_keeps_the_full_stream(self):
+        asked = []
+        with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(asked)):
+            report = witness_report(parse_word("[a,b][a,c]"), TRIV)
+        assert asked == [False] and report.pi == 3
+
+    def test_a_budget_below_the_full_stream_reaches_a_pruned_sum(self):
+        # [[a,b],c] charges 4,728 states in full and 265 pruned; its
+        # relative expectations over S3 charge up to 6^4 table entries
+        w = parse_word("[[a,b],c]")
+        std = CharacterSpec.finite(char("S3", "std"))
+        with mock.patch.object(wreath_measures, "fold_closed_partitions", full_stream):
+            reference = ind_expectation_symbolic(w, std)
+            with pytest.raises(BudgetError, match="quotient enumeration"):
+                ind_expectation_symbolic(w, std, budget=2000)
+        assert ind_expectation_symbolic(w, std, budget=2000) == reference
 
 
 class TestAutomorphismInvariance:
