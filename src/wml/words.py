@@ -542,10 +542,38 @@ def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
             return _canon_rotation(current)
 
 
+def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a cyclic word after renumbering its generators
+    by first occurrence, each signed so that it first occurs positively:
+    a complete invariant of the word under rotation and the relabelings
+    (``type1_automorphisms``), and itself a cyclic word of the same rank
+    and length.  Built letter by letter, keeping only the rotations whose
+    renumbering is least so far: O(|w|^2) at worst, like
+    ``_canon_rotation``."""
+    doubled = ls + ls
+    starts = [(i, {}) for i in range(len(ls))]
+    key = []
+    for j in range(len(ls)):
+        least, kept = None, []
+        for i, label in starts:
+            x = doubled[i + j]
+            if x not in label:
+                k = len(label) // 2 + 1
+                label[x], label[-x] = k, -k
+            y = label[x]
+            if least is None or y < least:
+                least, kept = y, [(i, label)]
+            elif y == least:
+                kept.append((i, label))
+        key.append(least)
+        starts = kept
+    return tuple(key)
+
+
 def _rewriter(budget: int):
-    """One Whitehead search's rewriting of a cyclic word by a move, to its
-    canonical rotation.  Each call is charged one unit of ``budget``; past
-    it, ``BudgetError`` names the states explored, which the caller passes."""
+    """One Whitehead search's rewriting of a cyclic word by a move, cyclically
+    reduced.  Each call is charged one unit of ``budget``; past it,
+    ``BudgetError`` names the states explored, which the caller passes."""
     spent = 0
 
     def rewrite(aut: WhiteheadAut, ls: tuple[int, ...], explored: int) -> tuple[int, ...]:
@@ -553,29 +581,36 @@ def _rewriter(budget: int):
         spent += 1
         if spent > budget:
             raise BudgetError(f"Whitehead level set ({explored} states explored)", spent, budget)
-        return _canon_rotation(_cyc_len(aut, ls))
+        return _cyc_len(aut, ls)
 
     return rewrite
 
 
-def _level_walk(rank: int, min_key: tuple[int, ...], rewrite):
-    """Breadth-first walk of the cyclic words that type-II Whitehead moves
-    reach from a minimal representative without changing its length.
-    Yields the representative first, then each other word once, as soon
-    as it is reached, so a caller may stop early.  Only the moves that the
-    Whitehead graph shows to keep the length are applied, each charged by
-    ``rewrite`` (a ``_rewriter``) to the search's budget."""
+def _class_walk(rank: int, min_key: tuple[int, ...], rewrite):
+    """Breadth-first walk of the relabeling classes (``_class_key``) of the
+    cyclic words that length-preserving Whitehead moves reach from a
+    minimal representative.  Yields the representative's class first,
+    then each other class once, as soon as it is reached, so a caller may
+    stop early.
+
+    Only a class's key is expanded, by the type-II moves that the Whitehead
+    graph shows to keep the length, each charged by ``rewrite`` (a
+    ``_rewriter``) to the search's budget.  That reaches every class: a
+    relabeling sigma conjugates each type-II move to a type-II move, so the
+    neighbours of sigma(u) are sigma applied to the neighbours of u, and
+    every member of a class has the neighbour classes of its key."""
     moves = _screened_moves(rank)
-    yield min_key
-    seen = {min_key}
-    frontier = [min_key]
+    start = _class_key(min_key)
+    yield start
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for ls in frontier:
-            cut = _cut_sizes(rank, ls)
+        for key in frontier:
+            cut = _cut_sizes(rank, key)
             for aut, mask, amask in moves:
                 if cut[mask] == cut[amask]:
-                    c = rewrite(aut, ls, len(seen))
+                    c = _class_key(rewrite(aut, key, len(seen)))
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
@@ -588,19 +623,16 @@ def _level_set_key(
     rank: int, min_key: tuple[int, ...], budget: int
 ) -> tuple[tuple[int, ...], ...]:
     """Closure of a minimal representative under the length-preserving
-    Whitehead moves of both kinds: the relabelings of the type-II walk,
-    since a relabeling conjugates every type-II move to a type-II move.
-    The walk and the relabeling pass share one ``_rewriter``: every word
-    rewritten, by a move of either kind, is one unit of ``budget``."""
+    Whitehead moves of both kinds, as sorted canonical rotations: every
+    relabeling of every class that ``_class_walk`` reaches.  The walk and
+    the relabelings share one ``_rewriter``: every word rewritten, by a
+    move of either kind, is one unit of ``budget``."""
     rewrite = _rewriter(budget)
-    walk = tuple(_level_walk(rank, min_key, rewrite))
-    # a relabeling sigma maps the walk onto the type-II component of
-    # sigma(min_key), so it is applied only when that word is new
-    found = set(walk)
-    for aut in type1_automorphisms(rank):
-        if rewrite(aut, min_key, len(found)) not in found:
-            found.update(rewrite(aut, ls, len(found)) for ls in walk)
-    return tuple(sorted(found))
+    classes = tuple(_class_walk(rank, min_key, rewrite))
+    return tuple(sorted({
+        _canon_rotation(rewrite(aut, key, len(classes)))
+        for key in classes for aut in type1_automorphisms(rank)
+    }))
 
 
 def some_generator_occurs_once(letters) -> bool:
@@ -667,8 +699,10 @@ def whitehead_minimize(
 ) -> tuple[int, frozenset[CyclicWord]]:
     """Minimal cyclic length over Aut(F_r), and the full level set of
     minimal cyclic words reachable by length-preserving Whitehead moves.
-    The level-set search charges ``budget`` one unit per word it rewrites
-    (``_level_set_key``)."""
+    The level set is walked one relabeling class at a time, then each class
+    is expanded by the relabelings (``_level_set_key``); the search
+    charges ``budget`` one unit per word it rewrites, by a move of either
+    kind."""
     _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
@@ -710,9 +744,11 @@ def lies_in_proper_free_factor(
 
     A word that omits a generator, and any word that ``_certificate``
     decides, is answered in O(|w|).  Only the words left undecided meet
-    the rank bound, then descend and explore the minimal level set
-    breadth-first, charging ``budget`` one unit per word rewritten,
-    stopping at the first omitting representative.
+    the rank bound, then descend and walk the relabeling classes of the
+    minimal level set breadth-first (``_class_walk``), charging ``budget``
+    one unit per word rewritten, stopping at the first class that omits a
+    generator.  A relabeling never changes whether a generator is omitted,
+    so the class key omits one iff every word of its class does.
     """
 
     def omits(ls: tuple[int, ...]) -> bool:
@@ -728,8 +764,5 @@ def lies_in_proper_free_factor(
         return answer
     _check_rank_bound(w.rank, rank_bound)
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    # type-I moves only relabel, so they never change whether a generator
-    # is omitted; expanding type-II moves alone still meets every omitting
-    # class (relabelings can be commuted to the end of any move sequence)
-    walk = _level_walk(w.rank, minimal, _rewriter(eval_budget(budget)))
+    walk = _class_walk(w.rank, minimal, _rewriter(eval_budget(budget)))
     return any(omits(c) for c in walk)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import wml.words as words
 from wml.cli import build_parser, parse_group_spec, run
 from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, ValidationError
 
@@ -402,14 +403,28 @@ def test_the_budget_option_reaches_the_word_parser(capsys):
     assert out == "" and err.startswith("budget exceeded: expanded power length")
 
 
-def test_the_budget_option_reaches_the_whitehead_searches(capsys):
-    # rank's witness report hands --budget to the free-factor search
-    assert run(["rank", "aBab^-3", "--budget", "20"]) == 3
-    assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
+def test_the_budget_option_reaches_the_whitehead_searches(capsys, monkeypatch):
+    # rank's witness report hands --budget to the free-factor search.  Its
+    # class walk settles aBab^-3 in 6 rewrites, fewer than the stream
+    # charges before it, so the search's budget is read rather than run out
+    budgets = []
+    rewriter = words._rewriter
+    monkeypatch.setattr(words, "_rewriter", lambda budget: budgets.append(budget) or rewriter(budget))
+    assert run(["rank", "aBab^-3", "--budget", "100"]) == 0
+    assert budgets and set(budgets) == {100}
     assert run(["whitehead", "aBab^-3", "--budget", "5"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: expanded word length")
-    assert run(["rank", "aBab^-3", "--budget", "100"]) == 0
-    capsys.readouterr()
+
+
+def test_whitehead_reaches_the_rank4_level_sets(capsys):
+    # the class walk finds aabbccdd's 23,424 words by 29,464 rewrites:
+    # 2,968 in the walk over its 69 classes, 384 relabelings of each
+    code, data = run_json(capsys, "whitehead", "aabbccdd")
+    assert code == 0 and data["level_set_size"] == 23424
+    code, data = run_json(capsys, "whitehead", "[a,b][c,d]")
+    assert code == 0 and data["level_set_size"] == 1008
+    assert run(["whitehead", "aabbccdd", "--budget", "29463"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
 
 
 def test_oracle_budget_option(capsys):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import whitehead_reference
+from word_strategies import cyclic_words
 from wml.budget import DEFAULT_EVAL_BUDGET, BudgetError, ValidationError
 import wml.words as words_module
 from wml.cli import run
@@ -16,11 +17,12 @@ from wml.words import (
     WhiteheadAut,
     _canon_rotation,
     _certificate,
+    _class_key,
+    _class_walk,
     _cut_sizes,
     _cyc_len,
     _descend_key,
     _level_set_key,
-    _level_walk,
     _rewriter,
     _screened_moves,
     _vertex,
@@ -346,11 +348,37 @@ def test_descent_equals_the_rewriting_descent(w):
 
 @pytest.mark.parametrize("text", ["[a,b][a,c]", "[a,b][c,d]", "aabbcc", "abcABC", "[a,b]^2"])
 def test_level_walk_yields_the_rewriting_walk_in_order(text):
+    # the class walk yields the minimal word's class first, then each class
+    # of the rewriting type-II walk once
     w = parse_word(text)
     minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
-    rewrite = _rewriter(DEFAULT_EVAL_BUDGET)
-    assert (list(_level_walk(w.rank, minimal, rewrite))
-            == list(whitehead_reference.type2_walk(w.rank, minimal)))
+    classes = list(_class_walk(w.rank, minimal, _rewriter(DEFAULT_EVAL_BUDGET)))
+    assert classes[0] == _class_key(minimal)
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == {_class_key(c) for c in whitehead_reference.type2_walk(w.rank, minimal)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_words(max_length=12, min_rank=1, max_rank=4), st.integers(0, 11))
+def test_class_key_is_a_relabeling_and_rotation_invariant(w, shift):
+    cyc = w.letters
+    key = _class_key(cyc)
+    assert _class_key(key) == key
+    # a cyclic word of the same rank and length
+    assert len(CyclicWord(w.rank, key)) == len(cyc) and max(abs(x) for x in key) <= w.rank
+    shift %= len(cyc)
+    for aut in type1_automorphisms(w.rank):
+        image = _cyc_len(aut, cyc)
+        assert _class_key(image[shift:] + image[:shift]) == key
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_words(max_length=6, min_rank=1, max_rank=4))
+def test_class_walk_equals_the_rewriting_searches(w):
+    minimal = _descend_key(w.rank, _canon_rotation(w.letters))
+    assert (_level_set_key(w.rank, minimal, DEFAULT_EVAL_BUDGET)
+            == whitehead_reference.level_set_key(w.rank, minimal))
+    assert lies_in_proper_free_factor(w) is whitehead_reference.search_in_proper_free_factor(w)
 
 
 def _count_rewrites(monkeypatch):
@@ -361,17 +389,17 @@ def _count_rewrites(monkeypatch):
 
 
 def test_whitehead_minimize_charges_every_rewrite(monkeypatch):
-    # the walk rewrites 5,400 length-keeping moves to reach the 328 words;
-    # the relabeling pass rewrites the minimal word by each of the 48
-    # relabelings, none of which leaves the walk: 5,448 rewrites in all
+    # the class walk rewrites 145 length-keeping moves to reach the 9
+    # relabeling classes; each class key is then rewritten by each of the
+    # 48 relabelings, 432 rewrites for the 328 words: 577 in all
     w = parse_word("aabbcc")
-    with pytest.raises(BudgetError, match=r"\(328 states explored\)") as exc:
-        whitehead_minimize(w, budget=5447)
-    assert exc.value.needed == 5448
+    with pytest.raises(BudgetError, match=r"\(9 states explored\)") as exc:
+        whitehead_minimize(w, budget=576)
+    assert exc.value.needed == 577
     _level_set_key.cache_clear()
     calls = _count_rewrites(monkeypatch)
-    assert len(whitehead_minimize(w, budget=5448)[1]) == 328
-    assert len(calls) == 5448
+    assert len(whitehead_minimize(w, budget=577)[1]) == 328
+    assert len(calls) == 577
 
 
 def test_fallback_search_charges_every_rewrite(monkeypatch):
@@ -394,11 +422,11 @@ def test_whitehead_minimize_level_set_is_under_the_budget(capsys):
     # the budget is part of the level-set cache key, so the result above
     # does not answer the call below
     with pytest.raises(BudgetError, match=r"Whitehead level set \(\d+ states explored\)"):
-        whitehead_minimize(w, budget=1000)
-    assert run(["whitehead", "aabbcc", "--budget", "1000"]) == 3
-    assert run(["whitehead", "aabbcc", "--budget", "5447"]) == 3
+        whitehead_minimize(w, budget=500)
+    assert run(["whitehead", "aabbcc", "--budget", "500"]) == 3
+    assert run(["whitehead", "aabbcc", "--budget", "576"]) == 3
     capsys.readouterr()
-    assert run(["whitehead", "aabbcc", "--budget", "5448"]) == 0
+    assert run(["whitehead", "aabbcc", "--budget", "577"]) == 0
     assert json.loads(capsys.readouterr().out)["level_set_size"] == 328
     assert len(whitehead_minimize(w)[1]) == 328
 

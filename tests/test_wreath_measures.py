@@ -445,10 +445,13 @@ class TestStreamedSums:
 
     @settings(max_examples=15, deadline=None)
     @given(cyclic_words(max_length=12, min_length=7))
+    # its stored order (27,334 nodes) needs 11,698,952 machine words, past
+    # the default budget; the test compares the routes, not the budget
+    @example(Word(3, (-3, 1, 2, 3, 3, 1, -3, -2, -2, 1, -2, 1)))
     def test_symbolic_equals_the_one_level_chain_route(self, w):
         ctx = WordContext(w)
         for phi in (TRIV, CharacterSpec.circle(2), CharacterSpec.finite(char("S3", "std"))):
-            chains = iterated_expectation(ctx, IteratedSpec(1, phi)).single_variable()
+            chains = iterated_expectation(ctx, IteratedSpec(1, phi), budget=10**8).single_variable()
             streamed = ind_expectation_symbolic(ctx, phi)
             assert streamed == chains
             assert streamed.to_json() == chains.to_json()
