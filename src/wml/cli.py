@@ -24,7 +24,7 @@ from .oracle import (
     monte_carlo_expectation,
     orbit_count,
 )
-from .words import parse_word, whitehead_minimize, is_primitive, lies_in_proper_free_factor
+from .words import format_letters, parse_word, whitehead_minimize, is_primitive, lies_in_proper_free_factor
 from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
@@ -329,7 +329,7 @@ def cmd_whitehead(args) -> dict:
         "word": w.display(),
         "min_length": min_len,
         "level_set_size": len(level),
-        "level_set": sorted(c.to_word().display() for c in level),
+        "level_set": sorted(format_letters(c.letters, c.names) for c in level),
         "is_primitive": is_primitive(w, args.whitehead_rank_bound),
         "lies_in_proper_free_factor": (
             lies_in_proper_free_factor(w, args.whitehead_rank_bound, args.budget)

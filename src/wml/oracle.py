@@ -50,7 +50,9 @@ class ExplicitWreath:
         # component arrays: id -> (vector of G-indices, permutation)
         self._V = None
         self._P = None
+        self._GM = None
         self._inv = None
+        self._labels = None
 
     # -- encoding -------------------------------------------------------
 
@@ -89,27 +91,37 @@ class ExplicitWreath:
 
     def components(self):
         """Numpy arrays V (order x degree base-indices) and P (order x
-        degree permutation images), indexed by element id."""
+        degree permutation images), indexed by element id: the digits of
+        the id in base |G| above its permutation index."""
         import numpy as np
 
         if self._V is None:
-            V = np.zeros((self.order, self.degree), dtype=np.int32)
-            P = np.zeros((self.order, self.degree), dtype=np.int32)
-            for e in range(self.order):
-                vec, sigma = self.decode(e)
-                V[e] = vec
-                P[e] = sigma
+            code, pidx = np.divmod(np.arange(self.order, dtype=np.int64), self.n_perms)
+            V = np.empty((self.order, self.degree), dtype=np.int32)
+            for i in range(self.degree):
+                code, V[:, i] = np.divmod(code, self.base.order)
             self._V = V
-            self._P = P
+            self._P = np.array(self.perms, dtype=np.int32)[pidx]
         return self._V, self._P
 
+    def base_table(self) -> np.ndarray:
+        """The base group's multiplication table as a numpy array."""
+        import numpy as np
+
+        if self._GM is None:
+            self._GM = np.array(self.base.mult, dtype=np.int32)
+        return self._GM
+
     def inverse_ids(self) -> np.ndarray:
+        """Per element id, the id of its inverse: (v, s)^-1 has the
+        permutation s^-1 and coordinates v(s^-1(i))^-1."""
         import numpy as np
 
         if self._inv is None:
-            self._inv = np.array(
-                [self.inverse_id(e) for e in range(self.order)], dtype=np.int64
-            )
+            V, P = self.components()
+            s_inv = np.argsort(P, axis=1)
+            base_inv = np.array(self.base.inverse, dtype=np.int32)
+            self._inv = self.encode_components(base_inv[np.take_along_axis(V, s_inv, axis=1)], s_inv)
         return self._inv
 
     def encode_components(self, V: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -119,48 +131,85 @@ class ExplicitWreath:
         code = np.zeros(len(V), dtype=np.int64)
         for i in range(self.degree - 1, -1, -1):
             code = code * self.base.order + V[:, i]
-        # permutation index via mixed-radix Lehmer-free lookup table
-        pcode = np.zeros(len(P), dtype=np.int64)
+        # a permutation's index in lexicographic order is its Lehmer code
+        pidx = np.zeros(len(P), dtype=np.int64)
         for i in range(self.degree):
-            pcode = pcode * self.degree + P[:, i]
-        lut = np.full(self.degree**self.degree, -1, dtype=np.int64)
-        for p, idx in self.perm_index.items():
-            c = 0
-            for x in p:
-                c = c * self.degree + x
-            lut[c] = idx
-        return code * self.n_perms + lut[pcode]
+            pidx = pidx * (self.degree - i) + (P[:, i + 1:] < P[:, i:i + 1]).sum(axis=1)
+        return code * self.n_perms + pidx
+
+    def mult_ids(self, a, b) -> np.ndarray:
+        """Vectorized ``mult_id``: the ids of a[i] * b[i], for arrays or
+        single ids of equal or broadcastable shape."""
+        import numpy as np
+
+        V, P = self.components()
+        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+        return self.encode_components(*_component_product(self.base_table(), V[a], P[a], V[b], P[b]))
+
+    def class_labels(self) -> np.ndarray:
+        """Per element id, the least id in its conjugacy class.
+
+        The classes are the orbits of conjugation by a generating set:
+        (g, 1, ..., 1; id) for g in G, (1; (0 1)) and (1; (0 1 ... n-1)).
+        Each label is lowered to the least label among its images under
+        the generators, and to the label of its label, until no label
+        moves; every generator permutes its orbit, so the labels are then
+        constant on each orbit and equal to its least id."""
+        import numpy as np
+
+        if self._labels is None:
+            ident = tuple(range(self.degree))
+            gens = [self.encode((g,) + (0,) * (self.degree - 1), ident)
+                    for g in range(1, self.base.order)]
+            if self.degree > 1:
+                gens += [self.encode((0,) * self.degree, (1, 0) + ident[2:]),
+                         self.encode((0,) * self.degree, ident[1:] + (0,))]
+            ids = np.arange(self.order, dtype=np.int64)
+            inv = self.inverse_ids()
+            conjugates = [self.mult_ids(self.mult_ids(g, ids), inv[g]) for g in gens]
+            labels = ids
+            while True:
+                new = labels
+                for conj in conjugates:
+                    new = np.minimum(new, new[conj])
+                new = new[new]
+                if np.array_equal(new, labels):
+                    break
+                labels = new
+            self._labels = labels
+        return self._labels
 
     def ind_character_values(self, phi: ClassFunction) -> tuple[Cyclotomic, ...]:
         """Values of the induced character: sum of phi(v(i)) over the fixed
-        indices of sigma."""
+        indices of sigma.  A value depends only on how many fixed
+        coordinates lie in each class of G, so one sum is built per
+        distinct row of those counts."""
+        import numpy as np
+
         if phi.group is not self.base:
             raise ValidationError("character must live on the base group")
-        out = []
-        for e in range(self.order):
-            vec, sigma = self.decode(e)
-            val = Cyclotomic.zero()
-            for i in range(self.degree):
-                if sigma[i] == i:
-                    val = val + phi(vec[i])
-            out.append(val)
-        return tuple(out)
+        V, P = self.components()
+        base_class = np.array(self.base.class_of, dtype=np.int64)[V]
+        fixed = P == np.arange(self.degree)
+        rows = np.zeros((self.order, len(self.base.classes)), dtype=np.int64)
+        for i in range(self.degree):
+            at = np.flatnonzero(fixed[:, i])
+            rows[at, base_class[at, i]] += 1
+        distinct, which = np.unique(rows, axis=0, return_inverse=True)
+        sums = [sum((phi.values[c] * m for c, m in enumerate(row) if m), Cyclotomic.zero())
+                for row in distinct.tolist()]
+        return tuple(sums[j] for j in which.ravel().tolist())
 
     def to_finite_group(self, budget=None) -> FiniteGroup:
         """Materialize the full multiplication table (small orders only, its
         entries charged against ``budget``); needed to iterate the wreath."""
+        import numpy as np
+
         check("wreath elements", self.order, DEFAULT_GROUP_ELEMENT_BUDGET)
         check("wreath multiplication table", self.order**2, eval_budget(budget))
-        mult = [[0] * self.order for _ in range(self.order)]
-        for a in range(self.order):
-            va, sa = self.decode(a)
-            for b in range(self.order):
-                vb, sb = self.decode(b)
-                v = tuple(self.base.mult[va[i]][vb[sa[i]]] for i in range(self.degree))
-                s = tuple(sb[sa[i]] for i in range(self.degree))
-                mult[a][b] = self.encode(v, s)
-        g = FiniteGroup(mult, f"{self.base.name}wr S{self.degree}")
-        return g
+        ids = np.arange(self.order, dtype=np.int64)
+        mult = [self.mult_ids(a, ids).tolist() for a in range(self.order)]
+        return FiniteGroup(mult, f"{self.base.name}wr S{self.degree}")
 
     def __repr__(self):
         return f"{self.base.name} wr S{self.degree} (order {self.order})"
@@ -206,25 +255,60 @@ def iterated_ind_character(base: FiniteGroup, phi: ClassFunction, degrees, budge
 _BRUTE_CHUNK = 1 << 18
 
 
+def _class_labels(group) -> np.ndarray:
+    """Per element id of an ExplicitWreath or a FiniteGroup, the least id
+    in its conjugacy class."""
+    import numpy as np
+
+    if isinstance(group, ExplicitWreath):
+        return group.class_labels()
+    return np.array([group.classes[c][0] for c in group.class_of], dtype=np.int64)
+
+
 def word_element_counts(w: Word, group, budget: int | None = None) -> np.ndarray:
     """The pushforward distribution of w as integer counts over element
-    ids: counts[e] = #{tuples in K^r with w(tuple) = e}, enumerated in
-    chunks of tuple indices."""
+    ids: counts[e] = #{tuples in K^r with w(tuple) = e}.
+
+    Only the tuples whose first letter is the least element of its
+    conjugacy class are evaluated, k |K|^(r-1) of them for k classes,
+    charged to ``budget``, in chunks of tuple indices.  w commutes with
+    simultaneous conjugation, so the tuples whose first letter lies in a
+    class C and whose value lies in a class D number |C| times those with
+    the first letter fixed at C's representative.  Each representative's
+    value counts are weighted by its class size and summed per class D;
+    counts is constant on D, so counts[e] is the total of e's class over
+    the class size, a division checked exact."""
     import numpy as np
 
     order, r = group.order, w.rank
-    total = order**r
+    if r < 1:
+        raise ValidationError("the oracle needs a word of rank >= 1")
+    labels = _class_labels(group)
+    reps, sizes = np.unique(labels, return_counts=True)
+    rest = order ** (r - 1)
+    total = len(reps) * rest
     budget = eval_budget(budget)
     if total > budget:
         raise BudgetError("brute enumeration", total, budget)
     evaluate = _evaluator(w, group)
-    counts = np.zeros(order, dtype=np.int64)
-    strides = [order**i for i in range(r)]
-    for start in range(0, total, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        values = evaluate(stop - start, lambda g: (flat // strides[g]) % order)
-        counts += np.bincount(values, minlength=order)
+    weighted = np.zeros(order, dtype=np.int64)
+    # the representatives of one class size share their chunks' weight
+    for size in np.unique(sizes).tolist():
+        first = reps[sizes == size]
+        for start in range(0, len(first) * rest, _BRUTE_CHUNK):
+            stop = min(start + _BRUTE_CHUNK, len(first) * rest)
+            flat = np.arange(start, stop, dtype=np.int64)
+            values = evaluate(stop - start, lambda g: first[flat // rest] if g == 0
+                              else (flat // order ** (g - 1)) % order)
+            weighted += size * np.bincount(values, minlength=order)
+    class_totals = np.zeros(order, dtype=np.int64)
+    np.add.at(class_totals, labels, weighted)
+    class_sizes = np.zeros(order, dtype=np.int64)
+    class_sizes[reps] = sizes
+    counts, remainder = np.divmod(class_totals[labels], class_sizes[labels])
+    if remainder.any():
+        raise InvariantError(f"brute enumeration of {w.display()}: a class total is not "
+                             "a multiple of its class size")
     return counts
 
 
@@ -250,8 +334,10 @@ def brute_expectation(
 
     ``group`` is an ExplicitWreath or FiniteGroup; ``chi`` is a sequence of
     per-element values (Cyclotomic) or a ClassFunction.  The element
-    distribution of w is accumulated as integer counts; the character is
-    applied exactly at the end.
+    distribution of w is counted exactly by ``word_element_counts``, which
+    evaluates one first letter per conjugacy class and charges those
+    k |K|^(r-1) tuples to ``budget``; the character is applied exactly at
+    the end.
     """
     counts = word_element_counts(w, group, budget)
     return expectation_from_counts(counts, group.order, w.rank, chi)
@@ -271,13 +357,22 @@ def _table_values(w: Word, mult, inv, rows: int, draws) -> np.ndarray:
     return cur
 
 
-def _wreath_values(w: Word, K: ExplicitWreath, GM, rows: int, draws) -> np.ndarray:
+def _component_product(GM: np.ndarray, v1, p1, v2, p2) -> tuple[np.ndarray, np.ndarray]:
+    """(v1,s1)(v2,s2) = (v1 . (s1.v2), s2 o s1) on rows of component
+    arrays, through the base group's table ``GM``."""
+    import numpy as np
+
+    return GM[v1, np.take_along_axis(v2, p1, axis=1)], np.take_along_axis(p2, p1, axis=1)
+
+
+def _wreath_values(w: Word, K: ExplicitWreath, rows: int, draws) -> np.ndarray:
     """w evaluated on rows of wreath element ids (``draws(g)`` is generator
-    g's column) on the component arrays and the base group's table ``GM``,
-    so no |K|^2 multiplication table is ever materialized."""
+    g's column) on the component arrays and the base group's table, so no
+    |K|^2 multiplication table is ever materialized."""
     import numpy as np
 
     V, P = K.components()
+    GM = K.base_table()
     inv_ids = K.inverse_ids()
     ident = K.identity_id
     cur_v = np.tile(V[ident], (rows, 1))
@@ -286,11 +381,7 @@ def _wreath_values(w: Word, K: ExplicitWreath, GM, rows: int, draws) -> np.ndarr
         ids = draws(abs(x) - 1)
         if x < 0:
             ids = inv_ids[ids]
-        gv = V[ids]
-        gp = P[ids]
-        # (v1,s1)(v2,s2) = (v1 . (s1.v2), s2 o s1)
-        cur_v = GM[cur_v, np.take_along_axis(gv, cur_p, axis=1)]
-        cur_p = np.take_along_axis(gp, cur_p, axis=1)
+        cur_v, cur_p = _component_product(GM, cur_v, cur_p, V[ids], P[ids])
     return K.encode_components(cur_v, cur_p)
 
 
@@ -301,7 +392,7 @@ def _evaluator(w: Word, group):
     import numpy as np
 
     if isinstance(group, ExplicitWreath):
-        return partial(_wreath_values, w, group, np.array(group.base.mult, dtype=np.int32))
+        return partial(_wreath_values, w, group)
     return partial(_table_values, w, np.array(group.mult, dtype=np.int32),
                    np.array(group.inverse, dtype=np.int64))
 

@@ -37,6 +37,22 @@ def _default_names(rank: int, used: tuple[str, ...] = ()) -> tuple[str, ...]:
     return tuple(names)
 
 
+def format_letters(letters, names: tuple[str, ...]) -> str:
+    """Letters as text, one run of equal letters per token: ``a``, ``a^3``,
+    ``A`` (an inverse) or ``a^-3``; the empty word is ``1``."""
+    if not letters:
+        return "1"
+    parts = []
+    for x, run in itertools.groupby(letters):
+        n = len(list(run))
+        name = names[abs(x) - 1]
+        if x < 0:
+            parts.append(name.upper() if n == 1 else f"{name}^-{n}")
+        else:
+            parts.append(name if n == 1 else f"{name}^{n}")
+    return " ".join(parts)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank.
@@ -109,18 +125,7 @@ class Word:
         return self.display()
 
     def display(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for x, run in itertools.groupby(self.letters):
-            n = len(list(run))
-            name = self.names[abs(x) - 1]
-            if x < 0:
-                name = name.upper() if n == 1 else f"{name}^-{n}"
-                parts.append(name)
-            else:
-                parts.append(name if n == 1 else f"{name}^{n}")
-        return " ".join(parts)
+        return format_letters(self.letters, self.names)
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ class CyclicWord:
         return len(self.letters) > 0 and self.cyclic_root()[1] >= 2
 
     def __repr__(self):
-        return self.to_word().display()
+        return format_letters(self.letters, self.names)
 
 
 def reduce(letters, rank: int, names: tuple[str, ...] = ()) -> Word:

@@ -334,8 +334,18 @@ def test_one_sample_prints_json_with_no_stderr(capsys):
 
 
 def test_budget_exit_code(capsys):
-    assert run(["oracle", "[a,b]", "--group", "S3", "--char", "std", "--n", "4"]) == 3
+    # 51 classes of S3 wr S4 times 31,104^2 tuples for the other letters
+    assert run(["oracle", "[a,b]c", "--group", "S3", "--char", "std", "--n", "4"]) == 3
     capsys.readouterr()
+
+
+def test_the_oracle_reaches_s3_wr_s4(capsys):
+    # 51 x 31,104 tuples, within the default budget; every tuple would be 967 million
+    spec = ["--group", "S3", "--char", "std", "--n", "4"]
+    code, oracle = run_json(capsys, "oracle", "[a,b]", *spec)
+    _, data = run_json(capsys, "expect", "[a,b]", *spec)
+    assert code == 0 and oracle["wreath_order"] == 31104
+    assert oracle["value"] == data["value"] == "1/8"
 
 
 @pytest.mark.parametrize("argv", [
@@ -428,6 +438,7 @@ def test_whitehead_reaches_the_rank4_level_sets(capsys):
 
 
 def test_oracle_budget_option(capsys):
+    # 5 classes of C2 wr S2 times 8 elements for the second letter
     query = ["oracle", "[a,b]", "--group", "C2", "--char", "chi1", "--n", "2"]
     assert run(query + ["--budget", "10"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: brute enumeration")

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_reference
 import orbit_reference
 import wml.oracle as oracle
 from wml.budget import BudgetError
@@ -21,8 +23,9 @@ from wml.oracle import (
     iterated_ind_character,
     monte_carlo_expectation,
     orbit_count,
+    word_element_counts,
 )
-from wml.words import parse_word
+from wml.words import parse_word, reduce
 
 
 def test_wreath_orders():
@@ -96,11 +99,22 @@ def test_brute_fix_count_on_s3():
 
 
 def test_brute_budget():
+    # 51 classes times 31,104^2 tuples of the other two letters
     S3, chars = builtin_group("S3")
     W = build_wreath(S3, 4)
     chi = W.ind_character_values(chars[2])
     with pytest.raises(BudgetError):
-        brute_expectation(parse_word("[a,b]"), W, chi)
+        brute_expectation(parse_word("[a,b]c"), W, chi)
+
+
+def test_brute_budget_charges_the_tuples_evaluated():
+    # one first letter per class: 10 classes of C2 wr S3 times 48^2
+    W = build_wreath(builtin_group("C2")[0], 3)
+    w = parse_word("[a,b]c")
+    assert len(set(W.class_labels().tolist())) == 10
+    with pytest.raises(BudgetError, match="needs 23040 > budget 23039"):
+        word_element_counts(w, W, budget=23039)
+    assert word_element_counts(w, W, budget=23040).sum() == 48**3
 
 
 def test_ind_n_phi_is_irreducible_on_explicit_wreaths():
@@ -241,3 +255,73 @@ ACTIONS = st.one_of(
 def test_burnside_orbit_counts_match_union_find(action, t):
     assert orbit_count(action, t) == orbit_reference.orbit_count(action, t)
     assert injective_orbit_count(action, t) == orbit_reference.injective_orbit_count(action, t)
+
+
+# -- the class reduction against the full tuple enumeration ------------------
+
+BRUTE_LIMIT = 200_000  # |K|^r tuples the reference may evaluate
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_target(name):
+    """A builtin group, a wreath of one at n <= 3, or the iterated C2 wr S2 wr S2."""
+    base, degrees = name.split(":") if ":" in name else (name, "")
+    group = builtin_group(base)[0]
+    if not degrees:
+        return group
+    return build_iterated_wreath(group, [int(d) for d in degrees.split(",")])
+
+
+BRUTE_TARGETS = [*("C2", "C3", "C5", "S3", "Q8", "D4", "S4"),
+                 *(f"{g}:{n}" for g in ("C2", "C3", "S3", "Q8", "D4") for n in (1, 2, 3)),
+                 "S4:2", "C2:2,2"]
+
+
+@st.composite
+def _brute_cases(draw):
+    target = _brute_target(draw(st.sampled_from(BRUTE_TARGETS)))
+    top = max(r for r in (1, 2, 3) if target.order**r <= BRUTE_LIMIT)
+    rank = draw(st.integers(1, top))
+    letters = draw(st.lists(st.sampled_from([x for g in range(1, rank + 1) for x in (g, -g)]),
+                            max_size=8))
+    return target, reduce(letters, rank)
+
+
+@pytest.mark.parametrize("chunk", [None, 97])
+@settings(max_examples=60, deadline=None)
+@given(_brute_cases())
+def test_class_reduced_counts_equal_every_tuple(chunk, case):
+    target, w = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(oracle, "_BRUTE_CHUNK", chunk)
+        counts = word_element_counts(w, target)
+    assert counts.tolist() == brute_reference.word_element_counts(w, target).tolist()
+
+
+@pytest.mark.parametrize("base, degree", [("C2", 1), ("C2", 2), ("C2", 3), ("C3", 2), ("S3", 2)])
+def test_wreath_class_labels_partition_like_the_finite_group(base, degree):
+    W = build_wreath(builtin_group(base)[0], degree)
+    labels = W.class_labels().tolist()
+    classes = {}
+    for e, label in enumerate(labels):
+        classes.setdefault(label, []).append(e)
+    assert all(label == members[0] for label, members in classes.items())
+    assert sorted(map(tuple, classes.values())) == sorted(W.to_finite_group().classes)
+
+
+@pytest.mark.parametrize("base, degree", [("C2", 3), ("C3", 2), ("C5", 2), ("S3", 3), ("Q8", 2),
+                                          ("D4", 3), ("S4", 2)])
+def test_wreath_arrays_equal_the_element_loops(base, degree):
+    G, chars = builtin_group(base)
+    W = build_wreath(G, degree)
+    V, P = W.components()
+    V0, P0 = brute_reference.components(W)
+    assert V.tolist() == V0.tolist() and P.tolist() == P0.tolist()
+    assert W.inverse_ids().tolist() == brute_reference.inverse_ids(W).tolist()
+    for phi in chars:
+        values = W.ind_character_values(phi)
+        expected = brute_reference.ind_character_values(W, phi)
+        assert [(v.conductor, v.coeffs) for v in values] == [(v.conductor, v.coeffs) for v in expected]
+    if W.order <= 200:
+        assert W.to_finite_group().mult == tuple(map(tuple, brute_reference.multiplication_table(W)))

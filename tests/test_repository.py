@@ -146,6 +146,17 @@ def test_the_general_action_reference_reads_the_stored_poset():
     assert not names & library, names & library
 
 
+def test_the_brute_reference_enumerates_every_tuple():
+    # the tests compare the class-reduced counts and the vectorized wreath
+    # arrays against this reference's full enumeration and element loops
+    names = _names_read("brute_reference.py")
+    library = {"class_labels", "_class_labels", "mult_ids", "_component_product",
+               "base_table", "components", "inverse_ids", "encode_components",
+               "ind_character_values", "to_finite_group", "word_element_counts",
+               "_evaluator", "_wreath_values", "_table_values"}
+    assert not names & library, names & library
+
+
 def _definitions(path) -> list:
     """(qualified name, node) of each top-level statement of a module, a
     class's body statement by statement."""
@@ -238,10 +249,10 @@ def test_the_alg_route_reference_builds_its_own_chains():
     assert not names & library, names & library
 
 
-# 03 (the oracle cross-check) is left out: it takes about 14 s
 @pytest.mark.parametrize("demo", [
     "01_ranks_and_witnesses.py",
     "02_symbolic_expectations.py",
+    "03_oracle_cross_check.py",
     "04_iterated_wreaths_and_trees.py",
     "05_general_actions_and_torsion_letters.py",
 ])
