@@ -298,8 +298,8 @@ def word_element_counts(w: Word, group, budget: int | None = None) -> np.ndarray
         for start in range(0, len(first) * rest, _BRUTE_CHUNK):
             stop = min(start + _BRUTE_CHUNK, len(first) * rest)
             flat = np.arange(start, stop, dtype=np.int64)
-            values = evaluate(stop - start, lambda g: first[flat // rest] if g == 0
-                              else (flat // order ** (g - 1)) % order)
+            columns = [first[flat // rest]] + [(flat // order**g) % order for g in range(r - 1)]
+            values = evaluate(stop - start, columns.__getitem__)
             weighted += size * np.bincount(values, minlength=order)
     class_totals = np.zeros(order, dtype=np.int64)
     np.add.at(class_totals, labels, weighted)
@@ -318,9 +318,10 @@ def expectation_from_counts(counts: np.ndarray, order: int, r: int, chi) -> Cycl
     values = chi
     if isinstance(chi, ClassFunction):
         values = [chi(e) for e in range(order)]
-    total = Cyclotomic.zero()
-    for e in np.nonzero(counts)[0]:
-        total = total + values[int(e)] * int(counts[e])
+    by_value: dict = {}  # character value -> the count of the elements taking it
+    for e in np.nonzero(counts)[0].tolist():
+        by_value[values[e]] = by_value.get(values[e], 0) + int(counts[e])
+    total = sum((value * k for value, k in by_value.items()), Cyclotomic.zero())
     return total / Fraction(order**r)
 
 

@@ -13,6 +13,7 @@ that sum.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import inf
@@ -91,43 +92,19 @@ def _as_spec(phi) -> CharacterSpec:
 # -- the induction-convolution sum -------------------------------------------
 
 
-def _quotient_terms(ctx: WordContext, phi: CharacterSpec, inner, budget, max_blocks=None):
-    """(partition, bouquet fibers, coefficient) of each quotient H of the w-cycle with
-    at most ``max_blocks`` vertices whose coefficient is non-zero, streamed
-    off the fold-closed partitions with no stored poset.
-
-    The coefficient depends only on w rewritten in H's basis, so it is
-    computed once per rewritten word (the stream's first-crossing letters)
-    and call: E_{w->H}[phi] at one level (``inner`` None), and otherwise
-    ``inner`` of the rewritten word's context, which at the bouquet (one
-    vertex) is ``ctx`` itself.  A rewritten word in which some generator
-    occurs once is primitive, hence Haar at every level: its coefficient
-    is E_{w->H}[phi] too, with no context built.  The trivial character at
-    one level needs no rewritten word.
-
-    When phi has mean 0 (``CharacterSpec.has_zero_mean``) only the
-    quotients whose every edge w crosses at least twice are streamed.  An
-    edge that a closed walk crosses once is no bridge, so a spanning tree
-    avoids it, and its generator occurs once in w rewritten in that basis:
-    w is primitive in H, and its coefficient is the Haar mean <phi, 1> = 0
-    at every level (Puder 2014; Puder-Parzanchevski 2015).  The cut
-    quotients are exactly terms that would be dropped as zero."""
-    trivial = inner is None and phi.kind == "trivial"
-    coefficients: dict = {}  # rewritten letters -> coefficient
-    for p, fibers, word in fold_closed_partitions(ctx.word.letters, ctx.rank,
-                                                  eval_budget(budget), max_blocks,
-                                                  phi.has_zero_mean()):
-        c = _ONE if trivial else coefficients.get(word)
-        if c is None:
-            (v,), e = fibers
-            rewritten = Word(1 - v + sum(e), word)
-            if inner is None or some_generator_occurs_once(word):
-                c = expectation_rewritten(phi, rewritten, budget)
-            else:
-                c = inner(ctx if v == 1 else ctx.context_of(rewritten))
-            coefficients[word] = c
-        if not c.is_zero():
-            yield p, fibers, c
+def _coefficient(ctx: WordContext, phi: CharacterSpec, inner, fibers, word, budget):
+    """The coefficient of the quotient H of the w-cycle with ``fibers`` over
+    the bouquet, where w rewrites to ``word`` in H's first-crossing basis:
+    E_{w->H}[phi] at one level (``inner`` None), and otherwise ``inner`` of
+    the rewritten word's context, which at the bouquet (one vertex) is
+    ``ctx`` itself.  A rewritten word in which some generator occurs once
+    is primitive, hence Haar at every level: its coefficient is
+    E_{w->H}[phi] too, with no context built."""
+    (v,), e = fibers
+    rewritten = Word(1 - v + sum(e), word)
+    if inner is None or some_generator_occurs_once(word):
+        return expectation_rewritten(phi, rewritten, budget)
+    return inner(ctx if v == 1 else ctx.context_of(rewritten))
 
 
 def _level_sum(ctx: WordContext, phi: CharacterSpec, degrees: tuple, budget=None):
@@ -135,15 +112,25 @@ def _level_sum(ctx: WordContext, phi: CharacterSpec, degrees: tuple, budget=None
     the context.  Peels the outermost level: the sum over the quotients H
     of the w-cycle of the sum at (n_1, ..., n_{m-1}) of w rewritten in H's
     basis (E_{w->H}[phi] at one level) times L_{H->bouquet}(n_m), which
-    depends only on H's fibers over the bouquet; so each fiber signature's
-    coefficient sum is multiplied by its L-term once.
+    depends only on H's fibers over the bouquet.  So the fold-closed
+    partitions are counted in ints per (fibers, rewritten word); each
+    word's coefficient is computed once, multiplied by its count and summed
+    per fibers, and each fiber signature's sum is multiplied by its L-term
+    once.  The trivial character at one level, of coefficient 1, reads no
+    word: its partitions are counted per fiber signature alone.
 
     An int n_m is exact at every value: its L-term is ``L_value_at``, which
     is 0 on a quotient with more than n_m vertices, so at most n_m blocks
     are streamed.  None is the variable n: its L-term is ``L_rational`` and
     the sum an unreduced ``PoleRational``.  With no degrees the sum is
-    E[phi(w)], w rewritten at the bouquet, the top quotient, being w
-    itself."""
+    E[phi(w)], w rewritten at the bouquet being w itself.
+
+    When phi has mean 0 (``CharacterSpec.has_zero_mean``) only the
+    quotients whose every edge w crosses at least twice are streamed.  An
+    edge that a closed walk crosses once is no bridge, so a spanning tree
+    avoids it, and its generator occurs once in w rewritten in that basis:
+    w is primitive in H, and its coefficient is the Haar mean <phi, 1> = 0
+    at every level (Puder 2014; Puder-Parzanchevski 2015)."""
     key = (phi, degrees)
     if key in ctx._sums:
         return ctx._sums[key]
@@ -152,16 +139,20 @@ def _level_sum(ctx: WordContext, phi: CharacterSpec, degrees: tuple, budget=None
     else:
         rest, n = degrees[:-1], degrees[-1]
         inner = partial(_level_sum, phi=phi, degrees=rest, budget=budget) if rest else None
-        # above one level the coefficients of the variable are the sums of
-        # the level below and the Haar constants of the singleton rule; the
-        # constants are summed apart and added once per fiber signature
-        by_fibers: dict = {}
-        constants: dict = {}
-        for _, fibers, c in _quotient_terms(ctx, phi, inner, budget, n):
-            into = constants if isinstance(c, Cyclotomic) else by_fibers
-            into[fibers] = into[fibers] + c if fibers in into else c
-        for f, c in constants.items():
-            by_fibers[f] = by_fibers[f] + c if f in by_fibers else c
+        stream = fold_closed_partitions(ctx.word.letters, ctx.rank, eval_budget(budget), n,
+                                        phi.has_zero_mean())
+        if inner is None and phi.kind == "trivial":
+            by_fibers = Counter(fibers for _, fibers, _ in stream)
+        else:
+            zero = PoleRational() if n is None else _ZERO  # takes sums and constants
+            by_fibers = {}
+            coefficients: dict = {}  # rewritten letters -> coefficient
+            for (fibers, word), k in Counter((f, word) for _, f, word in stream).items():
+                c = coefficients.get(word)
+                if c is None:
+                    c = coefficients[word] = _coefficient(ctx, phi, inner, fibers, word, budget)
+                if not c.is_zero():
+                    by_fibers[fibers] = by_fibers.get(fibers, zero) + c * k
         if n is None:
             total = sum((L_rational(*f) * c for f, c in by_fibers.items()), PoleRational())
         else:
@@ -291,7 +282,7 @@ def witness_report(
     of rank <= bound" rather than a definitive answer.
 
     For a phi of mean 0 only the quotients whose every edge w crosses at
-    least twice are streamed (see ``_quotient_terms``): each one cut has
+    least twice are streamed (see ``_level_sum``): each one cut has
     value 0, so it is no witness, and a non-trivial phi sets ``partial``
     only on a witness.  The trivial character streams every quotient.
     """
@@ -308,7 +299,8 @@ def witness_report(
     partial = False
     stream = fold_closed_partitions(letters, rank, eval_budget(budget),
                                     crossed_twice=phi.has_zero_mean())
-    for p, ((v,), e), word in stream:
+    for p, fibers, word in stream:
+        (v,), e = fibers
         if v == len(p):
             continue  # the w-cycle itself
         h_rank = 1 - v + sum(e)
@@ -317,11 +309,10 @@ def witness_report(
             continue
         value = values.get(word)
         if value is None:
-            rewritten = Word(h_rank, word)
             if phi.kind == "trivial":
-                value = _ZERO if is_primitive(rewritten, whitehead_bound) else _ONE
+                value = _ZERO if is_primitive(Word(h_rank, word), whitehead_bound) else _ONE
             else:
-                value = expectation_rewritten(phi, rewritten, budget)
+                value = _coefficient(ctx, phi, None, fibers, word, budget)
             values[word] = value
         if value.is_zero():
             continue
@@ -640,16 +631,23 @@ def general_action_expectation(
 ) -> Cyclotomic:
     """E_w[Ind_X phi] for an arbitrary permutation action (and optional
     letter distribution), via the convolution sum with directly counted
-    L-terms.  The quotients are streamed off the fold-closed partitions
-    with at most |X| blocks, since a quotient with more vertices than X
-    has no injective placement; each is folded into its core graph for
-    ``L_general`` and no poset is stored."""
+    L-terms.  The quotients with at most |X| blocks are streamed, since
+    one with more vertices than X has no injective placement; each with a
+    non-zero coefficient (``_coefficient``, once per rewritten word) is
+    folded into its core graph for ``L_general``, and no poset is stored."""
     ctx = w if isinstance(w, WordContext) else WordContext(w)
     phi = _as_spec(phi)
     dists = dists or LetterDistribution.uniform(action, ctx.rank)
     graph_of = partition_graphs(ctx.word.letters, ctx.rank, ctx.word.names)
+    coefficients: dict = {}  # rewritten letters -> E_{w->H}[phi]
     total = _ZERO
-    for p, _, c in _quotient_terms(ctx, phi, None, budget, action.degree):
+    for p, fibers, word in fold_closed_partitions(ctx.word.letters, ctx.rank, eval_budget(budget),
+                                                  action.degree, phi.has_zero_mean()):
+        c = coefficients.get(word)
+        if c is None:
+            c = coefficients[word] = _coefficient(ctx, phi, None, fibers, word, budget)
+        if c.is_zero():
+            continue
         lv = L_general(graph_of(p), action, dists, budget)
         if lv:
             total = total + c * lv

@@ -134,7 +134,7 @@ def test_the_partition_reader_reference_reads_no_stream():
     # the tests compare the stream's first-crossing words against this
     # reference's BFS-basis words
     names = _names_read("partition_reader_reference.py")
-    library = {"fold_closed_partitions", "_quotient_terms"}
+    library = {"fold_closed_partitions", "_coefficient"}
     assert not names & library, names & library
 
 
@@ -142,7 +142,7 @@ def test_the_general_action_reference_reads_the_stored_poset():
     # the tests compare the streamed general-action sums against this reference
     names = _names_read("general_action_reference.py")
     library = {"fold_closed_partitions", "read_partition", "partition_graphs",
-               "_quotient_terms", "general_action_expectation"} | CONTEXT_POSET
+               "_coefficient", "general_action_expectation"} | CONTEXT_POSET
     assert not names & library, names & library
 
 
@@ -208,13 +208,14 @@ def test_the_poset_keeps_only_what_the_commands_read():
 
 def test_one_recursion_sums_the_levels():
     # the single-variable function and the values at concrete degrees are
-    # two readings of one level recursion with one memo; a further caller
-    # of the quotient terms, or a second memo, forks it again
+    # two readings of one level recursion with one memo, and one rule
+    # gives every reader its coefficients; a further caller of the rule,
+    # or a second memo, forks them again
     tree = ast.parse((ROOT / "src" / "wml" / "wreath_measures.py").read_text())
     callers = {top.name for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "_quotient_terms"}
-    assert callers == {"_level_sum", "general_action_expectation"}, callers
+               and node.func.id == "_coefficient"}
+    assert callers == {"_level_sum", "general_action_expectation", "witness_report"}, callers
     context = next(top for top in tree.body
                    if isinstance(top, ast.ClassDef) and top.name == "WordContext")
     init = next(node for node in context.body

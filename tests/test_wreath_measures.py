@@ -423,6 +423,26 @@ class TestChainCoefficients:
         iterated_expectation(ctx, IteratedSpec(2, CharacterSpec.finite(char("C2", "chi1"))))
         assert calls == {"expectation_rel": len(words), "spanning_tree_basis": len(words)}
 
+    def test_one_level_sum_coefficient_per_rewritten_word(self, monkeypatch):
+        # the trivial one-level sum reads no word; above it each of the 17
+        # distinct words of the 234 partitions (14 with at most 4 blocks)
+        # gets one coefficient, however many partitions share it
+        calls = []
+        original = wreath_measures._coefficient
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wreath_measures, "_coefficient", counted)
+        counts = {}
+        for degrees in ((None,), (None, None), (3, 4)):
+            calls.clear()
+            wreath_measures._level_sum(WordContext(parse_word("[a,b][a,c]")), TRIV, degrees)
+            assert len(calls) == len(set(calls))
+            counts[degrees] = len(calls)
+        assert counts == {(None,): 0, (None, None): 17, (3, 4): 14}
+
     @settings(max_examples=25, deadline=None)
     @given(cyclic_words(max_length=8))
     @example(parse_word("[a,b][a,c]"))
