@@ -24,7 +24,7 @@ from .oracle import (
     monte_carlo_expectation,
     orbit_count,
 )
-from .words import format_letters, parse_word, whitehead_minimize, is_primitive, lies_in_proper_free_factor
+from .words import format_letters, parse_word, whitehead_minimize
 from .wreath_measures import (
     CharacterSpec,
     IteratedSpec,
@@ -323,18 +323,20 @@ def cmd_orbits(args) -> dict:
 
 
 def cmd_whitehead(args) -> dict:
+    # w is primitive iff its minimal length is 1, and lies in a proper free
+    # factor iff some minimal word omits a generator, so iff some class key does
     w = parse_word(args.word, args.rank, args.budget)
     min_len, level = whitehead_minimize(w, args.whitehead_rank_bound, args.budget)
     return {
         "word": w.display(),
         "min_length": min_len,
         "level_set_size": len(level),
-        "level_set": sorted(format_letters(c.letters, c.names) for c in level),
-        "is_primitive": is_primitive(w, args.whitehead_rank_bound),
-        "lies_in_proper_free_factor": (
-            lies_in_proper_free_factor(w, args.whitehead_rank_bound, args.budget)
-            if not w.is_identity()
-            else True
+        "level_set_classes": [
+            {"key": format_letters(key, w.names), "size": size} for key, size in level.classes
+        ],
+        "is_primitive": min_len == 1,
+        "lies_in_proper_free_factor": w.is_identity() or any(
+            len({abs(x) for x in key}) < w.rank for key, _ in level.classes
         ),
     }
 

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 
 from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError, check, eval_budget
 
@@ -424,15 +424,6 @@ def type2_automorphisms(rank: int) -> tuple[WhiteheadAut, ...]:
     return tuple(auts)
 
 
-@lru_cache(maxsize=None)
-def type1_automorphisms(rank: int) -> tuple[WhiteheadAut, ...]:
-    auts = []
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            auts.append(WhiteheadAut(rank, 1, perm, signs))
-    return tuple(auts)
-
-
 @lru_cache(maxsize=8192)
 def _image_table(aut: WhiteheadAut) -> dict:
     table = {}
@@ -551,7 +542,7 @@ def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
     """The least rotation of a cyclic word after renumbering its generators
     by first occurrence, each signed so that it first occurs positively:
     a complete invariant of the word under rotation and the relabelings
-    (``type1_automorphisms``), and itself a cyclic word of the same rank
+    (type-I ``WhiteheadAut``), and itself a cyclic word of the same rank
     and length.  Built letter by letter, keeping only the rotations whose
     renumbering is least so far: O(|w|^2) at worst, like
     ``_canon_rotation``."""
@@ -575,23 +566,7 @@ def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _rewriter(budget: int):
-    """One Whitehead search's rewriting of a cyclic word by a move, cyclically
-    reduced.  Each call is charged one unit of ``budget``; past it,
-    ``BudgetError`` names the states explored, which the caller passes."""
-    spent = 0
-
-    def rewrite(aut: WhiteheadAut, ls: tuple[int, ...], explored: int) -> tuple[int, ...]:
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise BudgetError(f"Whitehead level set ({explored} states explored)", spent, budget)
-        return _cyc_len(aut, ls)
-
-    return rewrite
-
-
-def _class_walk(rank: int, min_key: tuple[int, ...], rewrite):
+def _class_walk(rank: int, min_key: tuple[int, ...], budget: int | None):
     """Breadth-first walk of the relabeling classes (``_class_key``) of the
     cyclic words that length-preserving Whitehead moves reach from a
     minimal representative.  Yields the representative's class first,
@@ -599,23 +574,30 @@ def _class_walk(rank: int, min_key: tuple[int, ...], rewrite):
     stop early.
 
     Only a class's key is expanded, by the type-II moves that the Whitehead
-    graph shows to keep the length, each charged by ``rewrite`` (a
-    ``_rewriter``) to the search's budget.  That reaches every class: a
-    relabeling sigma conjugates each type-II move to a type-II move, so the
-    neighbours of sigma(u) are sigma applied to the neighbours of u, and
-    every member of a class has the neighbour classes of its key."""
+    graph shows to keep the length, each rewrite charged one unit of
+    ``budget``.  That reaches every class: a relabeling sigma conjugates
+    each type-II move to a type-II move, so the neighbours of sigma(u) are
+    sigma applied to the neighbours of u, and every member of a class has
+    the neighbour classes of its key."""
+    budget = eval_budget(budget)
     moves = _screened_moves(rank)
-    start = _class_key(min_key)
+    class_key = lru_cache(maxsize=None)(_class_key)  # many moves rewrite to one word
+    start = class_key(min_key)
     yield start
     seen = {start}
     frontier = [start]
+    spent = 0
     while frontier:
         nxt = []
         for key in frontier:
             cut = _cut_sizes(rank, key)
             for aut, mask, amask in moves:
                 if cut[mask] == cut[amask]:
-                    c = _class_key(rewrite(aut, key, len(seen)))
+                    spent += 1
+                    if spent > budget:
+                        raise BudgetError(
+                            f"Whitehead level set ({len(seen)} states explored)", spent, budget)
+                    c = class_key(_cyc_len(aut, key))
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)
@@ -623,21 +605,23 @@ def _class_walk(rank: int, min_key: tuple[int, ...], rewrite):
         frontier = nxt
 
 
-@lru_cache(maxsize=4096)
-def _level_set_key(
-    rank: int, min_key: tuple[int, ...], budget: int
-) -> tuple[tuple[int, ...], ...]:
-    """Closure of a minimal representative under the length-preserving
-    Whitehead moves of both kinds, as sorted canonical rotations: every
-    relabeling of every class that ``_class_walk`` reaches.  The walk and
-    the relabelings share one ``_rewriter``: every word rewritten, by a
-    move of either kind, is one unit of ``budget``."""
-    rewrite = _rewriter(budget)
-    classes = tuple(_class_walk(rank, min_key, rewrite))
-    return tuple(sorted({
-        _canon_rotation(rewrite(aut, key, len(classes)))
-        for key in classes for aut in type1_automorphisms(rank)
-    }))
+def _class_size(rank: int, key: tuple[int, ...]) -> int:
+    """The number of cyclic words in the relabeling class of a non-empty
+    key: ``2^r r!`` over its stabilizer (orbit-stabilizer), in O(|w|^2).
+    A stabilizing relabeling maps the key onto a rotation rho(key) and is
+    forced on the key's generators by ``key[i] -> rho(key)[i]``.  Each of
+    the ``valid`` rotations whose reading is a consistent map of letters
+    forces one, ``fixed`` rotations (those fixing the key) force the same
+    one, and the ``m`` generators the key omits are relabeled freely."""
+    valid = fixed = 0
+    for s in range(len(key)):
+        rotated = key[s:] + key[:s]
+        fixed += rotated == key
+        image: dict[int, int] = {}
+        valid += all(image.setdefault(x, y) == y and image.setdefault(-x, -y) == -y
+                     for x, y in zip(key, rotated))
+    m = rank - len({abs(x) for x in key})
+    return (factorial(rank) << rank) * fixed // (valid * (factorial(m) << m))
 
 
 def some_generator_occurs_once(letters) -> bool:
@@ -699,22 +683,35 @@ def _certificate(rank: int, cyc: tuple[int, ...]) -> bool | None:
     return False
 
 
+class LevelSet:
+    """A minimal level set as its relabeling classes: (``_class_key``, number
+    of cyclic words) pairs in walk order; ``len`` is the number of words.
+    A plain class, since a dataclass adds most of a millisecond to import."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: tuple[tuple[tuple[int, ...], int], ...]):
+        self.classes = classes
+
+    def __len__(self):
+        return sum(size for _, size in self.classes)
+
+
 def whitehead_minimize(
     w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND, budget: int | None = None
-) -> tuple[int, frozenset[CyclicWord]]:
+) -> tuple[int, LevelSet]:
     """Minimal cyclic length over Aut(F_r), and the full level set of
-    minimal cyclic words reachable by length-preserving Whitehead moves.
-    The level set is walked one relabeling class at a time, then each class
-    is expanded by the relabelings (``_level_set_key``); the search
-    charges ``budget`` one unit per word it rewrites, by a move of either
-    kind."""
+    minimal cyclic words reachable by length-preserving Whitehead moves of
+    either kind, walked one relabeling class at a time (``_class_walk``,
+    charging ``budget`` one unit per word it rewrites), each class counted
+    by orbit-stabilizer (``_class_size``), never listed word by word."""
     _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
-        return 0, frozenset([cyc])
+        return 0, LevelSet((((), 1),))
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    keys = _level_set_key(w.rank, minimal, eval_budget(budget))
-    return len(minimal), frozenset(CyclicWord(w.rank, k, w.names) for k in keys)
+    walk = _class_walk(w.rank, minimal, budget)
+    return len(minimal), LevelSet(tuple((key, _class_size(w.rank, key)) for key in walk))
 
 
 def is_primitive(w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> bool:
@@ -769,5 +766,4 @@ def lies_in_proper_free_factor(
         return answer
     _check_rank_bound(w.rank, rank_bound)
     minimal = _descend_key(w.rank, cyc.canonical_key())
-    walk = _class_walk(w.rank, minimal, _rewriter(eval_budget(budget)))
-    return any(omits(c) for c in walk)
+    return any(omits(c) for c in _class_walk(w.rank, minimal, budget))

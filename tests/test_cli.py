@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import wml.words as words
-from wml.cli import build_parser, parse_group_spec, run
+from wml.cli import build_parser, cmd_whitehead, parse_group_spec, run
 from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, ValidationError
+from word_strategies import cyclic_words
 
 
 def run_json(capsys, *argv):
@@ -418,8 +420,9 @@ def test_the_budget_option_reaches_the_whitehead_searches(capsys, monkeypatch):
     # class walk settles aBab^-3 in 6 rewrites, fewer than the stream
     # charges before it, so the search's budget is read rather than run out
     budgets = []
-    rewriter = words._rewriter
-    monkeypatch.setattr(words, "_rewriter", lambda budget: budgets.append(budget) or rewriter(budget))
+    walk = words._class_walk
+    monkeypatch.setattr(words, "_class_walk",
+                        lambda rank, key, budget: budgets.append(budget) or walk(rank, key, budget))
     assert run(["rank", "aBab^-3", "--budget", "100"]) == 0
     assert budgets and set(budgets) == {100}
     assert run(["whitehead", "aBab^-3", "--budget", "5"]) == 3
@@ -427,14 +430,53 @@ def test_the_budget_option_reaches_the_whitehead_searches(capsys, monkeypatch):
 
 
 def test_whitehead_reaches_the_rank4_level_sets(capsys):
-    # the class walk finds aabbccdd's 23,424 words by 29,464 rewrites:
-    # 2,968 in the walk over its 69 classes, 384 relabelings of each
+    # the class walk finds aabbccdd's 23,424 words in 69 classes by 2,968
+    # rewrites; each class is counted by orbit-stabilizer, not relabeled
     code, data = run_json(capsys, "whitehead", "aabbccdd")
     assert code == 0 and data["level_set_size"] == 23424
+    assert len(data["level_set_classes"]) == 69
+    assert sum(c["size"] for c in data["level_set_classes"]) == 23424
     code, data = run_json(capsys, "whitehead", "[a,b][c,d]")
     assert code == 0 and data["level_set_size"] == 1008
-    assert run(["whitehead", "aabbccdd", "--budget", "29463"]) == 3
+    assert run(["whitehead", "aabbccdd", "--budget", "2967"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
+    assert run(["whitehead", "aabbccdd", "--budget", "2968"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("word, bound, classes, size", [
+    ("aabbccddee", "5", 841, 3159936),
+    ("[a,b][c,d][e,f]", "6", 131, 5702400),
+])
+def test_whitehead_reaches_the_rank5_and_rank6_level_sets(capsys, word, bound, classes, size):
+    # millions of words, counted class by class under the default budget
+    code, data = run_json(capsys, "whitehead", word, "--whitehead-rank-bound", bound)
+    assert code == 0 and data["level_set_size"] == size
+    assert len(data["level_set_classes"]) == classes
+    assert sum(c["size"] for c in data["level_set_classes"]) == size
+
+
+def test_whitehead_lists_each_class_once_with_its_size(capsys):
+    code, data = run_json(capsys, "whitehead", "aabbcc")
+    assert code == 0 and data["level_set_size"] == 328
+    assert "level_set" not in data
+    keys = [c["key"] for c in data["level_set_classes"]]
+    assert keys[0] == "a^2 b^2 c^2" and len(set(keys)) == len(keys) == 9
+    code, data = run_json(capsys, "whitehead", "aA")
+    assert code == 0 and data["level_set_classes"] == [{"key": "1", "size": 1}]
+    assert data["min_length"] == 0 and data["level_set_size"] == 1
+    assert data["is_primitive"] is False and data["lies_in_proper_free_factor"] is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_words(max_length=10, min_rank=1, max_rank=4))
+def test_whitehead_answers_from_its_classes_equal_the_library(w):
+    # whitehead reads is_primitive and lies_in_proper_free_factor off its
+    # one walk; the library decides each by its own search
+    args = build_parser().parse_args(["whitehead", w.display(), "--rank", str(w.rank)])
+    out = cmd_whitehead(args)
+    assert out["is_primitive"] is words.is_primitive(w)
+    assert out["lies_in_proper_free_factor"] is words.lies_in_proper_free_factor(w)
 
 
 def test_oracle_budget_option(capsys):

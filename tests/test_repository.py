@@ -102,10 +102,11 @@ def _names_read(reference: str) -> set:
 
 
 def test_the_whitehead_reference_prices_moves_by_rewriting():
-    # the tests compare the library's descent and walks, which read each
-    # move's length off the Whitehead graph, against this reference
+    # the tests compare the library's descent, walks and class sizes, which
+    # read each move's length off the Whitehead graph and count each class
+    # by orbit-stabilizer, against this reference, which lists every word
     names = _names_read("whitehead_reference.py")
-    library = {"_descend_key", "_class_key", "_class_walk", "_level_set_key", "_cut_sizes",
+    library = {"_descend_key", "_class_key", "_class_walk", "_class_size", "_cut_sizes",
                "_whitehead_graph", "_screened_moves"}
     assert not names & library, names & library
 

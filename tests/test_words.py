@@ -1,13 +1,15 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import whitehead_reference
+from whitehead_reference import type1_automorphisms
 from word_strategies import cyclic_words
-from wml.budget import DEFAULT_EVAL_BUDGET, BudgetError, ValidationError
+from wml.budget import BudgetError, ValidationError
 import wml.words as words_module
 from wml.cli import run
 from wml.words import (
@@ -22,8 +24,6 @@ from wml.words import (
     _cut_sizes,
     _cyc_len,
     _descend_key,
-    _level_set_key,
-    _rewriter,
     _screened_moves,
     _vertex,
     apply_whitehead,
@@ -34,7 +34,6 @@ from wml.words import (
     parse_words,
     reduce,
     reduce_letters,
-    type1_automorphisms,
     type2_automorphisms,
     whitehead_minimize,
 )
@@ -189,7 +188,7 @@ def test_whitehead_minimize_table_words():
     assert whitehead_minimize(parse_word("[a,b]"))[0] == 4
     min_len, level = whitehead_minimize(parse_word("a"))
     assert min_len == 1
-    assert all(len(c) == 1 for c in level)
+    assert level.classes == (((1,), 2),) and len(level) == 2  # a and A
     assert whitehead_minimize(parse_word("aa"))[0] == 2
 
 
@@ -281,13 +280,21 @@ def test_rank4_negative_certificate_agrees_with_the_search():
     assert not whitehead_reference.search_in_proper_free_factor(w)
 
 
+def _assert_classes_count_the_listed_level_set(w: Word):
+    # the walked class keys are the classes of the reference's listed
+    # level set, the minimal word's first, and each class's orbit-stabilizer
+    # size is the number of listed words in it
+    minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
+    listed = whitehead_reference.level_set_key(w.rank, minimal)
+    _, level = whitehead_minimize(w)
+    assert level.classes[0][0] == _class_key(minimal)
+    assert dict(level.classes) == Counter(_class_key(c) for c in listed)
+    assert len(level.classes) == len(dict(level.classes)) and len(level) == len(listed)
+
+
 @pytest.mark.parametrize("text", ["[a,b][a,c]", "[a,b][c,d]", "aabbcc", "abcABC", "[a,b]^2"])
 def test_level_set_equals_two_kind_walk(text):
-    w = parse_word(text)
-    cyc, _ = cyclic_reduce(w)
-    minimal = _descend_key(w.rank, cyc.canonical_key())
-    assert (_level_set_key(w.rank, minimal, DEFAULT_EVAL_BUDGET)
-            == whitehead_reference.level_set_key(w.rank, minimal))
+    _assert_classes_count_the_listed_level_set(parse_word(text))
 
 
 def _cyclic_letters(w: Word) -> tuple[int, ...]:
@@ -352,7 +359,7 @@ def test_level_walk_yields_the_rewriting_walk_in_order(text):
     # of the rewriting type-II walk once
     w = parse_word(text)
     minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
-    classes = list(_class_walk(w.rank, minimal, _rewriter(DEFAULT_EVAL_BUDGET)))
+    classes = list(_class_walk(w.rank, minimal, None))
     assert classes[0] == _class_key(minimal)
     assert len(set(classes)) == len(classes)
     assert set(classes) == {_class_key(c) for c in whitehead_reference.type2_walk(w.rank, minimal)}
@@ -375,9 +382,7 @@ def test_class_key_is_a_relabeling_and_rotation_invariant(w, shift):
 @settings(max_examples=200, deadline=None)
 @given(cyclic_words(max_length=6, min_rank=1, max_rank=4))
 def test_class_walk_equals_the_rewriting_searches(w):
-    minimal = _descend_key(w.rank, _canon_rotation(w.letters))
-    assert (_level_set_key(w.rank, minimal, DEFAULT_EVAL_BUDGET)
-            == whitehead_reference.level_set_key(w.rank, minimal))
+    _assert_classes_count_the_listed_level_set(w)
     assert lies_in_proper_free_factor(w) is whitehead_reference.search_in_proper_free_factor(w)
 
 
@@ -390,16 +395,14 @@ def _count_rewrites(monkeypatch):
 
 def test_whitehead_minimize_charges_every_rewrite(monkeypatch):
     # the class walk rewrites 145 length-keeping moves to reach the 9
-    # relabeling classes; each class key is then rewritten by each of the
-    # 48 relabelings, 432 rewrites for the 328 words: 577 in all
+    # relabeling classes; their 328 words are counted, not rewritten
     w = parse_word("aabbcc")
     with pytest.raises(BudgetError, match=r"\(9 states explored\)") as exc:
-        whitehead_minimize(w, budget=576)
-    assert exc.value.needed == 577
-    _level_set_key.cache_clear()
+        whitehead_minimize(w, budget=144)
+    assert exc.value.needed == 145
     calls = _count_rewrites(monkeypatch)
-    assert len(whitehead_minimize(w, budget=577)[1]) == 328
-    assert len(calls) == 577
+    assert len(whitehead_minimize(w, budget=145)[1]) == 328
+    assert len(calls) == 145
 
 
 def test_fallback_search_charges_every_rewrite(monkeypatch):
@@ -419,14 +422,13 @@ def test_fallback_search_charges_every_rewrite(monkeypatch):
 def test_whitehead_minimize_level_set_is_under_the_budget(capsys):
     w = parse_word("aabbcc")
     assert len(whitehead_minimize(w)[1]) == 328
-    # the budget is part of the level-set cache key, so the result above
-    # does not answer the call below
+    # nothing is cached, so the result above does not answer the call below
     with pytest.raises(BudgetError, match=r"Whitehead level set \(\d+ states explored\)"):
-        whitehead_minimize(w, budget=500)
-    assert run(["whitehead", "aabbcc", "--budget", "500"]) == 3
-    assert run(["whitehead", "aabbcc", "--budget", "576"]) == 3
+        whitehead_minimize(w, budget=100)
+    assert run(["whitehead", "aabbcc", "--budget", "100"]) == 3
+    assert run(["whitehead", "aabbcc", "--budget", "144"]) == 3
     capsys.readouterr()
-    assert run(["whitehead", "aabbcc", "--budget", "577"]) == 0
+    assert run(["whitehead", "aabbcc", "--budget", "145"]) == 0
     assert json.loads(capsys.readouterr().out)["level_set_size"] == 328
     assert len(whitehead_minimize(w)[1]) == 328
 

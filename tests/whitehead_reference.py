@@ -6,23 +6,34 @@ instead, and its descent and walks are compared against these.
 ``descend_key`` is the greedy peak descent, ``type2_walk`` the
 breadth-first walk of the minimal level set under type-II moves, and
 ``level_set_key`` closes a minimal representative under the
-length-preserving moves of both kinds by one walk (the library
-relabels a type-II walk).  ``search_in_proper_free_factor`` and
+length-preserving moves of both kinds by one walk, listing every word
+(the library walks its relabeling classes and counts each class by
+orbit-stabilizer).  ``search_in_proper_free_factor`` and
 ``search_is_primitive`` answer by descent and level-set search alone,
 with no certificate and no budget; the library's O(|w|) certificates
 are compared against them.
 """
 
+import itertools
+from functools import lru_cache
 from math import gcd
 
 from wml.words import (
+    WhiteheadAut,
     Word,
     _canon_rotation,
     _cyc_len,
     cyclic_reduce,
-    type1_automorphisms,
     type2_automorphisms,
 )
+
+
+@lru_cache(maxsize=None)
+def type1_automorphisms(rank: int) -> tuple[WhiteheadAut, ...]:
+    """The ``2^r r!`` relabelings: every signed permutation of the generators."""
+    return tuple(WhiteheadAut(rank, 1, perm, signs)
+                 for perm in itertools.permutations(range(rank))
+                 for signs in itertools.product((1, -1), repeat=rank))
 
 
 def descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
