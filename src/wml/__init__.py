@@ -59,9 +59,7 @@ from .oracle import (
 from .rational import Poly, RationalFunctionN
 from .words import (
     CyclicWord,
-    WhiteheadAut,
     Word,
-    apply_whitehead,
     cyclic_reduce,
     is_primitive,
     lies_in_proper_free_factor,

@@ -342,102 +342,16 @@ def parse_words(texts: list[str], rank: int | None = None,
     return out
 
 
-# -- Whitehead automorphisms ---------------------------------------------
+# -- Whitehead moves ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhiteheadAut:
-    """Type-I (relabeling) or type-II (multiplier) Whitehead automorphism.
-
-    Type I: ``perm`` and ``signs`` describe generator g -> signs[g] * perm[g].
-    Type II: ``multiplier`` a and letter set A with a in A, a^-1 not in A;
-    fixes a and maps x -> a^(-[x^-1 in A]) * x * a^([x in A]) otherwise.
-    """
-
-    rank: int
-    kind: int  # 1 or 2
-    perm: tuple[int, ...] = ()
-    signs: tuple[int, ...] = ()
-    multiplier: int = 0
-    letter_set: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.kind == 2:
-            if self.multiplier not in self.letter_set:
-                raise ValidationError("type-II set must contain the multiplier")
-            if -self.multiplier in self.letter_set:
-                raise ValidationError("type-II set must not contain the multiplier inverse")
-
-    def letter_image(self, x: int) -> tuple[int, ...]:
-        if self.kind == 1:
-            g = abs(x) - 1
-            y = (self.perm[g] + 1) * self.signs[g]
-            return (y,) if x > 0 else (-y,)
-        a, A = self.multiplier, self.letter_set
-        if abs(x) == abs(a):
-            return (x,)
-        pos = abs(x)
-        img = []
-        if -pos in A:
-            img.append(-a)
-        img.append(pos)
-        if pos in A:
-            img.append(a)
-        if x < 0:
-            img = [-t for t in reversed(img)]
-        return tuple(img)
-
-    def inverse(self) -> "WhiteheadAut":
-        if self.kind == 1:
-            inv_perm = [0] * self.rank
-            inv_signs = [1] * self.rank
-            for g in range(self.rank):
-                inv_perm[self.perm[g]] = g
-                inv_signs[self.perm[g]] = self.signs[g]
-            return WhiteheadAut(self.rank, 1, tuple(inv_perm), tuple(inv_signs))
-        a, A = self.multiplier, self.letter_set
-        return WhiteheadAut(
-            self.rank, 2, multiplier=-a, letter_set=(A - {a}) | {-a}
-        )
-
-
-def apply_whitehead(aut: WhiteheadAut, w: Word) -> Word:
-    if aut.rank != w.rank:
-        raise ValidationError("rank mismatch between automorphism and word")
-    out: list[int] = []
-    for x in w.letters:
-        out.extend(aut.letter_image(x))
-    return Word(w.rank, reduce_letters(out), w.names)
-
-
-@lru_cache(maxsize=None)
-def type2_automorphisms(rank: int) -> tuple[WhiteheadAut, ...]:
-    letters = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
-    auts = []
-    for a in letters:
-        others = [x for x in letters if abs(x) != abs(a)]
-        for bits in itertools.product((False, True), repeat=len(others)):
-            A = frozenset([a] + [x for x, b in zip(others, bits) if b])
-            if len(A) == 1:
-                continue  # identity map
-            auts.append(WhiteheadAut(rank, 2, multiplier=a, letter_set=A))
-    return tuple(auts)
-
-
-@lru_cache(maxsize=8192)
-def _image_table(aut: WhiteheadAut) -> dict:
-    table = {}
-    for g in range(1, aut.rank + 1):
-        table[g] = aut.letter_image(g)
-        table[-g] = aut.letter_image(-g)
-    return table
-
-
-def _cyc_len(aut: WhiteheadAut, cyc: tuple[int, ...]) -> tuple[int, ...]:
-    table = _image_table(aut)
+def _cyc_len(images: tuple, cyc: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction of a cyclic word's image under a move, given
+    as an image table (``_screened_moves``): the image of letter x is
+    ``images[x]``."""
     out: list[int] = []
     for x in cyc:
-        for y in table[x]:
+        for y in images[x]:
             if out and out[-1] == -y:
                 out.pop()
             else:
@@ -497,26 +411,44 @@ def _cut_sizes(rank: int, cyc: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _screened_moves(rank: int) -> tuple[tuple[WhiteheadAut, int, int], ...]:
-    """(move, bitmask of A, bitmask of {a}) for the type-II moves that
-    can reach a new cyclic word, in ``type2_automorphisms`` order.
+def _screened_moves(rank: int) -> tuple[tuple[tuple, int, int], ...]:
+    """(image table, bitmask of A, bitmask of {a}) for the type-II moves
+    that can reach a new cyclic word.
 
-    (A, a) and (L - A, a^-1) differ by conjugation by a, so they agree on
-    cyclic words and only the earlier of the two is kept; the inner moves
-    A = L - {a^-1} (conjugation by a) are dropped.  The first move of the
-    full list that shortens a word is therefore always kept.
+    The move (A, a), a in A and a^-1 not in A, fixes a and sends each other
+    letter x to a^(-[x^-1 in A]) x a^([x in A]).  (A, a) and (L - A, a^-1)
+    differ by conjugation by a, so they agree on cyclic words, and the
+    inner moves A = L - {a^-1} are conjugations by a.  So only the moves
+    with a > 0 and A = {a} + S are kept, S a non-empty proper subset of
+    the 2r - 2 letters other than +-a: ``r (2^(2r-2) - 2)`` moves, ordered
+    by a, then by S read as a binary count over the letters +g and then
+    -g (g != a, increasing).  Among all type-II moves in that order, every
+    multiplier a^-1 after every a, each dropped move follows a kept one
+    of the same effect, so the first move that shortens a word is kept.
+
+    A table holds the image of letter x at index x (a negative index
+    counts from its end).  The images of +-g depend only on a and on which
+    of +-g lie in A, so the tables share them.
     """
-    auts = type2_automorphisms(rank)
-    index = {(aut.multiplier, aut.letter_set): i for i, aut in enumerate(auts)}
-    everything = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
     moves = []
-    for i, aut in enumerate(auts):
-        a, A = aut.multiplier, aut.letter_set
-        partner = index.get((-a, everything - A))
-        if partner is None or partner < i:
-            continue  # inner, or the complement was kept
-        mask = sum(1 << _vertex(x) for x in A)
-        moves.append((aut, mask, 1 << _vertex(a)))
+    for a in range(1, rank + 1):
+        others = [g for g in range(1, rank + 1) if g != a]
+        # the images of g and g^-1 by [g in A][g^-1 in A]
+        shared = {g: ((((g,), (-g,)), ((-a, g), (-g, a))),
+                      (((g, a), (-a, -g)), ((-a, g, a), (-a, -g, a))))
+                  for g in others}
+        bits = [1 << _vertex(x) for x in others + [-g for g in others]]
+        amask = 1 << _vertex(a)
+        m = len(others)
+        for chosen in itertools.product((0, 1), repeat=2 * m):
+            if not 0 < sum(chosen) < 2 * m:
+                continue  # the identity, or the inner move
+            images = [()] * (2 * rank + 1)
+            images[a], images[-a] = (a,), (-a,)
+            for g, pos, neg in zip(others, chosen, chosen[m:]):
+                images[g], images[-g] = shared[g][pos][neg]
+            mask = amask + sum(bit for bit, on in zip(bits, chosen) if on)
+            moves.append((tuple(images), mask, amask))
     return tuple(moves)
 
 
@@ -524,15 +456,15 @@ def _screened_moves(rank: int) -> tuple[tuple[WhiteheadAut, int, int], ...]:
 def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """Greedy peak descent: a minimal-length cyclic representative of the
     automorphism orbit (type-II moves suffice to shorten).  Each step
-    applies the first move, in ``type2_automorphisms`` order, that the
+    applies the first move, in ``_screened_moves`` order, that the
     Whitehead graph shows to shorten the word."""
     current = key
     moves = _screened_moves(rank)
     while True:
         cut = _cut_sizes(rank, current)
-        for aut, mask, amask in moves:
+        for images, mask, amask in moves:
             if cut[mask] < cut[amask]:
-                current = _cyc_len(aut, current)
+                current = _cyc_len(images, current)
                 break
         else:
             return _canon_rotation(current)
@@ -542,9 +474,9 @@ def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
     """The least rotation of a cyclic word after renumbering its generators
     by first occurrence, each signed so that it first occurs positively:
     a complete invariant of the word under rotation and the relabelings
-    (type-I ``WhiteheadAut``), and itself a cyclic word of the same rank
-    and length.  Built letter by letter, keeping only the rotations whose
-    renumbering is least so far: O(|w|^2) at worst, like
+    (signed permutations of the generators), and itself a cyclic word of
+    the same rank and length.  Built letter by letter, keeping only the
+    rotations whose renumbering is least so far: O(|w|^2) at worst, like
     ``_canon_rotation``."""
     doubled = ls + ls
     starts = [(i, {}) for i in range(len(ls))]
@@ -591,13 +523,13 @@ def _class_walk(rank: int, min_key: tuple[int, ...], budget: int | None):
         nxt = []
         for key in frontier:
             cut = _cut_sizes(rank, key)
-            for aut, mask, amask in moves:
+            for images, mask, amask in moves:
                 if cut[mask] == cut[amask]:
                     spent += 1
                     if spent > budget:
                         raise BudgetError(
                             f"Whitehead level set ({len(seen)} states explored)", spent, budget)
-                    c = class_key(_cyc_len(aut, key))
+                    c = class_key(_cyc_len(images, key))
                     if c not in seen:
                         seen.add(c)
                         nxt.append(c)

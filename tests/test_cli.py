@@ -447,6 +447,7 @@ def test_whitehead_reaches_the_rank4_level_sets(capsys):
 @pytest.mark.parametrize("word, bound, classes, size", [
     ("aabbccddee", "5", 841, 3159936),
     ("[a,b][c,d][e,f]", "6", 131, 5702400),
+    ("abcdefgABCDEFG", "7", 131, 39916800),
 ])
 def test_whitehead_reaches_the_rank5_and_rank6_level_sets(capsys, word, bound, classes, size):
     # millions of words, counted class by class under the default budget

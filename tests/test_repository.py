@@ -107,7 +107,7 @@ def test_the_whitehead_reference_prices_moves_by_rewriting():
     # by orbit-stabilizer, against this reference, which lists every word
     names = _names_read("whitehead_reference.py")
     library = {"_descend_key", "_class_key", "_class_walk", "_class_size", "_cut_sizes",
-               "_whitehead_graph", "_screened_moves"}
+               "_whitehead_graph", "_screened_moves", "_cyc_len"}
     assert not names & library, names & library
 
 

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import whitehead_reference
-from whitehead_reference import type1_automorphisms
+from whitehead_reference import (WhiteheadAut, apply_whitehead, cyclic_image,
+                                 type1_automorphisms, type2_automorphisms)
 from word_strategies import cyclic_words
 from wml.budget import BudgetError, ValidationError
 import wml.words as words_module
@@ -16,7 +17,6 @@ from wml.words import (
     CyclicWord,
     Word,
     WordSyntaxError,
-    WhiteheadAut,
     _canon_rotation,
     _certificate,
     _class_key,
@@ -26,7 +26,6 @@ from wml.words import (
     _descend_key,
     _screened_moves,
     _vertex,
-    apply_whitehead,
     cyclic_reduce,
     is_primitive,
     lies_in_proper_free_factor,
@@ -34,7 +33,6 @@ from wml.words import (
     parse_words,
     reduce,
     reduce_letters,
-    type2_automorphisms,
     whitehead_minimize,
 )
 
@@ -163,8 +161,6 @@ def test_apply_whitehead_identity():
 
 def test_apply_whitehead_type2_example():
     # multiplier a, A = {a, b}: b -> b a
-    from wml.words import WhiteheadAut
-
     aut = WhiteheadAut(2, 2, multiplier=1, letter_set=frozenset({1, 2}))
     assert apply_whitehead(aut, parse_word("b", rank=2)).letters == (2, 1)
 
@@ -311,7 +307,7 @@ def test_whitehead_graph_prices_every_type2_move(w):
     for aut in type2_automorphisms(rank):
         mask = sum(1 << _vertex(x) for x in aut.letter_set)
         change = cut[mask] - cut[1 << _vertex(aut.multiplier)]
-        assert change == len(_cyc_len(aut, cyc)) - len(cyc)
+        assert change == len(cyclic_image(aut, cyc)) - len(cyc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -323,27 +319,30 @@ def test_complement_moves_agree_on_cyclic_words(w):
     letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
     for aut in type2_automorphisms(rank):
         a, A = aut.multiplier, aut.letter_set
-        image = _canon_rotation(_cyc_len(aut, cyc))
+        image = _canon_rotation(cyclic_image(aut, cyc))
         if A == letters - {-a}:
             assert image == _canon_rotation(cyc)
         else:
             partner = WhiteheadAut(rank, 2, multiplier=-a, letter_set=letters - A)
-            assert image == _canon_rotation(_cyc_len(partner, cyc))
+            assert image == _canon_rotation(cyclic_image(partner, cyc))
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_screened_moves_keep_the_earlier_of_each_complement_pair(rank):
+    # each kept table is the image table of the earlier move of its
+    # complement pair, in the reference's order, inner moves dropped
     auts = type2_automorphisms(rank)
-    kept = [aut for aut, _, _ in _screened_moves(rank)]
+    index = {(aut.multiplier, aut.letter_set): i for i, aut in enumerate(auts)}
     letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
-    expected = []
-    for i, aut in enumerate(auts):
-        a, A = aut.multiplier, aut.letter_set
-        partner = WhiteheadAut(rank, 2, multiplier=-a, letter_set=letters - A)
-        if A != letters - {-a} and auts.index(partner) > i:
-            expected.append(aut)
-    assert kept == expected
-    assert 2 * len(kept) + 2 * rank == len(auts)
+    expected = [aut for i, aut in enumerate(auts)
+                if aut.letter_set != letters - {-aut.multiplier}
+                and index[(-aut.multiplier, letters - aut.letter_set)] > i]
+    kept = _screened_moves(rank)
+    assert len(kept) == len(expected) == rank * max(2 ** (2 * rank - 2) - 2, 0)
+    for (images, mask, amask), aut in zip(kept, expected):
+        assert all(images[x] == aut.letter_image(x) for x in letters)
+        assert mask == sum(1 << _vertex(x) for x in aut.letter_set)
+        assert amask == 1 << _vertex(aut.multiplier)
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,7 +374,7 @@ def test_class_key_is_a_relabeling_and_rotation_invariant(w, shift):
     assert len(CyclicWord(w.rank, key)) == len(cyc) and max(abs(x) for x in key) <= w.rank
     shift %= len(cyc)
     for aut in type1_automorphisms(w.rank):
-        image = _cyc_len(aut, cyc)
+        image = cyclic_image(aut, cyc)
         assert _class_key(image[shift:] + image[:shift]) == key
 
 

@@ -25,8 +25,7 @@ from wml.cyclotomic import Cyclotomic
 from wml.mobius import L_rational, LetterDistribution, PermAction
 from wml.oracle import brute_expectation, build_wreath, iterated_ind_character
 from wml.rational import PoleRational, Poly, RationalFunctionN
-from wml.words import (Word, apply_whitehead, cyclic_reduce, parse_word, parse_words,
-                       type2_automorphisms)
+from wml.words import Word, cyclic_reduce, parse_word, parse_words
 from wml.wreath_measures import (
     IteratedSpec,
     WordContext,
@@ -48,7 +47,7 @@ from wml.wreath_measures import (
 )
 from alg_route_reference import AlgRoute
 from general_action_reference import general_action_reference, injective_orbit_total_reference
-from whitehead_reference import type1_automorphisms
+from whitehead_reference import apply_whitehead, type1_automorphisms, type2_automorphisms
 from witness_reference import witness_report_reference
 from word_strategies import cyclic_words
 
