@@ -452,6 +452,14 @@ def _screened_moves(rank: int) -> tuple[tuple[tuple, int, int], ...]:
     return tuple(moves)
 
 
+def _charge_move_table(rank: int, budget: int | None):
+    """Charge ``budget`` one unit per move of ``_screened_moves(rank)``,
+    ``r (2^(2r-2) - 2)`` of them, before a budgeted search asks for the
+    table, so a rank too large fails before the table is built."""
+    check(f"Whitehead move table (rank {rank})", rank * ((1 << (2 * rank - 2)) - 2),
+          eval_budget(budget))
+
+
 @lru_cache(maxsize=65536)
 def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """Greedy peak descent: a minimal-length cyclic representative of the
@@ -635,12 +643,14 @@ def whitehead_minimize(
     """Minimal cyclic length over Aut(F_r), and the full level set of
     minimal cyclic words reachable by length-preserving Whitehead moves of
     either kind, walked one relabeling class at a time (``_class_walk``,
-    charging ``budget`` one unit per word it rewrites), each class counted
+    charging ``budget`` one unit per word it rewrites, after the move
+    table's charge, ``_charge_move_table``), each class counted
     by orbit-stabilizer (``_class_size``), never listed word by word."""
     _check_rank_bound(w.rank, rank_bound)
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
         return 0, LevelSet((((), 1),))
+    _charge_move_table(w.rank, budget)
     minimal = _descend_key(w.rank, cyc.canonical_key())
     walk = _class_walk(w.rank, minimal, budget)
     return len(minimal), LevelSet(tuple((key, _class_size(w.rank, key)) for key in walk))
@@ -678,9 +688,10 @@ def lies_in_proper_free_factor(
 
     A word that omits a generator, and any word that ``_certificate``
     decides, is answered in O(|w|).  Only the words left undecided meet
-    the rank bound, then descend and walk the relabeling classes of the
-    minimal level set breadth-first (``_class_walk``), charging ``budget``
-    one unit per word rewritten, stopping at the first class that omits a
+    the rank bound and the move table's charge (``_charge_move_table``),
+    then descend and walk the relabeling classes of the minimal level set
+    breadth-first (``_class_walk``), charging ``budget`` one unit per word
+    rewritten, stopping at the first class that omits a
     generator.  A relabeling never changes whether a generator is omitted,
     so the class key omits one iff every word of its class does.
     """
@@ -697,5 +708,6 @@ def lies_in_proper_free_factor(
     if answer is not None:
         return answer
     _check_rank_bound(w.rank, rank_bound)
+    _charge_move_table(w.rank, budget)
     minimal = _descend_key(w.rank, cyc.canonical_key())
     return any(omits(c) for c in _class_walk(w.rank, minimal, budget))

@@ -258,6 +258,23 @@ class WitnessReport:
         }
 
 
+def _some_quotient_exceeds(letters, rank: int, bound: int, budget) -> bool:
+    """Whether some quotient above the w-cycle of the cyclic word
+    ``letters`` has rank 1 - V + E above ``bound``.  Over V vertices a
+    folded graph has at most one edge of each label leaving each vertex,
+    and each edge of label l carries some occurrence of l in w, so
+    E_l <= min(occ_l, V).  Only the partitions with at most ``v_hi``
+    blocks can go over, ``v_hi`` the largest V < |w| (the w-cycle has
+    |w| blocks) with 1 - V + sum_l min(occ_l, V) above the bound; they
+    are streamed under that block cap until the first one does."""
+    occurrences = Counter(abs(x) for x in letters).values()
+    v_hi = max((v for v in range(1, len(letters))
+                if 1 - v + sum(min(k, v) for k in occurrences) > bound), default=0)
+    return v_hi > 0 and any(
+        1 - v + sum(e) > bound
+        for _, ((v,), e), _ in fold_closed_partitions(letters, rank, eval_budget(budget), v_hi))
+
+
 def witness_report(
     w: Word | WordContext, phi, budget=None, whitehead_bound=DEFAULT_WHITEHEAD_RANK_BOUND
 ) -> WitnessReport:
@@ -279,12 +296,18 @@ def witness_report(
     its primitivity/algebraicity could not be decided.  Skipped quotients
     always have rank above the bound, so a reported finite ``pi`` is exact
     regardless; only ``pi == inf`` on a partial report means "no witness
-    of rank <= bound" rather than a definitive answer.
+    of rank <= bound" rather than a definitive answer.  For the trivial
+    character it is set exactly when some quotient above the w-cycle has
+    rank 1 - V + E above the bound; for any other phi, when some witness
+    does.
 
-    For a phi of mean 0 only the quotients whose every edge w crosses at
-    least twice are streamed (see ``_level_sum``): each one cut has
-    value 0, so it is no witness, and a non-trivial phi sets ``partial``
-    only on a witness.  The trivial character streams every quotient.
+    For the trivial character and for a phi of mean 0 only the quotients
+    whose every edge w crosses at least twice are streamed (see
+    ``_level_sum``): in each one cut w is primitive, so its value is 0 and
+    it is no witness.  A non-trivial phi sets ``partial`` only on a
+    witness.  For the trivial character a cut quotient above the bound
+    still sets it, so unless the pruned pass has, ``_some_quotient_exceeds``
+    asks the full stream under a block cap.
     """
     phi = _as_spec(phi)
     if isinstance(w, Word) and w.is_identity():
@@ -297,19 +320,20 @@ def witness_report(
     algebraic: dict = {}  # rewritten letters -> is <w> <= H algebraic
     entries = []
     partial = False
+    trivial = phi.kind == "trivial"
     stream = fold_closed_partitions(letters, rank, eval_budget(budget),
-                                    crossed_twice=phi.has_zero_mean())
+                                    crossed_twice=trivial or phi.has_zero_mean())
     for p, fibers, word in stream:
         (v,), e = fibers
         if v == len(p):
             continue  # the w-cycle itself
         h_rank = 1 - v + sum(e)
-        if phi.kind == "trivial" and h_rank > whitehead_bound:
+        if trivial and h_rank > whitehead_bound:
             partial = True  # H's rank 1 - V + E off its fibers exceeds the bound
             continue
         value = values.get(word)
         if value is None:
-            if phi.kind == "trivial":
+            if trivial:
                 value = _ZERO if is_primitive(Word(h_rank, word), whitehead_bound) else _ONE
             else:
                 value = _coefficient(ctx, phi, None, fibers, word, budget)
@@ -326,6 +350,8 @@ def witness_report(
             alg = None
             partial = True
         entries.append(WitnessEntry(graph_of(p), h_rank, value, alg))
+    if trivial and not partial:
+        partial = _some_quotient_exceeds(letters, rank, whitehead_bound, budget)
     if not entries:
         return WitnessReport(ctx.original, phi, (), inf, (), _ZERO, partial)
     entries.sort(key=lambda e: (e.rank, -e.graph.n_vertices, e.graph.key()))

@@ -358,8 +358,20 @@ def test_the_oracle_reaches_s3_wr_s4(capsys):
     ["expect-iterated", "[a,b][a,c]", "--levels", "2"],
 ], ids=["expect", "tree", "rank", "witnesses", "expect-iterated"])
 def test_budget_reaches_the_quotient_enumeration(capsys, argv):
-    assert run([*argv, "--budget", "50"]) == 3
+    # the full stream of [a,b][a,c] charges 570 states, the stream of rank
+    # and witnesses, pruned to the quotients crossed twice, 28
+    assert run([*argv, "--budget", "20"]) == 3
     assert "quotient enumeration" in capsys.readouterr().err
+
+
+def test_rank_reaches_past_the_full_stream(capsys):
+    # the full stream of [[a,b],[a,c]] needs 613,405 states; rank streams
+    # only the quotients crossed twice and, under the block cap where a rank
+    # above the bound is possible, stops at the first such quotient
+    assert run(["rank", "[[a,b],[a,c]]"]) == 0
+    default = capsys.readouterr().out
+    assert run(["rank", "[[a,b],[a,c]]", "--budget", "100000"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_symbolic_commands_never_import_numpy():
@@ -442,6 +454,12 @@ def test_whitehead_reaches_the_rank4_level_sets(capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
     assert run(["whitehead", "aabbccdd", "--budget", "2968"]) == 0
     capsys.readouterr()
+
+
+def test_the_budget_reaches_the_whitehead_move_table(capsys):
+    # rank 5 has 5 (2^8 - 2) = 1,270 moves, charged before the table is built
+    assert run(["whitehead", "aabbccddee", "--whitehead-rank-bound", "5", "--budget", "1000"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: Whitehead move table (rank 5)")
 
 
 @pytest.mark.parametrize("word, bound, classes, size", [

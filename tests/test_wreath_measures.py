@@ -576,15 +576,17 @@ class TestZeroMeanPrune:
 
     DEGREES = ((None,), (None, None), (3,), (4,), (2, 3))
 
-    def results(self, w, phi):
-        ctx = WordContext(w)
+    def sums(self, ctx, phi):
         out = []
         for degrees in self.DEGREES:
             value = wreath_measures._level_sum(ctx, phi, degrees)
             value = value.reduced() if isinstance(value, PoleRational) else value
             out.append((value, json.dumps(value.to_json())))
-        out.append(json.dumps(witness_report(ctx, phi).to_json()))
         return out
+
+    def results(self, w, phi):
+        ctx = WordContext(w)
+        return self.sums(ctx, phi) + [json.dumps(witness_report(ctx, phi).to_json())]
 
     @settings(max_examples=15, deadline=None)
     @given(cyclic_words(max_length=8, min_length=3))
@@ -612,20 +614,59 @@ class TestZeroMeanPrune:
         assert not TRIV.has_zero_mean() and not CharacterSpec.finite(plus).has_zero_mean()
         assert CharacterSpec.finite(zero).has_zero_mean()
         w = parse_word("[a,b]^2")
-        for phi, pruned in ((TRIV, False), (CharacterSpec.finite(plus), False),
-                            (CharacterSpec.finite(zero), True)):
-            asked = []
-            with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(asked)):
-                streamed = self.results(w, phi)
-            assert asked and set(asked) == {pruned}, phi.describe()
+        # the sums prune for a mean of 0 alone; the report for the trivial
+        # character too, where every quotient cut is primitive
+        for phi, pruned, report_pruned in ((TRIV, False, True),
+                                           (CharacterSpec.finite(plus), False, False),
+                                           (CharacterSpec.finite(zero), True, True)):
+            ctx = WordContext(w)
+            summed, reported = [], []
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(summed)):
+                streamed = self.sums(ctx, phi)
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(reported)):
+                streamed.append(json.dumps(witness_report(ctx, phi).to_json()))
+            assert summed and set(summed) == {pruned}, phi.describe()
+            assert reported[0] == report_pruned, phi.describe()
             with mock.patch.object(wreath_measures, "fold_closed_partitions", full_stream):
                 assert streamed == self.results(w, phi), phi.describe()
 
-    def test_the_trivial_rank_report_keeps_the_full_stream(self):
+    def test_the_trivial_report_caps_the_full_stream(self):
+        # [a,b][a,c] has four a's and two each of b and c, so a quotient with
+        # V blocks has rank at most 1 - V + min(4, V) + 2 min(2, V), above
+        # the bound 4 only for V <= 4; the two quotients crossed twice stay
+        # within it, so the report asks the full stream capped at 4 blocks
         asked = []
-        with mock.patch.object(wreath_measures, "fold_closed_partitions", stream_spy(asked)):
+
+        def stream(letters, rank, budget, max_blocks=None, crossed_twice=False):
+            asked.append((max_blocks, crossed_twice))
+            return fold_closed_partitions(letters, rank, budget, max_blocks, crossed_twice)
+
+        with mock.patch.object(wreath_measures, "fold_closed_partitions", stream):
             report = witness_report(parse_word("[a,b][a,c]"), TRIV)
-        assert asked == [False] and report.pi == 3
+        assert asked == [(None, True), (4, False)] and report.pi == 3 and report.partial
+        asked.clear()
+        with mock.patch.object(wreath_measures, "fold_closed_partitions", stream):
+            report = witness_report(parse_word("[a,b][a,c]"), TRIV, whitehead_bound=5)
+        assert asked == [(None, True)] and report.pi == 3 and not report.partial
+
+    @settings(max_examples=40, deadline=None)
+    @given(cyclic_words(max_length=12, max_rank=4))
+    @example(parse_word("[a,b][a,c]"))
+    @example(parse_word("x^-3(xy^6)^2"))
+    @example(parse_word("a"))
+    def test_the_pruned_trivial_report_equals_the_full_stream(self, w):
+        # full_stream ignores crossed_twice, so the patched report reads
+        # every quotient and marks it partial off its rank, as before the prune
+        ctx = WordContext(w)
+        full = list(fold_closed_partitions(ctx.word.letters, ctx.rank, 10**7))
+        top = max((1 - v + sum(e) for p, ((v,), e), _ in full if v < len(p)), default=0)
+        for bound in range(1, 6):
+            pruned = json.dumps(witness_report(w, TRIV, whitehead_bound=bound).to_json())
+            with mock.patch.object(wreath_measures, "fold_closed_partitions", full_stream):
+                reference = json.dumps(witness_report(w, TRIV, whitehead_bound=bound).to_json())
+            assert pruned == reference, bound
+            assert wreath_measures._some_quotient_exceeds(
+                ctx.word.letters, ctx.rank, bound, None) == (top > bound), bound
 
     def test_a_budget_below_the_full_stream_reaches_a_pruned_sum(self):
         # [[a,b],c] charges 4,728 states in full and 265 pruned; its
