@@ -12,6 +12,8 @@ from __future__ import annotations
 DEFAULT_EVAL_BUDGET = 10**7
 DEFAULT_GROUP_ELEMENT_BUDGET = 10**5
 DEFAULT_WORD_LENGTH_BOUND = 16
+# the largest quotient rank whose witnesses `rank` and `witnesses` decide;
+# the Whitehead searches themselves are bounded by the budget alone
 DEFAULT_WHITEHEAD_RANK_BOUND = 4
 
 

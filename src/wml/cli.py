@@ -326,7 +326,7 @@ def cmd_whitehead(args) -> dict:
     # w is primitive iff its minimal length is 1, and lies in a proper free
     # factor iff some minimal word omits a generator, so iff some class key does
     w = parse_word(args.word, args.rank, args.budget)
-    min_len, level = whitehead_minimize(w, args.whitehead_rank_bound, args.budget)
+    min_len, level = whitehead_minimize(w, args.budget)
     return {
         "word": w.display(),
         "min_length": min_len,
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         if whitehead:
             sp.add_argument(
                 "--whitehead-rank-bound", type=int, default=DEFAULT_WHITEHEAD_RANK_BOUND,
-                help="maximum rank for Whitehead minimization searches",
+                help="maximum quotient rank whose witnesses the Whitehead searches decide",
             )
         return sp
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--injective", action="store_true")
     sp.set_defaults(func=cmd_orbits)
 
-    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"), whitehead=True)
+    sp = common(sub.add_parser("whitehead", help="Whitehead minimization report"))
     sp.set_defaults(func=cmd_whitehead)
     return p
 

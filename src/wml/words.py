@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd
 
-from .budget import DEFAULT_WHITEHEAD_RANK_BOUND, BudgetError, ValidationError, check, eval_budget
+from .budget import ValidationError, check, eval_budget
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -30,6 +30,8 @@ def reduce_letters(letters) -> tuple[int, ...]:
 
 
 def _default_names(rank: int, used: tuple[str, ...] = ()) -> tuple[str, ...]:
+    if rank > len(ALPHABET):
+        raise ValidationError(f"names a-z cover at most 26 generators, not rank {rank}")
     names = list(used)
     fresh = (c for c in ALPHABET if c not in used)
     while len(names) < rank:
@@ -305,7 +307,7 @@ def _alphabet_map(used_chars: list[str], rank: int | None):
     embedding; otherwise compress the distinct letters in alphabetical
     order."""
     if rank is not None and all(c in ALPHABET[:rank] for c in used_chars):
-        names = tuple(ALPHABET[:rank])
+        names = _default_names(rank)
         remap = {c: ord(c) - ord("a") for c in used_chars}
         return rank, names, remap
     inferred = len(used_chars)
@@ -345,9 +347,9 @@ def parse_words(texts: list[str], rank: int | None = None,
 # -- Whitehead moves ------------------------------------------------------
 
 
-def _cyc_len(images: tuple, cyc: tuple[int, ...]) -> tuple[int, ...]:
+def _cyc_len(images: list, cyc: tuple[int, ...]) -> tuple[int, ...]:
     """The cyclic reduction of a cyclic word's image under a move, given
-    as an image table (``_screened_moves``): the image of letter x is
+    as an image table (``_move_images``): the image of letter x is
     ``images[x]``."""
     out: list[int] = []
     for x in cyc:
@@ -360,14 +362,6 @@ def _cyc_len(images: tuple, cyc: tuple[int, ...]) -> tuple[int, ...]:
     while len(out) >= 2 and out[0] == -out[-1]:
         out = out[1:-1]
     return tuple(out)
-
-
-def _check_rank_bound(rank: int, bound: int):
-    if rank > bound:
-        raise ValidationError(
-            f"Whitehead computation at rank {rank} exceeds bound {bound}; "
-            "raise the bound explicitly if you mean it"
-        )
 
 
 def _canon_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
@@ -411,9 +405,10 @@ def _cut_sizes(rank: int, cyc: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _screened_moves(rank: int) -> tuple[tuple[tuple, int, int], ...]:
-    """(image table, bitmask of A, bitmask of {a}) for the type-II moves
-    that can reach a new cyclic word.
+def _screened_moves(rank: int) -> tuple[tuple[int, int, tuple[int, ...], tuple], ...]:
+    """The type-II moves that can reach a new cyclic word, as one
+    (a, bitmask of {a}, bitmasks of A, shared image parts) entry per
+    multiplier a; ``_move_images`` builds a move's image table.
 
     The move (A, a), a in A and a^-1 not in A, fixes a and sends each other
     letter x to a^(-[x^-1 in A]) x a^([x in A]).  (A, a) and (L - A, a^-1)
@@ -426,56 +421,64 @@ def _screened_moves(rank: int) -> tuple[tuple[tuple, int, int], ...]:
     multiplier a^-1 after every a, each dropped move follows a kept one
     of the same effect, so the first move that shortens a word is kept.
 
-    A table holds the image of letter x at index x (a negative index
-    counts from its end).  The images of +-g depend only on a and on which
-    of +-g lie in A, so the tables share them.
+    The images of +-g depend only on a and on which of +-g lie in A, so the
+    moves of one a share them: the identity's image table, and for each
+    g != a the bits of +-g and the images of g and g^-1 by
+    [g in A][g^-1 in A].
     """
-    moves = []
+    table = []
+    identity = tuple((x,) for x in [*range(rank + 1), *range(-rank, 0)])
     for a in range(1, rank + 1):
         others = [g for g in range(1, rank + 1) if g != a]
-        # the images of g and g^-1 by [g in A][g^-1 in A]
-        shared = {g: ((((g,), (-g,)), ((-a, g), (-g, a))),
-                      (((g, a), (-a, -g)), ((-a, g, a), (-a, -g, a))))
-                  for g in others}
-        bits = [1 << _vertex(x) for x in others + [-g for g in others]]
+        shared = (identity, tuple((g, 1 << _vertex(g), 1 << _vertex(-g),
+                                   ((((g,), (-g,)), ((-a, g), (-g, a))),
+                                    (((g, a), (-a, -g)), ((-a, g, a), (-a, -g, a)))))
+                                  for g in others))
         amask = 1 << _vertex(a)
-        m = len(others)
-        for chosen in itertools.product((0, 1), repeat=2 * m):
-            if not 0 < sum(chosen) < 2 * m:
-                continue  # the identity, or the inner move
-            images = [()] * (2 * rank + 1)
-            images[a], images[-a] = (a,), (-a,)
-            for g, pos, neg in zip(others, chosen, chosen[m:]):
-                images[g], images[-g] = shared[g][pos][neg]
-            mask = amask + sum(bit for bit, on in zip(bits, chosen) if on)
-            moves.append((tuple(images), mask, amask))
-    return tuple(moves)
+        masks = [amask]  # every {a} + S, S a binary count, the letter +g of the least g slowest
+        for bit in reversed([1 << _vertex(x) for x in others + [-g for g in others]]):
+            masks += [bit + mask for mask in masks]
+        # drop the identity S = {} and the inner move S = all
+        table.append((a, amask, tuple(masks[1:-1]), shared))
+    return tuple(table)
 
 
-def _charge_move_table(rank: int, budget: int | None):
-    """Charge ``budget`` one unit per move of ``_screened_moves(rank)``,
-    ``r (2^(2r-2) - 2)`` of them, before a budgeted search asks for the
-    table, so a rank too large fails before the table is built."""
-    check(f"Whitehead move table (rank {rank})", rank * ((1 << (2 * rank - 2)) - 2),
-          eval_budget(budget))
+def _move_images(mask: int, shared: tuple) -> list:
+    """The image table of the move (A, a), from A's bitmask and the parts
+    shared by the moves of a: the image of letter x at index x (a
+    negative index counts from its end)."""
+    identity, parts = shared
+    images = list(identity)
+    for g, pos, neg, by_membership in parts:
+        images[g], images[-g] = by_membership[mask & pos != 0][mask & neg != 0]
+    return images
 
 
-@lru_cache(maxsize=65536)
-def _descend_key(rank: int, key: tuple[int, ...]) -> tuple[int, ...]:
+def _pass_charge(rank: int, budget: int | None):
+    """The counter of one Whitehead search: a function that charges
+    ``budget`` the table's ``r (2^(2r-2) - 2)`` moves before each pass over
+    it, so a search costs the same wherever it runs in the process."""
+    size = rank * max((1 << (2 * rank - 2)) - 2, 0)
+    spent, budget = itertools.count(size, size), eval_budget(budget)
+    return lambda stage: check(stage, next(spent), budget)
+
+
+def _descend_key(rank: int, key: tuple[int, ...], charge) -> tuple[int, ...]:
     """Greedy peak descent: a minimal-length cyclic representative of the
-    automorphism orbit (type-II moves suffice to shorten).  Each step
-    applies the first move, in ``_screened_moves`` order, that the
-    Whitehead graph shows to shorten the word."""
-    current = key
-    moves = _screened_moves(rank)
+    automorphism orbit (type-II moves suffice to shorten).  Each step is a
+    pass that applies the first move, in ``_screened_moves`` order, that
+    the Whitehead graph shows to shorten the word.  The first pass is
+    charged as the move table, before the table is built."""
+    charge(f"Whitehead move table (rank {rank})")
+    table = _screened_moves(rank)
     while True:
-        cut = _cut_sizes(rank, current)
-        for images, mask, amask in moves:
-            if cut[mask] < cut[amask]:
-                current = _cyc_len(images, current)
-                break
-        else:
-            return _canon_rotation(current)
+        cut = _cut_sizes(rank, key)
+        move = next(((mask, shared) for _, amask, masks, shared in table
+                     for mask in masks if cut[mask] < cut[amask]), None)
+        if move is None:
+            return _canon_rotation(key)
+        key = _cyc_len(_move_images(*move), key)
+        charge(f"Whitehead descent (rank {rank}, {len(key)} letters)")
 
 
 def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
@@ -506,42 +509,39 @@ def _class_key(ls: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _class_walk(rank: int, min_key: tuple[int, ...], budget: int | None):
+def _class_walk(rank: int, min_key: tuple[int, ...], charge):
     """Breadth-first walk of the relabeling classes (``_class_key``) of the
     cyclic words that length-preserving Whitehead moves reach from a
     minimal representative.  Yields the representative's class first,
     then each other class once, as soon as it is reached, so a caller may
     stop early.
 
-    Only a class's key is expanded, by the type-II moves that the Whitehead
-    graph shows to keep the length, each rewrite charged one unit of
-    ``budget``.  That reaches every class: a relabeling sigma conjugates
+    Only a class's key is expanded, in one pass over the move table,
+    charged first, that rewrites the moves the Whitehead graph shows to
+    keep the length.  That reaches every class: a relabeling sigma conjugates
     each type-II move to a type-II move, so the neighbours of sigma(u) are
     sigma applied to the neighbours of u, and every member of a class has
     the neighbour classes of its key."""
-    budget = eval_budget(budget)
-    moves = _screened_moves(rank)
+    table = _screened_moves(rank)
     class_key = lru_cache(maxsize=None)(_class_key)  # many moves rewrite to one word
     start = class_key(min_key)
     yield start
     seen = {start}
     frontier = [start]
-    spent = 0
     while frontier:
         nxt = []
         for key in frontier:
+            charge(f"Whitehead level set ({len(seen)} states explored)")
             cut = _cut_sizes(rank, key)
-            for images, mask, amask in moves:
-                if cut[mask] == cut[amask]:
-                    spent += 1
-                    if spent > budget:
-                        raise BudgetError(
-                            f"Whitehead level set ({len(seen)} states explored)", spent, budget)
-                    c = class_key(_cyc_len(images, key))
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-                        yield c
+            for _, amask, masks, shared in table:
+                degree = cut[amask]
+                for mask in masks:
+                    if cut[mask] == degree:
+                        c = class_key(_cyc_len(_move_images(mask, shared), key))
+                        if c not in seen:
+                            seen.add(c)
+                            nxt.append(c)
+                            yield c
         frontier = nxt
 
 
@@ -637,33 +637,30 @@ class LevelSet:
         return sum(size for _, size in self.classes)
 
 
-def whitehead_minimize(
-    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND, budget: int | None = None
-) -> tuple[int, LevelSet]:
+def whitehead_minimize(w: Word, budget: int | None = None) -> tuple[int, LevelSet]:
     """Minimal cyclic length over Aut(F_r), and the full level set of
     minimal cyclic words reachable by length-preserving Whitehead moves of
-    either kind, walked one relabeling class at a time (``_class_walk``,
-    charging ``budget`` one unit per word it rewrites, after the move
-    table's charge, ``_charge_move_table``), each class counted
-    by orbit-stabilizer (``_class_size``), never listed word by word."""
-    _check_rank_bound(w.rank, rank_bound)
+    either kind, walked one relabeling class at a time (``_class_walk``),
+    each class counted by orbit-stabilizer (``_class_size``), never listed
+    word by word.  The descent and the walk charge ``budget`` before each
+    pass over the move table (``_pass_charge``)."""
     cyc, _ = cyclic_reduce(w)
     if not cyc.letters:
         return 0, LevelSet((((), 1),))
-    _charge_move_table(w.rank, budget)
-    minimal = _descend_key(w.rank, cyc.canonical_key())
-    walk = _class_walk(w.rank, minimal, budget)
+    charge = _pass_charge(w.rank, budget)
+    minimal = _descend_key(w.rank, cyc.canonical_key(), charge)
+    walk = _class_walk(w.rank, minimal, charge)
     return len(minimal), LevelSet(tuple((key, _class_size(w.rank, key)) for key in walk))
 
 
-def is_primitive(w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> bool:
+def is_primitive(w: Word, budget: int | None = None) -> bool:
     """True iff w is part of some basis of F_rank.
 
     A primitive word abelianizes to a unimodular row, so a gcd other than
     1 settles the question without touching the orbit, and so does
     ``_certificate`` for most other words.  Only the words left undecided
-    meet the rank bound and descend to the minimal length (the level set
-    is never needed here).
+    descend to the minimal length, charging ``budget`` per pass over the
+    move table (``_pass_charge``); the level set is never needed here.
     """
     if w.is_identity():
         return False
@@ -676,24 +673,20 @@ def is_primitive(w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND) -> boo
     answer = _certificate(w.rank, cyc.letters)
     if answer is not None:
         return answer
-    _check_rank_bound(w.rank, rank_bound)
-    return len(_descend_key(w.rank, cyc.canonical_key())) == 1
+    return len(_descend_key(w.rank, cyc.canonical_key(), _pass_charge(w.rank, budget))) == 1
 
 
-def lies_in_proper_free_factor(
-    w: Word, rank_bound: int = DEFAULT_WHITEHEAD_RANK_BOUND, budget: int | None = None
-) -> bool:
+def lies_in_proper_free_factor(w: Word, budget: int | None = None) -> bool:
     """Whitehead's criterion: a word of minimal length in its orbit lies in
     a proper free factor iff some minimal representative omits a generator.
 
     A word that omits a generator, and any word that ``_certificate``
-    decides, is answered in O(|w|).  Only the words left undecided meet
-    the rank bound and the move table's charge (``_charge_move_table``),
-    then descend and walk the relabeling classes of the minimal level set
-    breadth-first (``_class_walk``), charging ``budget`` one unit per word
-    rewritten, stopping at the first class that omits a
-    generator.  A relabeling never changes whether a generator is omitted,
-    so the class key omits one iff every word of its class does.
+    decides, is answered in O(|w|).  Only the words left undecided descend
+    and walk the relabeling classes of the minimal level set breadth-first
+    (``_class_walk``), stopping at the first class that omits a generator,
+    and charge ``budget`` per pass over the move table (``_pass_charge``).  A
+    relabeling never changes whether a generator is omitted, so the class
+    key omits one iff every word of its class does.
     """
 
     def omits(ls: tuple[int, ...]) -> bool:
@@ -707,7 +700,6 @@ def lies_in_proper_free_factor(
     answer = _certificate(w.rank, cyc.letters)
     if answer is not None:
         return answer
-    _check_rank_bound(w.rank, rank_bound)
-    _charge_move_table(w.rank, budget)
-    minimal = _descend_key(w.rank, cyc.canonical_key())
-    return any(omits(c) for c in _class_walk(w.rank, minimal, budget))
+    charge = _pass_charge(w.rank, budget)
+    minimal = _descend_key(w.rank, cyc.canonical_key(), charge)
+    return any(omits(c) for c in _class_walk(w.rank, minimal, charge))

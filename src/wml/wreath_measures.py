@@ -292,6 +292,9 @@ def witness_report(
     Every critical entry is a proper algebraic extension; this is checked
     whenever the rank is within the Whitehead bound.
 
+    ``whitehead_bound`` chooses the quotients whose primitivity and
+    algebraicity the report decides; ``budget`` bounds each search.
+
     ``partial`` is set when some quotient exceeded the Whitehead bound and
     its primitivity/algebraicity could not be decided.  Skipped quotients
     always have rank above the bound, so a reported finite ``pi`` is exact
@@ -334,7 +337,7 @@ def witness_report(
         value = values.get(word)
         if value is None:
             if trivial:
-                value = _ZERO if is_primitive(Word(h_rank, word), whitehead_bound) else _ONE
+                value = _ZERO if is_primitive(Word(h_rank, word), budget) else _ONE
             else:
                 value = _coefficient(ctx, phi, None, fibers, word, budget)
             values[word] = value
@@ -343,8 +346,7 @@ def witness_report(
         if h_rank <= whitehead_bound:
             alg = algebraic.get(word)
             if alg is None:
-                alg = h_rank <= 1 or not lies_in_proper_free_factor(
-                    Word(h_rank, word), whitehead_bound, budget)
+                alg = h_rank <= 1 or not lies_in_proper_free_factor(Word(h_rank, word), budget)
                 algebraic[word] = alg
         else:
             alg = None

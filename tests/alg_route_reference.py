@@ -18,7 +18,7 @@ library's chain types or chain sums.
 
 from fractions import Fraction
 
-from wml.budget import DEFAULT_WHITEHEAD_RANK_BOUND, InvariantError
+from wml.budget import InvariantError
 from wml.characters import expectation_rel
 from wml.core_graphs import enumerate_quotients, rewrite_in_subgroup, spanning_tree_basis
 from wml.cyclotomic import Cyclotomic
@@ -27,13 +27,13 @@ from wml.rational import RationalFunctionN
 from wml.words import lies_in_proper_free_factor
 
 
-def is_algebraic(w, h, rank_bound=DEFAULT_WHITEHEAD_RANK_BOUND):
+def is_algebraic(w, h, budget=None):
     """Is <w> <= H algebraic: does w, rewritten in a basis of the core
     graph ``h``, lie in no proper free factor of H?  (A rank-1 H has only
     the trivial one.)"""
     basis = spanning_tree_basis(h)
     return basis.rank() <= 1 or not lies_in_proper_free_factor(
-        rewrite_in_subgroup(w, basis), rank_bound)
+        rewrite_in_subgroup(w, basis), budget)
 
 
 def _unique_maximal(poset, indices, what):

@@ -28,6 +28,7 @@ def test_unread_flags_are_usage_errors(capsys):
         ["tree", "a", "--whitehead-rank-bound", "3"],
         ["oracle", "a", "--whitehead-rank-bound", "3"],
         ["orbits", "--action", "natural:3", "--whitehead-rank-bound", "3"],
+        ["whitehead", "a", "--whitehead-rank-bound", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -428,13 +429,13 @@ def test_the_budget_option_reaches_the_word_parser(capsys):
 
 
 def test_the_budget_option_reaches_the_whitehead_searches(capsys, monkeypatch):
-    # rank's witness report hands --budget to the free-factor search.  Its
-    # class walk settles aBab^-3 in 6 rewrites, fewer than the stream
-    # charges before it, so the search's budget is read rather than run out
+    # rank's witness report hands --budget to the Whitehead searches.  They
+    # settle aBab^-3's rewritten words in at most 16 units, fewer than the
+    # stream charges before them, so the budget is read rather than run out
     budgets = []
-    walk = words._class_walk
-    monkeypatch.setattr(words, "_class_walk",
-                        lambda rank, key, budget: budgets.append(budget) or walk(rank, key, budget))
+    charge = words._pass_charge
+    monkeypatch.setattr(words, "_pass_charge",
+                        lambda rank, budget: budgets.append(budget) or charge(rank, budget))
     assert run(["rank", "aBab^-3", "--budget", "100"]) == 0
     assert budgets and set(budgets) == {100}
     assert run(["whitehead", "aBab^-3", "--budget", "5"]) == 3
@@ -442,34 +443,48 @@ def test_the_budget_option_reaches_the_whitehead_searches(capsys, monkeypatch):
 
 
 def test_whitehead_reaches_the_rank4_level_sets(capsys):
-    # the class walk finds aabbccdd's 23,424 words in 69 classes by 2,968
-    # rewrites; each class is counted by orbit-stabilizer, not relabeled
+    # the class walk finds aabbccdd's 23,424 words in 69 classes, one pass
+    # of 4 (2^6 - 2) = 248 units per class after the move table's pass;
+    # each class is counted by orbit-stabilizer, not relabeled
     code, data = run_json(capsys, "whitehead", "aabbccdd")
     assert code == 0 and data["level_set_size"] == 23424
     assert len(data["level_set_classes"]) == 69
     assert sum(c["size"] for c in data["level_set_classes"]) == 23424
     code, data = run_json(capsys, "whitehead", "[a,b][c,d]")
     assert code == 0 and data["level_set_size"] == 1008
-    assert run(["whitehead", "aabbccdd", "--budget", "2967"]) == 3
+    assert run(["whitehead", "aabbccdd", "--budget", "17359"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: Whitehead level set")
-    assert run(["whitehead", "aabbccdd", "--budget", "2968"]) == 0
+    assert run(["whitehead", "aabbccdd", "--budget", "17360"]) == 0
     capsys.readouterr()
 
 
 def test_the_budget_reaches_the_whitehead_move_table(capsys):
     # rank 5 has 5 (2^8 - 2) = 1,270 moves, charged before the table is built
-    assert run(["whitehead", "aabbccddee", "--whitehead-rank-bound", "5", "--budget", "1000"]) == 3
+    assert run(["whitehead", "aabbccddee", "--budget", "1000"]) == 3
     assert capsys.readouterr().err.startswith("budget exceeded: Whitehead move table (rank 5)")
 
 
-@pytest.mark.parametrize("word, bound, classes, size", [
+def test_whitehead_fails_before_building_a_table_past_the_budget(capsys, monkeypatch):
+    # rank 11 has 11 (2^20 - 2) = 11,534,314 moves, more than the default
+    # budget: the search exits at its first charge, before any table is built
+    def unbuilt(rank):
+        raise AssertionError(f"the rank-{rank} move table was built")
+    monkeypatch.setattr(words, "_screened_moves", unbuilt)
+    assert run(["whitehead", "aabbccddeeffgghhiijjkk"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget exceeded: Whitehead move table (rank 11): needs 11534314 >")
+
+
+@pytest.mark.parametrize("word, rank, classes, size", [
     ("aabbccddee", "5", 841, 3159936),
     ("[a,b][c,d][e,f]", "6", 131, 5702400),
     ("abcdefgABCDEFG", "7", 131, 39916800),
 ])
-def test_whitehead_reaches_the_rank5_and_rank6_level_sets(capsys, word, bound, classes, size):
+def test_whitehead_reaches_the_rank5_and_rank6_level_sets(capsys, word, rank, classes, size):
     # millions of words, counted class by class under the default budget
-    code, data = run_json(capsys, "whitehead", word, "--whitehead-rank-bound", bound)
+    assert words.parse_word(word).rank == int(rank)
+    code, data = run_json(capsys, "whitehead", word)
     assert code == 0 and data["level_set_size"] == size
     assert len(data["level_set_classes"]) == classes
     assert sum(c["size"] for c in data["level_set_classes"]) == size

@@ -83,14 +83,38 @@ def test_no_module_reads_the_environment():
     assert SOURCES and not found, found
 
 
-def test_every_command_takes_the_budget_option():
+def _subcommands():
     from wml.cli import build_parser
 
     (commands,) = [action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
-    missing = [name for name, sub in commands.choices.items()
+    return commands.choices
+
+
+def test_every_command_takes_the_budget_option():
+    commands = _subcommands()
+    missing = [name for name, sub in commands.items()
                if not any("--budget" in action.option_strings for action in sub._actions)]
-    assert len(commands.choices) == 8 and not missing, missing
+    assert len(commands) == 8 and not missing, missing
+
+
+def test_only_rank_and_witnesses_take_the_whitehead_rank_bound():
+    # the bound chooses which quotients a witness report decides; the
+    # whitehead command's search is bounded by the budget alone
+    takes = {name for name, sub in _subcommands().items()
+             if any("--whitehead-rank-bound" in action.option_strings for action in sub._actions)}
+    assert takes == {"rank", "witnesses"}
+
+
+def test_the_budget_alone_bounds_the_whitehead_searches():
+    # no search takes a rank bound, and no descent is cached across
+    # searches, where a hit would skip the charge of its passes
+    tree = ast.parse((ROOT / "src" / "wml" / "words.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    params = {arg.arg for f in functions.values() for arg in f.args.args + f.args.kwonlyargs}
+    assert "rank_bound" not in params
+    assert not {"_check_rank_bound", "_charge_move_table"} & set(functions)
+    assert not functions["_descend_key"].decorator_list
 
 
 def _names_read(reference: str) -> set:
@@ -107,7 +131,7 @@ def test_the_whitehead_reference_prices_moves_by_rewriting():
     # by orbit-stabilizer, against this reference, which lists every word
     names = _names_read("whitehead_reference.py")
     library = {"_descend_key", "_class_key", "_class_walk", "_class_size", "_cut_sizes",
-               "_whitehead_graph", "_screened_moves", "_cyc_len"}
+               "_whitehead_graph", "_screened_moves", "_move_images", "_pass_charge", "_cyc_len"}
     assert not names & library, names & library
 
 

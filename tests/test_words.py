@@ -22,8 +22,9 @@ from wml.words import (
     _class_key,
     _class_walk,
     _cut_sizes,
-    _cyc_len,
     _descend_key,
+    _move_images,
+    _pass_charge,
     _screened_moves,
     _vertex,
     cyclic_reduce,
@@ -117,6 +118,17 @@ def test_explicit_rank_uses_alphabet_prefix():
     w = parse_word("b", rank=2)
     assert w.letters == (2,)
     assert w.names == ("a", "b")
+
+
+def test_default_names_stop_at_26_generators():
+    # the names a-z run out past rank 26: a validation error, not a bare
+    # StopIteration or a complaint about the names' length
+    for make in (lambda: Word(27, (1,)), lambda: CyclicWord(27, (1,)),
+                 lambda: parse_word("a", rank=27), lambda: parse_word("b", rank=27)):
+        with pytest.raises(ValidationError, match="names a-z cover at most 26 generators"):
+            make()
+    assert Word(26, (26,)).names[-1] == "z"
+    assert Word(27, (1,), tuple(f"x{i}" for i in range(27))).rank == 27
 
 
 def test_cyclic_reduce():
@@ -238,11 +250,6 @@ def test_disjoint_letter_products_fill_the_group():
     assert lies_in_proper_free_factor(parse_word("ab"))
 
 
-def test_rank_bound_guard():
-    with pytest.raises(ValidationError):
-        whitehead_minimize(Word(5, (1,)), rank_bound=4)
-
-
 @st.composite
 def _random_words(draw):
     # a negative answer makes the search walk the whole level set, which at
@@ -276,11 +283,15 @@ def test_rank4_negative_certificate_agrees_with_the_search():
     assert not whitehead_reference.search_in_proper_free_factor(w)
 
 
+def _descend(w: Word) -> tuple[int, ...]:
+    return _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key(), _pass_charge(w.rank, None))
+
+
 def _assert_classes_count_the_listed_level_set(w: Word):
     # the walked class keys are the classes of the reference's listed
     # level set, the minimal word's first, and each class's orbit-stabilizer
     # size is the number of listed words in it
-    minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
+    minimal = _descend(w)
     listed = whitehead_reference.level_set_key(w.rank, minimal)
     _, level = whitehead_minimize(w)
     assert level.classes[0][0] == _class_key(minimal)
@@ -329,27 +340,30 @@ def test_complement_moves_agree_on_cyclic_words(w):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_screened_moves_keep_the_earlier_of_each_complement_pair(rank):
-    # each kept table is the image table of the earlier move of its
-    # complement pair, in the reference's order, inner moves dropped
+    # each kept move is the earlier move of its complement pair, in the
+    # reference's order, inner moves dropped, and the image table that
+    # _move_images builds for it is the reference's, letter by letter
     auts = type2_automorphisms(rank)
     index = {(aut.multiplier, aut.letter_set): i for i, aut in enumerate(auts)}
     letters = frozenset(range(1, rank + 1)) | frozenset(range(-rank, 0))
     expected = [aut for i, aut in enumerate(auts)
                 if aut.letter_set != letters - {-aut.multiplier}
                 and index[(-aut.multiplier, letters - aut.letter_set)] > i]
-    kept = _screened_moves(rank)
+    kept = [(a, amask, mask, _move_images(mask, shared))
+            for a, amask, masks, shared in _screened_moves(rank) for mask in masks]
     assert len(kept) == len(expected) == rank * max(2 ** (2 * rank - 2) - 2, 0)
-    for (images, mask, amask), aut in zip(kept, expected):
+    for (a, amask, mask, images), aut in zip(kept, expected):
         assert all(images[x] == aut.letter_image(x) for x in letters)
         assert mask == sum(1 << _vertex(x) for x in aut.letter_set)
-        assert amask == 1 << _vertex(aut.multiplier)
+        assert a == aut.multiplier and amask == 1 << _vertex(a)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_random_words())
 def test_descent_equals_the_rewriting_descent(w):
     rank, key = w.rank, _canon_rotation(_cyclic_letters(w))
-    assert _descend_key(rank, key) == whitehead_reference.descend_key(rank, key)
+    minimal = _descend_key(rank, key, _pass_charge(rank, None))
+    assert minimal == whitehead_reference.descend_key(rank, key)
 
 
 @pytest.mark.parametrize("text", ["[a,b][a,c]", "[a,b][c,d]", "aabbcc", "abcABC", "[a,b]^2"])
@@ -357,8 +371,8 @@ def test_level_walk_yields_the_rewriting_walk_in_order(text):
     # the class walk yields the minimal word's class first, then each class
     # of the rewriting type-II walk once
     w = parse_word(text)
-    minimal = _descend_key(w.rank, cyclic_reduce(w)[0].canonical_key())
-    classes = list(_class_walk(w.rank, minimal, None))
+    minimal = _descend(w)
+    classes = list(_class_walk(w.rank, minimal, _pass_charge(w.rank, None)))
     assert classes[0] == _class_key(minimal)
     assert len(set(classes)) == len(classes)
     assert set(classes) == {_class_key(c) for c in whitehead_reference.type2_walk(w.rank, minimal)}
@@ -385,37 +399,47 @@ def test_class_walk_equals_the_rewriting_searches(w):
     assert lies_in_proper_free_factor(w) is whitehead_reference.search_in_proper_free_factor(w)
 
 
-def _count_rewrites(monkeypatch):
-    calls = []
-    monkeypatch.setattr(words_module, "_cyc_len",
-                        lambda *args: calls.append(args) or _cyc_len(*args))
-    return calls
+def _counting(stages: list):
+    """``_pass_charge`` that also lists the stage of every pass charged."""
+    charge = words_module._pass_charge
+
+    def counted(rank, budget):
+        c = charge(rank, budget)
+        return lambda stage: stages.append(stage) or c(stage)
+    return counted
 
 
-def test_whitehead_minimize_charges_every_rewrite(monkeypatch):
-    # the class walk rewrites 145 length-keeping moves to reach the 9
-    # relabeling classes; their 328 words are counted, not rewritten
+def _count_passes(monkeypatch):
+    stages = []
+    monkeypatch.setattr(words_module, "_pass_charge", _counting(stages))
+    return stages
+
+
+def test_whitehead_minimize_charges_every_pass(monkeypatch):
+    # aabbcc is minimal: one descent pass builds the table, then the walk
+    # expands the key of each of its 9 relabeling classes, one pass of
+    # 3 (2^4 - 2) = 42 units each; the 328 words are counted, not rewritten
     w = parse_word("aabbcc")
-    with pytest.raises(BudgetError, match=r"\(9 states explored\)") as exc:
-        whitehead_minimize(w, budget=144)
-    assert exc.value.needed == 145
-    calls = _count_rewrites(monkeypatch)
-    assert len(whitehead_minimize(w, budget=145)[1]) == 328
-    assert len(calls) == 145
+    with pytest.raises(BudgetError, match=r"Whitehead level set \(9 states explored\)") as exc:
+        whitehead_minimize(w, budget=419)
+    assert exc.value.needed == 420
+    stages = _count_passes(monkeypatch)
+    assert len(whitehead_minimize(w, budget=420)[1]) == 328
+    assert len(stages) == 10 and stages[0] == "Whitehead move table (rank 3)"
+    assert all(stage.startswith("Whitehead level set") for stage in stages[1:])
 
 
-def test_fallback_search_charges_every_rewrite(monkeypatch):
+def test_fallback_search_charges_every_pass(monkeypatch):
     # aBab^-3 lies in no proper free factor, so the search walks its whole
-    # type-II level set; the first call also warms the descent's cache
+    # type-II level set: 4 passes of 2 (2^2 - 2) = 4 units
     w = parse_word("aBab^-3")
+    stages = _count_passes(monkeypatch)
     assert not lies_in_proper_free_factor(w)
-    calls = _count_rewrites(monkeypatch)
-    assert not lies_in_proper_free_factor(w)
-    spent = len(calls)
-    assert spent > 0 and not lies_in_proper_free_factor(w, budget=spent)
+    assert len(stages) == 4
+    assert not lies_in_proper_free_factor(w, budget=16)
     with pytest.raises(BudgetError, match="Whitehead level set") as exc:
-        lies_in_proper_free_factor(w, budget=spent - 1)
-    assert exc.value.needed == spent
+        lies_in_proper_free_factor(w, budget=15)
+    assert exc.value.needed == 16
 
 
 def test_whitehead_minimize_level_set_is_under_the_budget(capsys):
@@ -425,38 +449,69 @@ def test_whitehead_minimize_level_set_is_under_the_budget(capsys):
     with pytest.raises(BudgetError, match=r"Whitehead level set \(\d+ states explored\)"):
         whitehead_minimize(w, budget=100)
     assert run(["whitehead", "aabbcc", "--budget", "100"]) == 3
-    assert run(["whitehead", "aabbcc", "--budget", "144"]) == 3
+    assert run(["whitehead", "aabbcc", "--budget", "419"]) == 3
     capsys.readouterr()
-    assert run(["whitehead", "aabbcc", "--budget", "145"]) == 0
+    assert run(["whitehead", "aabbcc", "--budget", "420"]) == 0
     assert json.loads(capsys.readouterr().out)["level_set_size"] == 328
     assert len(whitehead_minimize(w)[1]) == 328
 
 
 def test_certified_rank5_words_skip_the_rank_bound():
+    # the certificates answer with no pass over the move table, so a
+    # budget of 0 is enough
     once = parse_word("[a,b][c,d]e")  # e occurs once: primitive
-    assert is_primitive(once, rank_bound=4)
-    assert lies_in_proper_free_factor(once, rank_bound=4)
+    assert is_primitive(once, budget=0)
+    assert lies_in_proper_free_factor(once, budget=0)
     omitting = parse_word("[a,b][c,d]", rank=5)
-    assert lies_in_proper_free_factor(omitting, rank_bound=4)
+    assert lies_in_proper_free_factor(omitting, budget=0)
     cycle = parse_word("aabbABccddCDee")  # 2-connected Whitehead graph, gcd 1
     assert _certificate(5, cyclic_reduce(cycle)[0].letters) is False
-    assert not is_primitive(cycle, rank_bound=4)
-    assert not lies_in_proper_free_factor(cycle, rank_bound=4)
+    assert not is_primitive(cycle, budget=0)
+    assert not lies_in_proper_free_factor(cycle, budget=0)
 
 
-def test_uncertified_rank5_word_still_meets_the_rank_bound():
+def test_uncertified_rank5_word_is_decided_by_the_search():
+    # the search descends in 9 passes to a single letter, and a 10th finds
+    # no shorter word: 10 passes of 5 (2^8 - 2) = 1,270 units
     w = parse_word("AceBEACDADB")  # every letter twice or more, a cut vertex, gcd 1
     assert _certificate(5, cyclic_reduce(w)[0].letters) is None
-    with pytest.raises(ValidationError, match="rank 5 exceeds bound 4"):
-        lies_in_proper_free_factor(w, rank_bound=4)
-    with pytest.raises(ValidationError, match="rank 5 exceeds bound 4"):
-        is_primitive(w, rank_bound=4)
+    assert lies_in_proper_free_factor(w, budget=12700)
+    assert is_primitive(w, budget=12700)
+    with pytest.raises(BudgetError, match=r"Whitehead descent \(rank 5, 1 letters\)"):
+        lies_in_proper_free_factor(w, budget=12699)
+    for search in (is_primitive, lies_in_proper_free_factor):
+        with pytest.raises(BudgetError, match=r"Whitehead move table \(rank 5\)"):
+            search(w, budget=1269)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_words())
+def test_a_search_costs_the_same_wherever_it_runs(w):
+    # whitehead_minimize succeeds at its own total and fails one unit
+    # below it, also after a default-budget call on the same word: no
+    # descent or level set is cached across calls
+    stages, charge = [], words_module._pass_charge
+    words_module._pass_charge = _counting(stages)
+    try:
+        min_len, level = whitehead_minimize(w)
+    finally:
+        words_module._pass_charge = charge
+    total = len(stages) * w.rank * (2 ** (2 * w.rank - 2) - 2)
+    assume(total > 0)
+    min_len_at_total, level_at_total = whitehead_minimize(w, budget=total)
+    assert (min_len_at_total, level_at_total.classes) == (min_len, level.classes)
+    with pytest.raises(BudgetError):
+        whitehead_minimize(w, budget=total - 1)
 
 
 def test_fallback_search_budget_names_the_stage():
     w = parse_word("aBab^-3")  # a cut vertex, in no proper free factor
     assert _certificate(2, cyclic_reduce(w)[0].letters) is None
     assert not lies_in_proper_free_factor(w)
-    with pytest.raises(BudgetError, match="Whitehead level set") as exc:
-        lies_in_proper_free_factor(w, budget=5)
-    assert "states explored" in exc.value.what and exc.value.budget == 5
+    # its 4 passes of 4 units: the move table, one descent step, two keys
+    for budget, stage in ((3, "Whitehead move table (rank 2)"),
+                          (5, "Whitehead descent (rank 2, 4 letters)"),
+                          (15, "Whitehead level set (2 states explored)")):
+        with pytest.raises(BudgetError) as exc:
+            lies_in_proper_free_factor(w, budget=budget)
+        assert exc.value.what == stage and exc.value.budget == budget

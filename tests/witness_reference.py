@@ -37,7 +37,7 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
                 partial = True
                 continue
             rewritten = rewrite_in_subgroup(ctx.word, basis)
-            if is_primitive(rewritten, whitehead_bound):
+            if is_primitive(rewritten, budget):
                 continue
             value = Cyclotomic.one()
         else:
@@ -45,7 +45,7 @@ def witness_report_reference(w, phi, budget=None, whitehead_bound=DEFAULT_WHITEH
             if value.is_zero():
                 continue
         if node.rank() <= whitehead_bound:
-            algebraic = is_algebraic(ctx.word, node, whitehead_bound)
+            algebraic = is_algebraic(ctx.word, node, budget)
         else:
             algebraic = None
             partial = True
